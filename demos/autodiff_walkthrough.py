@@ -2,7 +2,7 @@
 #
 # Everything in this library runs on a small tape-based autodiff engine over
 # float64 numpy arrays. This script builds a few graphs by hand, checks the
-# gradients against finite differences, and shows how the tape replays.
+# gradients against finite differences, and shows temperature sharpening.
 
 import numpy as np
 
@@ -41,14 +41,6 @@ numeric = finite_difference(lambda: loss_fn().item(), (w1, w2), epsilon=1e-6)
 for name, p, num in (("w1", w1, numeric[0]), ("w2", w2, numeric[1])):
     rel = np.abs(p.grad - num) / np.maximum(np.abs(num), 1e-3)
     print(f"{name}: max relative error vs finite differences = {rel.max():.2e}")
-
-# The tape records a recompute rule for every node, so a forward pass can be
-# replayed bit-identically. This is what makes checkpoint resume exact.
-with Tape() as tape:
-    loss = loss_fn()
-before = loss.data.copy()
-tape.replay()
-print("replay bit-identical:", np.array_equal(before, loss.data))
 
 # Softmax with temperature is the workhorse of the distillation loss. Lower
 # temperature sharpens the distribution; this is exactly how the teacher's

@@ -104,31 +104,18 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-class _Node:
-    """One recorded operation: output, parents, and the two closures."""
-
-    __slots__ = ("out", "parents", "backward_fn", "recompute_fn", "name")
-
-    def __init__(self, out, parents, backward_fn, recompute_fn, name):
-        self.out = out
-        self.parents = parents
-        self.backward_fn = backward_fn
-        self.recompute_fn = recompute_fn
-        self.name = name
-
-
 class Tape:
     """Ordered record of executed operations for one forward pass.
 
     Used as a context manager; at most one tape is active per thread of
-    execution. Replaying a tape re-executes each recorded forward closure in
-    order and must reproduce every output bit-exactly.
+    execution. Each entry is an ``(out, backward_fn)`` pair: the op's output
+    tensor and the closure that pushes ``out.grad`` to the op's inputs.
     """
 
     _active: "Tape | None" = None
 
     def __init__(self):
-        self.nodes: list[_Node] = []
+        self.nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
 
     def __enter__(self) -> "Tape":
         if Tape._active is not None:
@@ -140,17 +127,12 @@ class Tape:
         Tape._active = None
         return False
 
-    def replay(self) -> None:
-        """Re-execute every recorded forward closure, in order, in place."""
-        for node in self.nodes:
-            node.out.data = node.recompute_fn()
 
-
-def _record(out: Tensor, parents: Sequence[Tensor], backward_fn, recompute_fn, name: str) -> Tensor:
+def _record(out: Tensor, parents: Sequence[Tensor], backward_fn) -> Tensor:
     tape = Tape._active
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        tape.nodes.append(_Node(out, tuple(parents), backward_fn, recompute_fn, name))
+        tape.nodes.append((out, backward_fn))
     return out
 
 
@@ -184,7 +166,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, _unbroadcast(g, b.data.shape))
 
-    return _record(out, (a, b), backward_fn, lambda: a.data + b.data, "add")
+    return _record(out, (a, b), backward_fn)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -194,7 +176,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, _unbroadcast(-g, b.data.shape))
 
-    return _record(out, (a, b), backward_fn, lambda: a.data - b.data, "sub")
+    return _record(out, (a, b), backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -204,7 +186,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accum(a, _unbroadcast(g * b.data, a.data.shape))
         _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _record(out, (a, b), backward_fn, lambda: a.data * b.data, "mul")
+    return _record(out, (a, b), backward_fn)
 
 
 def reciprocal(a: Tensor) -> Tensor:
@@ -213,7 +195,7 @@ def reciprocal(a: Tensor) -> Tensor:
     def backward_fn(g):
         _accum(a, -g / (a.data * a.data))
 
-    return _record(out, (a,), backward_fn, lambda: 1.0 / a.data, "reciprocal")
+    return _record(out, (a,), backward_fn)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -223,7 +205,7 @@ def exp(a: Tensor) -> Tensor:
     def backward_fn(g):
         _accum(a, g * out.data)
 
-    return _record(out, (a,), backward_fn, lambda: np.exp(a.data), "exp")
+    return _record(out, (a,), backward_fn)
 
 
 def log(a: Tensor) -> Tensor:
@@ -232,7 +214,7 @@ def log(a: Tensor) -> Tensor:
     def backward_fn(g):
         _accum(a, g / a.data)
 
-    return _record(out, (a,), backward_fn, lambda: np.log(a.data), "log")
+    return _record(out, (a,), backward_fn)
 
 
 def square(a: Tensor) -> Tensor:
@@ -241,7 +223,7 @@ def square(a: Tensor) -> Tensor:
     def backward_fn(g):
         _accum(a, 2.0 * g * a.data)
 
-    return _record(out, (a,), backward_fn, lambda: a.data * a.data, "square")
+    return _record(out, (a,), backward_fn)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -251,7 +233,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def backward_fn(g):
         _accum(a, g.reshape(a.data.shape))
 
-    return _record(out, (a,), backward_fn, lambda: a.data.reshape(shape), "reshape")
+    return _record(out, (a,), backward_fn)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -262,7 +244,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     def backward_fn(g):
         _accum(a, g.transpose(inv))
 
-    return _record(out, (a,), backward_fn, lambda: a.data.transpose(axes), "transpose")
+    return _record(out, (a,), backward_fn)
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
@@ -272,8 +254,7 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     def backward_fn(g):
         _accum(a, _unbroadcast(g, a.data.shape))
 
-    return _record(out, (a,), backward_fn,
-                   lambda: np.broadcast_to(a.data, shape).copy(), "broadcast_to")
+    return _record(out, (a,), backward_fn)
 
 
 def getitem(a: Tensor, idx) -> Tensor:
@@ -285,7 +266,7 @@ def getitem(a: Tensor, idx) -> Tensor:
             full[idx] += g  # indices used here are slices/ints, never duplicated
             _accum(a, full)
 
-    return _record(out, (a,), backward_fn, lambda: np.array(a.data[idx]), "getitem")
+    return _record(out, (a,), backward_fn)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -300,8 +281,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
             sl[axis] = slice(lo, hi)
             _accum(t, g[tuple(sl)])
 
-    return _record(out, tensors, backward_fn,
-                   lambda: np.concatenate([t.data for t in tensors], axis=axis), "concat")
+    return _record(out, tensors, backward_fn)
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -314,8 +294,7 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             gg = g if keepdims else np.expand_dims(g, axis)
             _accum(a, np.broadcast_to(gg, a.data.shape).copy())
 
-    return _record(out, (a,), backward_fn,
-                   lambda: a.data.sum(axis=axis, keepdims=keepdims), "sum")
+    return _record(out, (a,), backward_fn)
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -344,7 +323,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             _accum(b, _unbroadcast(gb, b.data.shape))
 
-    return _record(out, (a, b), backward_fn, lambda: np.matmul(a.data, b.data), "matmul")
+    return _record(out, (a, b), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -359,21 +338,17 @@ def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
     if temperature <= 0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
     tau = float(temperature)
-
-    def fwd():
-        z = x.data / tau
-        z = z - z.max(axis=-1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=-1, keepdims=True)
-
-    out = Tensor(fwd())
+    z = x.data / tau
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    out = Tensor(e / e.sum(axis=-1, keepdims=True))
 
     def backward_fn(g):
         y = out.data
         dot = (g * y).sum(axis=-1, keepdims=True)
         _accum(x, y * (g - dot) / tau)
 
-    return _record(out, (x,), backward_fn, fwd, "softmax_rows")
+    return _record(out, (x,), backward_fn)
 
 
 def log_softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
@@ -381,20 +356,15 @@ def log_softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
     if temperature <= 0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
     tau = float(temperature)
-
-    def fwd():
-        z = x.data / tau
-        m = z.max(axis=-1, keepdims=True)
-        z = z - m
-        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-    out = Tensor(fwd())
+    z = x.data / tau
+    z = z - z.max(axis=-1, keepdims=True)
+    out = Tensor(z - np.log(np.exp(z).sum(axis=-1, keepdims=True)))
 
     def backward_fn(g):
         p = np.exp(out.data)
         _accum(x, (g - p * g.sum(axis=-1, keepdims=True)) / tau)
 
-    return _record(out, (x,), backward_fn, fwd, "log_softmax_rows")
+    return _record(out, (x,), backward_fn)
 
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, epsilon: float = 1e-6) -> Tensor:
@@ -424,12 +394,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, epsilon: float = 1e-6) -
         if shift.requires_grad:
             _accum(shift, g.reshape(-1, d).sum(axis=0))
 
-    def fwd():
-        mu_ = x.data.mean(axis=-1, keepdims=True)
-        inv_ = 1.0 / np.sqrt(x.data.var(axis=-1, keepdims=True) + epsilon)
-        return (x.data - mu_) * inv_ * scale.data + shift.data
-
-    return _record(out, (x, scale, shift), backward_fn, fwd, "layer_norm")
+    return _record(out, (x, scale, shift), backward_fn)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -443,10 +408,7 @@ def gelu(x: Tensor) -> Tensor:
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
         _accum(x, g * (phi_cdf + x.data * pdf))
 
-    def fwd():
-        return x.data * (0.5 * (1.0 + erf(x.data * _INV_SQRT2)))
-
-    return _record(out, (x,), backward_fn, fwd, "gelu")
+    return _record(out, (x,), backward_fn)
 
 
 def l2_normalize_rows(x: Tensor, guard: float = 1e-12) -> Tensor:
@@ -465,11 +427,7 @@ def l2_normalize_rows(x: Tensor, guard: float = 1e-12) -> Tensor:
         gx = g / safe - x.data * dot / (safe ** 3)
         _accum(x, np.where(small, g, gx))
 
-    def fwd():
-        n = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
-        return x.data / np.where(n < guard, 1.0, n)
-
-    return _record(out, (x,), backward_fn, fwd, "l2_normalize_rows")
+    return _record(out, (x,), backward_fn)
 
 
 def cross_entropy_rows(p, log_q: Tensor) -> Tensor:
@@ -503,11 +461,9 @@ def backward(loss: Tensor, tape: Tape, leaves: Iterable[Tensor] = ()) -> None:
     # Interior tensors are created with requires_grad=True by _record, so the
     # per-tensor grad slots double as the sweep's accumulation buffers.
     loss.grad = np.ones((), dtype=DTYPE)
-    for node in reversed(tape.nodes):
-        g = node.out.grad
-        if g is None:
-            continue
-        node.backward_fn(np.asarray(g, dtype=DTYPE))
+    for out, backward_fn in reversed(tape.nodes):
+        if out.grad is not None:
+            backward_fn(np.asarray(out.grad, dtype=DTYPE))
 
     for leaf in leaves:
         if leaf.requires_grad and leaf.grad is None:

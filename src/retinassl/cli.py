@@ -124,7 +124,7 @@ def _resolve_config(args):
 
 
 def cmd_make_synth(args) -> int:
-    config = _resolve_config(args)
+    _resolve_config(args)
     dataset = generate_synthetic_dataset(args.seed, args.per_class, args.size)
     os.makedirs(args.out, exist_ok=True)
     with _OutputLock(args.out):
@@ -178,7 +178,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_eval_data(args, image_size):
+def _load_eval_data(args):
     train_m = load_manifest(args.train_manifest, args.train_images, split="train")
     test_m = load_manifest(args.test_manifest, args.test_images, split="test")
     return train_m, test_m
@@ -194,7 +194,7 @@ def _write_metrics(out_dir, metrics):
 def cmd_probe(args) -> int:
     config = _resolve_config(args)
     state, vit, head, crop, distill = load_checkpoint(args.checkpoint)
-    train_m, test_m = _load_eval_data(args, vit.image_size)
+    train_m, test_m = _load_eval_data(args)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xF11C]))
 
     train_imgs = probe_train_transform(train_m.load_images(), vit.image_size,
@@ -219,7 +219,7 @@ def cmd_probe(args) -> int:
 def cmd_knn(args) -> int:
     config = _resolve_config(args)
     state, vit, head, crop, distill = load_checkpoint(args.checkpoint)
-    train_m, test_m = _load_eval_data(args, vit.image_size)
+    train_m, test_m = _load_eval_data(args)
     knn_cfg = KnnConfig(k=args.k if args.k is not None else config.knn.k,
                         temperature=config.knn.temperature,
                         majority=config.knn.majority)

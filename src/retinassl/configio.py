@@ -21,15 +21,9 @@ from .vit import ProjectionHeadConfig, ViTConfig
 
 @dataclass
 class DataConfig:
-    image_size: int = 32
-    n_per_class: int = 50
     n_last_blocks: int = 1
 
     def validate(self):
-        if self.image_size < 8:
-            raise ConfigError("data.image_size must be >= 8")
-        if self.n_per_class < 0:
-            raise ConfigError("data.n_per_class must be >= 0")
         if self.n_last_blocks < 1:
             raise ConfigError("data.n_last_blocks must be >= 1")
 

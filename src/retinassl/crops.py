@@ -96,13 +96,17 @@ def _cubic_weight(t: np.ndarray) -> np.ndarray:
 def _resample_axis(arr: np.ndarray, out_size: int, axis: int) -> np.ndarray:
     """Bicubically resample one axis of `arr` to `out_size` samples."""
     in_size = arr.shape[axis]
+    arr = np.moveaxis(arr, axis, 0)
+    if out_size == in_size:
+        # Half-pixel centers land on the samples and the taps are (0, 1, 0, 0),
+        # so for finite input the resample is a copy, bit for bit, in the
+        # same memory layout.
+        return np.moveaxis(arr.copy(), 0, axis)
     scale = in_size / out_size
-    # Half-pixel-center mapping: identity when out_size == in_size.
     src = (np.arange(out_size) + 0.5) * scale - 0.5
     base = np.floor(src).astype(np.int64)
     frac = src - base
 
-    arr = np.moveaxis(arr, axis, 0)
     out = np.zeros((out_size,) + arr.shape[1:], dtype=arr.dtype)
     wsum = np.zeros(out_size)
     for tap in (-1, 0, 1, 2):
@@ -187,12 +191,6 @@ def sample_crop(image: np.ndarray, scale_range: tuple[float, float], out_size: i
     left = int(rng.integers(0, w_img - w + 1))
     crop = image[..., top:top + h, left:left + w]
     return bicubic_resize(crop, out_size), (top, left, h, w)
-
-
-def crop_at(image: np.ndarray, geometry: tuple[int, int, int, int], out_size: int) -> np.ndarray:
-    """Re-cut a previously sampled crop geometry (used for teacher views)."""
-    top, left, h, w = geometry
-    return bicubic_resize(image[..., top:top + h, left:left + w], out_size)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +320,3 @@ def build_multicrop(image: np.ndarray, config: MultiCropConfig,
                             config.n_global + j, LOCAL))
 
     return MultiCropBatch(student_views=student, teacher_views=teacher)
-
-
-def rng_for_image(base_seed: int, image_index: int) -> np.random.Generator:
-    """Per-image generator: fixed base seed gives identical batches no matter
-    how images are distributed across workers."""
-    return np.random.default_rng(np.random.SeedSequence([int(base_seed), int(image_index)]))

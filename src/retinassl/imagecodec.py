@@ -54,32 +54,36 @@ def _unfilter(data: bytes, h: int, w: int, channels: int) -> np.ndarray:
     stride = w * channels
     if len(data) < h * (stride + 1):
         raise DecodeError("PNG pixel stream shorter than the header promises")
-    out = np.zeros((h, stride), dtype=np.uint8)
+    # The per-byte loops run on Python ints (bytes and lists both index to
+    # int): numpy uint8 scalars would warn on every modulo-256 wrap. Whole
+    # uint8 arrays wrap silently, so Up stays vectorized.
+    out = bytearray()
+    prev = bytes(stride)
     pos = 0
-    for y in range(h):
+    for _ in range(h):
         ftype = data[pos]
-        pos += 1
-        line = np.frombuffer(data, dtype=np.uint8, count=stride, offset=pos).copy()
-        pos += stride
+        line = data[pos + 1:pos + 1 + stride]
+        pos += stride + 1
         if ftype == 0:
             pass
         elif ftype == 1:  # Sub
+            line = list(line)
             for x in range(channels, stride):
                 line[x] = (line[x] + line[x - channels]) & 0xFF
         elif ftype == 2:  # Up
-            prev = out[y - 1] if y > 0 else np.zeros(stride, dtype=np.uint8)
-            line = (line.astype(np.int32) + prev).astype(np.uint8)
+            line = (np.frombuffer(line, dtype=np.uint8)
+                    + np.frombuffer(bytes(prev), dtype=np.uint8)).tobytes()
         elif ftype == 3:  # Average
-            prev = out[y - 1] if y > 0 else np.zeros(stride, dtype=np.uint8)
+            line = list(line)
             for x in range(stride):
-                left = int(line[x - channels]) if x >= channels else 0
-                line[x] = (line[x] + (left + int(prev[x])) // 2) & 0xFF
+                left = line[x - channels] if x >= channels else 0
+                line[x] = (line[x] + (left + prev[x]) // 2) & 0xFF
         elif ftype == 4:  # Paeth
-            prev = out[y - 1] if y > 0 else np.zeros(stride, dtype=np.uint8)
+            line = list(line)
             for x in range(stride):
-                a = int(line[x - channels]) if x >= channels else 0
-                b = int(prev[x])
-                c = int(prev[x - channels]) if x >= channels else 0
+                a = line[x - channels] if x >= channels else 0
+                b = prev[x]
+                c = prev[x - channels] if x >= channels else 0
                 p = a + b - c
                 pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
                 if pa <= pb and pa <= pc:
@@ -91,8 +95,9 @@ def _unfilter(data: bytes, h: int, w: int, channels: int) -> np.ndarray:
                 line[x] = (line[x] + pred) & 0xFF
         else:
             raise DecodeError(f"unknown PNG filter type {ftype}")
-        out[y] = line
-    return out.reshape(h, w, channels)
+        out.extend(line)
+        prev = line
+    return np.frombuffer(out, dtype=np.uint8).reshape(h, w, channels)
 
 
 def decode_png(blob: bytes) -> np.ndarray:
@@ -179,7 +184,10 @@ def decode_pnm(blob: bytes) -> np.ndarray:
                 pos += 1
             tokens.append(blob[start:pos])
     pos += 1  # the single whitespace after maxval
-    w, h, maxval = (int(t) for t in tokens)
+    w, h, maxval = (int(t) if t.isdigit() else 0 for t in tokens)
+    if min(w, h, maxval) < 1:
+        raise DecodeError("pixmap width, height and maxval must be positive "
+                          f"integers, got {b' '.join(tokens).decode(errors='replace')!r}")
     if maxval != 255:
         raise DataFormatError(f"only maxval 255 supported, got {maxval}")
     need = w * h * channels

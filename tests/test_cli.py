@@ -156,6 +156,18 @@ class TestTrain:
                     "--images", synth_dir, "--out", str(tmp_path / "o"),
                     "--config", str(bad), "--steps", "1"]) == 2
 
+    def test_unknown_config_key_exit_2(self, tmp_path):
+        # a deleted key must fail loudly rather than be silently ignored
+        assert run(["make-synth", "--out", str(tmp_path / "o"),
+                    "--set", "data.image_size=64"]) == 2
+
+    def test_non_numeric_pnm_header_exit_2(self, tmp_path, tiny_config):
+        (tmp_path / "m.csv").write_text("image,level\n1_left,0\n")
+        (tmp_path / "1_left.ppm").write_bytes(b"P6\nab 4\n255\n")
+        assert run(["train", "--manifest", str(tmp_path / "m.csv"),
+                    "--images", str(tmp_path), "--out", str(tmp_path / "o"),
+                    "--config", tiny_config, "--steps", "1"]) == 2
+
     def test_missing_manifest_exit_2(self, tmp_path, tiny_config):
         assert run(["train", "--manifest", "/nonexistent.csv",
                     "--images", str(tmp_path), "--out", str(tmp_path / "o"),

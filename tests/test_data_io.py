@@ -1,4 +1,6 @@
 import os
+import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -17,6 +19,16 @@ from retinassl.errors import (CheckpointChecksumError, CheckpointMagicError,
 from retinassl.imagecodec import (decode_image, decode_png, decode_pnm,
                                   encode_image, encode_png, encode_pnm)
 from retinassl.vit import ProjectionHeadConfig, ViTConfig
+
+
+def _rgb_png(w, h, stream):
+    """Hand-built 8-bit RGB PNG around an already filtered pixel stream."""
+    def chunk(tag, payload):
+        return (struct.pack(">I", len(payload)) + tag + payload
+                + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF))
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
+            + chunk(b"IDAT", zlib.compress(bytes(stream))) + chunk(b"IEND", b""))
 
 
 class TestPnm:
@@ -57,6 +69,12 @@ class TestPnm:
         blob = b"P6\n# a comment\n1 1\n255\n\x01\x02\x03"
         np.testing.assert_array_equal(decode_pnm(blob), [[[1, 2, 3]]])
 
+    @pytest.mark.parametrize("header", [b"ab 4\n255", b"0 4\n255", b"4 -3\n255",
+                                        b"4 4\n0", b"4 4\nxff"])
+    def test_bad_header_fields(self, header):
+        with pytest.raises(DecodeError):
+            decode_pnm(b"P6\n" + header + b"\n" + bytes(48))
+
 
 class TestPng:
     def test_rgb_roundtrip(self):
@@ -93,21 +111,42 @@ class TestPng:
 
     def test_filtered_scanlines_decoded(self):
         # Build a PNG by hand using Up filters to exercise the unfilter path.
-        import struct
         h, w = 3, 2
         rows = np.array([[10, 20, 30, 40, 50, 60]] * h, dtype=np.uint8)
         stream = bytearray()
         stream += b"\x00" + rows[0].tobytes()
         for _ in range(h - 1):
             stream += b"\x02" + bytes(6)  # Up filter, zero deltas
-        def chunk(tag, payload):
-            return (struct.pack(">I", len(payload)) + tag + payload
-                    + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF))
-        ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-        blob = (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
-                + chunk(b"IDAT", zlib.compress(bytes(stream))) + chunk(b"IEND", b""))
-        out = decode_png(blob)
+        out = decode_png(_rgb_png(w, h, stream))
         np.testing.assert_array_equal(out, rows.reshape(h, w, 3))
+
+    def test_all_five_filter_types_decode_without_warnings(self):
+        # Encoder side of PNG filtering (spec section 9), written out per byte
+        # on Python ints; rows cycle through filter types 0..4 twice.
+        def paeth(a, b, c):
+            p = a + b - c
+            pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+            return a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+
+        rng = np.random.default_rng(11)
+        h, w, ch = 10, 7, 3
+        pixels = rng.integers(0, 256, size=(h, w, ch), dtype=np.uint8)
+        stream = bytearray()
+        prev = [0] * (w * ch)
+        for y, row in enumerate(pixels.reshape(h, w * ch).tolist()):
+            ftype = y % 5
+            out = []
+            for x, v in enumerate(row):
+                a = row[x - ch] if x >= ch else 0
+                c = prev[x - ch] if x >= ch else 0
+                pred = [0, a, prev[x], (a + prev[x]) // 2, paeth(a, prev[x], c)][ftype]
+                out.append((v - pred) & 0xFF)
+            stream += bytes([ftype] + out)
+            prev = row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = decode_png(_rgb_png(w, h, stream))
+        np.testing.assert_array_equal(out, pixels)
 
 
 class TestManifest:
