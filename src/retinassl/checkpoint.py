@@ -139,7 +139,10 @@ def _read_sections(blob: bytes) -> dict[str, bytes]:
         pos += 2
         if pos + nlen + 12 > len(blob):
             raise CheckpointTruncationError("section header cut short")
-        name = blob[pos:pos + nlen].decode()
+        try:
+            name = blob[pos:pos + nlen].decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"section name at byte {pos} is not UTF-8") from exc
         pos += nlen
         plen, crc = struct.unpack_from("<QI", blob, pos)
         pos += 12
@@ -153,6 +156,23 @@ def _read_sections(blob: bytes) -> dict[str, bytes]:
     return sections
 
 
+def _read_metadata(sections: dict[str, bytes]):
+    """Parse the JSON sections into (step, rng, vit, head, crop, distill)."""
+    try:
+        meta = json.loads(sections["meta"])
+        cfg_raw = json.loads(sections["configs"])
+        step = int(meta["step"])
+        rng = np.random.default_rng()
+        rng.bit_generator.state = meta["rng_state"]
+        configs = [_config_from_dict(cls, cfg_raw[name]) for name, cls in (
+            ("vit", ViTConfig), ("head", ProjectionHeadConfig),
+            ("crop", MultiCropConfig), ("distill", DistillConfig))]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"malformed checkpoint metadata: {type(exc).__name__}: {exc}") from exc
+    return (step, rng, *configs)
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (TrainState, vit, head, crop, distill configs)."""
     with open(path, "rb") as fh:
@@ -161,12 +181,7 @@ def load_checkpoint(path):
     for required in ("meta", "configs", "center"):
         if required not in sections:
             raise CheckpointError(f"checkpoint missing section {required!r}")
-    meta = json.loads(sections["meta"])
-    cfg_raw = json.loads(sections["configs"])
-    vit = _config_from_dict(ViTConfig, cfg_raw["vit"])
-    head = _config_from_dict(ProjectionHeadConfig, cfg_raw["head"])
-    crop = _config_from_dict(MultiCropConfig, cfg_raw["crop"])
-    distill = _config_from_dict(DistillConfig, cfg_raw["distill"])
+    step, rng, vit, head, crop, distill = _read_metadata(sections)
 
     groups: dict[str, dict[str, np.ndarray]] = {
         "student": {}, "teacher": {}, "opt_m": {}, "opt_v": {}}
@@ -175,12 +190,14 @@ def load_checkpoint(path):
             group, key = name.split("/", 1)
             if group in groups:
                 groups[group][key] = _unpack_array(payload)
+    shapes = {g: {k: v.shape for k, v in arrays.items()} for g, arrays in groups.items()}
+    if any(s != shapes["student"] for s in shapes.values()):
+        raise CheckpointError("student, teacher, opt_m and opt_v tensors differ "
+                              "in names or shapes")
     student = {k: Tensor(v, requires_grad=True) for k, v in groups["student"].items()}
     teacher = {k: Tensor(v, requires_grad=False) for k, v in groups["teacher"].items()}
-    rng = np.random.default_rng()
-    rng.bit_generator.state = meta["rng_state"]
     state = TrainState(student=student, teacher=teacher,
                        center=_unpack_array(sections["center"]),
                        opt_m=groups["opt_m"], opt_v=groups["opt_v"],
-                       step=int(meta["step"]), rng=rng)
+                       step=step, rng=rng)
     return state, vit, head, crop, distill

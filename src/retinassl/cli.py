@@ -226,8 +226,6 @@ def cmd_knn(args) -> int:
     index = build_index(state.teacher, probe_eval_transform(
         train_m.load_images(), vit.image_size), train_m.grades(), vit,
         config.data.n_last_blocks)
-    if not 1 <= knn_cfg.k <= len(index.features):
-        raise InputError(f"k={knn_cfg.k} outside 1..{len(index.features)}")
     queries = build_index(state.teacher, probe_eval_transform(
         test_m.load_images(), vit.image_size), test_m.grades(), vit,
         config.data.n_last_blocks)

@@ -23,7 +23,7 @@ from .vit import ProjectionHeadConfig, ViTConfig
 class DataConfig:
     n_last_blocks: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_last_blocks < 1:
             raise ConfigError("data.n_last_blocks must be >= 1")
 
@@ -93,21 +93,6 @@ def apply_assignments(config: RunConfig, assignments: dict[str, object]) -> RunC
     return dataclasses.replace(config, **replacements)
 
 
-def validate_config(config: RunConfig) -> RunConfig:
-    try:
-        config.crop.validate()
-        config.data.validate()
-        # vit / head / distill validate in their constructors; re-run them so
-        # file-sourced values go through the same checks
-        dataclasses.replace(config.vit)
-        dataclasses.replace(config.distill)
-    except RetinaSSLError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-    return config
-
-
 def load_config(path=None, overrides: dict[str, object] | None = None) -> RunConfig:
     """Build a validated RunConfig from defaults, a file, and overrides."""
     config = RunConfig()
@@ -117,4 +102,4 @@ def load_config(path=None, overrides: dict[str, object] | None = None) -> RunCon
         config = apply_assignments(config, assignments)
     if overrides:
         config = apply_assignments(config, dict(overrides))
-    return validate_config(config)
+    return config

@@ -10,6 +10,7 @@ Images are float arrays of shape (3, H, W) with values in [0, 1].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,7 @@ class MultiCropConfig:
     solarize_p: float = 0.2
     solarize_threshold: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name, (lo, hi) in (("global_scale_range", self.global_scale_range),
                                ("local_scale_range", self.local_scale_range)):
             if not (0.0 < lo <= hi <= 1.0):
@@ -85,56 +86,53 @@ def _cubic_weight(t: np.ndarray) -> np.ndarray:
     t = np.abs(t)
     t2 = t * t
     t3 = t2 * t
-    w = np.where(
+    return np.where(
         t <= 1.0,
         (_A + 2.0) * t3 - (_A + 3.0) * t2 + 1.0,
         np.where(t < 2.0, _A * t3 - 5.0 * _A * t2 + 8.0 * _A * t - 4.0 * _A, 0.0),
     )
-    return w
 
 
-def _resample_axis(arr: np.ndarray, out_size: int, axis: int) -> np.ndarray:
-    """Bicubically resample one axis of `arr` to `out_size` samples."""
-    in_size = arr.shape[axis]
-    arr = np.moveaxis(arr, axis, 0)
-    if out_size == in_size:
-        # Half-pixel centers land on the samples and the taps are (0, 1, 0, 0),
-        # so for finite input the resample is a copy, bit for bit, in the
-        # same memory layout.
-        return np.moveaxis(arr.copy(), 0, axis)
-    scale = in_size / out_size
-    src = (np.arange(out_size) + 0.5) * scale - 0.5
+@functools.lru_cache(maxsize=256)
+def resample_matrix(in_size: int, out_size: int) -> np.ndarray:
+    """Read-only (out_size, in_size) matrix of the library's bicubic kernel.
+
+    Row i holds the Catmull-Rom taps of output sample i (half-pixel centers,
+    edge-clamped taps), so resampling an axis is one product with it. At
+    out_size == in_size the taps are (0, 1, 0, 0): exactly the identity.
+    """
+    if in_size < 1 or out_size < 1:
+        raise ParameterError(f"sizes must be >= 1, got {in_size} -> {out_size}")
+    src = (np.arange(out_size) + 0.5) * (in_size / out_size) - 0.5
     base = np.floor(src).astype(np.int64)
     frac = src - base
-
-    out = np.zeros((out_size,) + arr.shape[1:], dtype=arr.dtype)
+    rows = np.arange(out_size)
+    m = np.zeros((out_size, in_size))
     wsum = np.zeros(out_size)
     for tap in (-1, 0, 1, 2):
-        idx = np.clip(base + tap, 0, in_size - 1)
         w = _cubic_weight(frac - tap)
         wsum += w
-        out += w.reshape((-1,) + (1,) * (arr.ndim - 1)) * arr[idx]
+        # clamped edge taps land on one column and add up across taps
+        m[rows, np.clip(base + tap, 0, in_size - 1)] += w
     # Catmull-Rom taps sum to 1 exactly on the uniform grid; normalize anyway
     # to stay bit-stable against rounding in the weight evaluation.
-    out /= wsum.reshape((-1,) + (1,) * (arr.ndim - 1))
-    return np.moveaxis(out, 0, axis)
+    m /= wsum[:, None]
+    m.flags.writeable = False
+    return m
 
 
 def bicubic_resize(image: np.ndarray, out_size: int | tuple[int, int]) -> np.ndarray:
-    """Separable bicubic resize of a (..., H, W) array.
+    """Separable bicubic resize of a (..., H, W) array: Mh @ image @ Mw.T
+    with the matrices of `resample_matrix`.
 
     Catmull-Rom kernel (a = -0.5), edge-clamped taps, half-pixel sample
     centers. The kernel is pinned so outputs are portable across platforms.
+    Always returns a new array; a same-size resize of finite input is a
+    bit-exact copy.
     """
-    if isinstance(out_size, int):
-        out_h = out_w = out_size
-    else:
-        out_h, out_w = out_size
-    if out_h < 1 or out_w < 1:
-        raise ParameterError(f"out_size must be >= 1, got {(out_h, out_w)}")
-    out = _resample_axis(image, out_h, image.ndim - 2)
-    out = _resample_axis(out, out_w, image.ndim - 1)
-    return out
+    out_h, out_w = (out_size, out_size) if isinstance(out_size, int) else out_size
+    h, w = image.shape[-2:]
+    return resample_matrix(h, out_h) @ image @ resample_matrix(w, out_w).T
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +300,6 @@ def build_multicrop(image: np.ndarray, config: MultiCropConfig,
     Teacher views share the student's global crop geometries but are
     independent augmentation draws of the same recipes.
     """
-    config.validate()
     student: list[View] = []
     teacher: list[View] = []
 

@@ -44,6 +44,10 @@ class DatasetManifest:
     def load_images(self) -> np.ndarray:
         """Decode every record into one (n, 3, H, W) array (uniform sizes)."""
         imgs = [decode_image(r.path) for r in self.records]
+        for record, img in zip(self.records, imgs):
+            if img.shape != imgs[0].shape:
+                raise InputError(f"{record.path} is {img.shape[1]}x{img.shape[2]}, unlike "
+                                 f"{self.records[0].path}; images must share one size")
         return np.stack(imgs) if imgs else np.zeros((0, 3, 0, 0))
 
 

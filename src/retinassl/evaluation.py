@@ -74,12 +74,24 @@ class ProbeConfig:
     flip_augment: bool = True
     seed: int = 0
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ParameterError(f"probe batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ParameterError(f"probe momentum must lie in [0, 1), got {self.momentum}")
+
 
 @dataclass
 class KnnConfig:
     k: int = 20
     temperature: float = 0.07
     majority: bool = False  # plain majority voting instead of weighted
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ParameterError(f"k must be >= 1, got {self.k}")
+        if not self.temperature > 0.0:
+            raise ParameterError(f"knn temperature must be > 0, got {self.temperature}")
 
 
 def extract_features(backbone_params: dict[str, Tensor], images: np.ndarray,
@@ -98,14 +110,10 @@ def extract_features(backbone_params: dict[str, Tensor], images: np.ndarray,
     return stacked.reshape(len(images), -1)
 
 
-def _resize_batch(images: np.ndarray, size: int) -> np.ndarray:
-    return np.stack([bicubic_resize(img, size) for img in images])
-
-
 def probe_eval_transform(images: np.ndarray, target_size: int) -> np.ndarray:
     """Test-time transform: resize to ceil(8/7 * s), center-crop to s."""
     big = int(np.ceil(target_size * 8.0 / 7.0))
-    resized = _resize_batch(images, big)
+    resized = bicubic_resize(images, big)
     off = (big - target_size) // 2
     return resized[:, :, off:off + target_size, off:off + target_size]
 
@@ -113,7 +121,7 @@ def probe_eval_transform(images: np.ndarray, target_size: int) -> np.ndarray:
 def probe_train_transform(images: np.ndarray, target_size: int,
                           rng: np.random.Generator, flip: bool = True) -> np.ndarray:
     """Train-time transform: resize to the model size + random horizontal flip."""
-    out = _resize_batch(images, target_size)
+    out = bicubic_resize(images, target_size)
     if flip:
         do = rng.random(len(out)) < 0.5
         out[do] = out[do][:, :, :, ::-1]
@@ -208,16 +216,10 @@ def attention_heatmaps(backbone_params: dict[str, Tensor], image: np.ndarray,
     """
     rows = last_layer_attention(image, config, backbone_params)  # (h, c, patches)
     g = config.grid
-    h, w = image.shape[-2:]
-    maps = np.zeros((config.n_heads, config.n_cls_tokens, h, w))
-    for hi in range(config.n_heads):
-        for ci in range(config.n_cls_tokens):
-            coarse = rows[hi, ci].reshape(g, g)
-            big = bicubic_resize(coarse[None], (h, w))[0]
-            lo, hi_v = big.min(), big.max()
-            if hi_v - lo > 0:
-                maps[hi, ci] = (big - lo) / (hi_v - lo)
-    return maps
+    big = bicubic_resize(rows.reshape(rows.shape[:2] + (g, g)), image.shape[-2:])
+    lo = big.min(axis=(-2, -1), keepdims=True)
+    span = big.max(axis=(-2, -1), keepdims=True) - lo
+    return np.where(span > 0, (big - lo) / np.where(span > 0, span, 1.0), 0.0)
 
 
 def compute_metrics(predictions: np.ndarray, labels: np.ndarray) -> Metrics:

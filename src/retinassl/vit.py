@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .crops import _resample_axis
+from .crops import resample_matrix
 from .errors import ContractError, InputError, ParameterError
 
 TRAIN = "train"
@@ -168,11 +168,6 @@ def init_head_params(config: ProjectionHeadConfig, in_dim: int,
 # position-embedding interpolation
 # ---------------------------------------------------------------------------
 
-def _axis_resample_matrix(old: int, new: int) -> np.ndarray:
-    """(new, old) matrix applying the library's bicubic kernel along one axis."""
-    return _resample_axis(np.eye(old), new, axis=0)
-
-
 def interpolate_pos_embed(pos: Tensor, old_grid: int, new_grid: int,
                           n_cls_tokens: int) -> Tensor:
     """Bicubically resample the patch-position rows from an old_grid x old_grid
@@ -188,8 +183,8 @@ def interpolate_pos_embed(pos: Tensor, old_grid: int, new_grid: int,
             f"(grid {old_grid}, {n_cls_tokens} CLS)")
     if new_grid == old_grid:
         return pos
-    m = np.kron(_axis_resample_matrix(old_grid, new_grid),
-                _axis_resample_matrix(old_grid, new_grid))
+    axis = resample_matrix(old_grid, new_grid)
+    m = np.kron(axis, axis)
     cls_rows = pos[:n_cls_tokens]
     patch_rows = pos[n_cls_tokens:]
     resampled = ad.matmul(Tensor(m), patch_rows)

@@ -1,4 +1,7 @@
+import json
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -168,6 +171,16 @@ class TestTrain:
                     "--images", str(tmp_path), "--out", str(tmp_path / "o"),
                     "--config", tiny_config, "--steps", "1"]) == 2
 
+    def test_mixed_size_manifest_exit_2(self, tmp_path, tiny_config, capsys):
+        from retinassl.imagecodec import encode_image
+        (tmp_path / "m.csv").write_text("image,level\na,0\nb,0\n")
+        encode_image(tmp_path / "a.png", np.zeros((3, 16, 16)))
+        encode_image(tmp_path / "b.png", np.zeros((3, 8, 8)))
+        assert run(["train", "--manifest", str(tmp_path / "m.csv"),
+                    "--images", str(tmp_path), "--out", str(tmp_path / "o"),
+                    "--config", tiny_config, "--steps", "1"]) == 2
+        assert "b.png" in capsys.readouterr().err
+
     def test_missing_manifest_exit_2(self, tmp_path, tiny_config):
         assert run(["train", "--manifest", "/nonexistent.csv",
                     "--images", str(tmp_path), "--out", str(tmp_path / "o"),
@@ -196,6 +209,45 @@ def trained(tmp_path, tiny_config, synth_dir):
                 "--images", synth_dir, "--out", str(out),
                 "--config", tiny_config, "--steps", "3"]) == 0
     return str(out / "final.ckpt")
+
+
+def _rewrite_checkpoint(path, edit):
+    """Rewrite a checkpoint file through `edit`, a map from its list of
+    (name, payload) byte pairs to a new list; the container is parsed and
+    re-packed here, apart from the library, with valid checksums."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    sections, pos = [], 12  # magic + version
+    while pos < len(blob):
+        (nlen,) = struct.unpack_from("<H", blob, pos)
+        (plen,) = struct.unpack_from("<Q", blob, pos + 2 + nlen)
+        start = pos + 14 + nlen
+        sections.append((blob[pos + 2:pos + 2 + nlen], blob[start:start + plen]))
+        pos = start + plen
+    with open(path, "wb") as fh:
+        fh.write(blob[:12] + b"".join(
+            struct.pack("<H", len(n)) + n
+            + struct.pack("<QI", len(p), zlib.crc32(p) & 0xFFFFFFFF) + p
+            for n, p in edit(sections)))
+
+
+def _without_key(payload, key):
+    return json.dumps({k: v for k, v in json.loads(payload).items()
+                       if k != key}).encode()
+
+
+MALFORMED_CHECKPOINTS = {
+    "non_utf8_section_name": lambda secs: [
+        (b"teacher/\xff\xfe" if n == b"teacher/cls" else n, p) for n, p in secs],
+    "unparsable_configs": lambda secs: [
+        (n, b"{not json" if n == b"configs" else p) for n, p in secs],
+    "configs_without_head": lambda secs: [
+        (n, _without_key(p, "head") if n == b"configs" else p) for n, p in secs],
+    "meta_without_rng_state": lambda secs: [
+        (n, _without_key(p, "rng_state") if n == b"meta" else p) for n, p in secs],
+    "missing_teacher_cls": lambda secs: [
+        (n, p) for n, p in secs if n != b"teacher/cls"],
+}
 
 
 class TestProbeKnn:
@@ -236,6 +288,22 @@ class TestProbeKnn:
             assert run(self._eval_args("probe", trained, synth_dir, out,
                                        tiny_config, ["--seed", "3"])) == 0
         assert tree_bytes(a) == tree_bytes(b)
+
+    @pytest.mark.parametrize("cmd, extra", [
+        ("probe", ["--set", "probe.batch_size=0"]),
+        ("knn", ["--k", "3", "--set", "knn.temperature=0"]),
+    ], ids=["probe.batch_size=0", "knn.temperature=0"])
+    def test_bad_eval_config_exit_2(self, tmp_path, tiny_config, synth_dir,
+                                    trained, cmd, extra):
+        assert run(self._eval_args(cmd, trained, synth_dir, tmp_path / "o",
+                                   tiny_config, extra)) == 2
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_checkpoint_exit_2(self, tmp_path, tiny_config, synth_dir,
+                                         trained, case):
+        _rewrite_checkpoint(trained, MALFORMED_CHECKPOINTS[case])
+        assert run(self._eval_args("probe", trained, synth_dir, tmp_path / "o",
+                                   tiny_config)) == 2
 
     def test_bad_checkpoint_exit_2(self, tmp_path, tiny_config, synth_dir):
         bad = tmp_path / "bad.ckpt"

@@ -9,6 +9,7 @@ from retinassl.crops import (
     augment_view,
     bicubic_resize,
     build_multicrop,
+    resample_matrix,
     sample_crop,
 )
 from retinassl.errors import InputError, ParameterError
@@ -52,7 +53,15 @@ class TestBicubicResize:
         interior = slice(4, 2 * w - 4)
         np.testing.assert_allclose(out[0, w, interior], expected[interior], atol=1e-9)
 
-    def test_separable_reference_4x4_to_8x8(self):
+    @pytest.mark.parametrize("in_hw, out_hw", [
+        ((4, 4), (8, 8)),
+        ((8, 8), (4, 4)),
+        ((7, 5), (3, 11)),
+        ((5, 9), (12, 2)),
+        ((6, 6), (6, 6)),
+        ((1, 3), (4, 3)),
+    ], ids=lambda hw: "x".join(map(str, hw)))
+    def test_separable_reference(self, in_hw, out_hw):
         # Independent per-pixel double-loop reference of the same kernel spec.
         def kernel(t, a=-0.5):
             t = abs(t)
@@ -77,12 +86,27 @@ class TestBicubicResize:
                 out[i] = acc / wsum
             return out
 
+        (h, w), (oh, ow) = in_hw, out_hw
         rng = np.random.default_rng(5)
-        grid = rng.random((1, 4, 4))
-        out = bicubic_resize(grid, 8)
-        ref_rows = np.stack([ref_resize_1d(grid[0, r], 8) for r in range(4)])
-        ref = np.stack([ref_resize_1d(ref_rows[:, c], 8) for c in range(8)], axis=1)
+        grid = rng.random((1, h, w))
+        out = bicubic_resize(grid, (oh, ow))
+        ref_rows = np.stack([ref_resize_1d(grid[0, r], ow) for r in range(h)])
+        ref = np.stack([ref_resize_1d(ref_rows[:, c], oh) for c in range(ow)], axis=1)
         np.testing.assert_allclose(out[0], ref, atol=1e-12)
+
+    def test_batched_is_bit_equal_to_per_image(self):
+        images = np.random.default_rng(6).random((4, 3, 13, 17))
+        out = bicubic_resize(images, (9, 21))
+        for img, got in zip(images, out):
+            assert np.array_equal(got, bicubic_resize(img, (9, 21)))
+
+    def test_resample_matrix_is_cached_and_read_only(self):
+        m = resample_matrix(7, 3)
+        assert m.shape == (3, 7)
+        assert resample_matrix(7, 3) is m
+        assert not m.flags.writeable
+        np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-15)
+        assert np.array_equal(resample_matrix(5, 5), np.eye(5))
 
     def test_bad_out_size(self):
         with pytest.raises(ParameterError):

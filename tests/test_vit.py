@@ -3,6 +3,7 @@ import pytest
 
 from retinassl import autodiff as ad
 from retinassl.autodiff import Tape, Tensor, backward, finite_difference
+from retinassl.crops import bicubic_resize
 from retinassl.errors import ContractError, InputError, ParameterError
 from retinassl.vit import (
     EVAL,
@@ -102,6 +103,17 @@ class TestInterpolatePosEmbed:
         # Interior of an upsampled ramp stays linear with matching slope.
         xs = (np.arange(8) + 0.5) * 0.5 - 0.5
         np.testing.assert_allclose(out[4, 3:5], xs[3:5], atol=1e-9)
+
+    @pytest.mark.parametrize("old, new", [(4, 2), (4, 7), (6, 3)])
+    def test_matches_bicubic_resize_of_the_grid(self, old, new):
+        # one kernel: resampling the embedding rows equals resizing them as
+        # a (channels, grid, grid) image
+        rng = np.random.default_rng(7)
+        pos = Tensor(rng.normal(size=(1 + old * old, 5)))
+        out = interpolate_pos_embed(pos, old, new, 1).data[1:]
+        grid = pos.data[1:].T.reshape(5, old, old)
+        expected = bicubic_resize(grid, new).reshape(5, new * new).T
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_token_count_mismatch(self):
         with pytest.raises(ContractError):
