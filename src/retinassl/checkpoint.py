@@ -34,7 +34,7 @@ from .distill import DistillConfig, TrainState
 from .errors import (CheckpointChecksumError, CheckpointError,
                      CheckpointMagicError, CheckpointTruncationError,
                      CheckpointVersionError)
-from .vit import ProjectionHeadConfig, ViTConfig
+from .vit import ProjectionHeadConfig, ViTConfig, param_shapes
 
 MAGIC = b"RSSLCKPT"
 FORMAT_VERSION = 1
@@ -173,6 +173,20 @@ def _read_metadata(sections: dict[str, bytes]):
     return (step, rng, *configs)
 
 
+def _check_shapes(group: str, got: dict, expected: dict) -> None:
+    """Raise CheckpointError unless `got` has exactly the expected names and shapes."""
+    if got == expected:
+        return
+    missing = sorted(expected.keys() - got.keys())
+    extra = sorted(got.keys() - expected.keys())
+    wrong = sorted(f"{k} {got[k]} != {expected[k]}"
+                   for k in got.keys() & expected.keys() if got[k] != expected[k])
+    problems = [f"{label} {names}" for label, names in (
+        ("missing", missing), ("unexpected", extra), ("wrong shape", wrong)) if names]
+    raise CheckpointError(f"{group} tensors do not match the stored configs: "
+                          + "; ".join(problems))
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (TrainState, vit, head, crop, distill configs)."""
     with open(path, "rb") as fh:
@@ -190,14 +204,14 @@ def load_checkpoint(path):
             group, key = name.split("/", 1)
             if group in groups:
                 groups[group][key] = _unpack_array(payload)
-    shapes = {g: {k: v.shape for k, v in arrays.items()} for g, arrays in groups.items()}
-    if any(s != shapes["student"] for s in shapes.values()):
-        raise CheckpointError("student, teacher, opt_m and opt_v tensors differ "
-                              "in names or shapes")
+    expected = param_shapes(vit, head)
+    for group, arrays in groups.items():
+        _check_shapes(group, {k: v.shape for k, v in arrays.items()}, expected)
+    center = _unpack_array(sections["center"])
+    _check_shapes("center", {"center": center.shape}, {"center": (head.output_dim,)})
     student = {k: Tensor(v, requires_grad=True) for k, v in groups["student"].items()}
     teacher = {k: Tensor(v, requires_grad=False) for k, v in groups["teacher"].items()}
-    state = TrainState(student=student, teacher=teacher,
-                       center=_unpack_array(sections["center"]),
+    state = TrainState(student=student, teacher=teacher, center=center,
                        opt_m=groups["opt_m"], opt_v=groups["opt_v"],
                        step=step, rng=rng)
     return state, vit, head, crop, distill

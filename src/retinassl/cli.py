@@ -181,6 +181,9 @@ def cmd_train(args) -> int:
 def _load_eval_data(args):
     train_m = load_manifest(args.train_manifest, args.train_images, split="train")
     test_m = load_manifest(args.test_manifest, args.test_images, split="test")
+    for path, manifest in ((args.train_manifest, train_m), (args.test_manifest, test_m)):
+        if len(manifest) == 0:
+            raise InputError(f"manifest {path} lists zero images")
     return train_m, test_m
 
 

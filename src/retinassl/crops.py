@@ -3,18 +3,23 @@
 Produces the student view set (two global + six local crops per image under
 defaults) and the teacher view set (the same two global crop geometries,
 independently augmented). All randomness flows through an explicit
-numpy Generator, so (seed, config, image) fully determines a batch.
+numpy Generator, so (seed, config, images) fully determines a batch.
 
-Images are float arrays of shape (3, H, W) with values in [0, 1].
+Augmentation runs in two phases: every random choice is drawn first, in a
+fixed order, into one `ViewPlan` per view; `apply_plans` then augments all
+views of one output size as a batch.
+
+Images are float arrays of shape (3, H, W), or stacks (..., 3, H, W), with
+values in [0, 1].
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from .errors import InputError, ParameterError
 
@@ -192,128 +197,250 @@ def sample_crop(image: np.ndarray, scale_range: tuple[float, float], out_size: i
 
 
 # ---------------------------------------------------------------------------
-# photometric augmentations
+# photometric augmentations: draw a plan per view, apply plans per batch
 # ---------------------------------------------------------------------------
 
 _LUMA = np.array([0.299, 0.587, 0.114])
+_BLUR_TRUNCATE = 4.0
+_CHUNK_VALUES = 1 << 16
 
 
-def _to_gray(view: np.ndarray) -> np.ndarray:
-    return np.tensordot(_LUMA, view, axes=([0], [0]))
+@dataclass(frozen=True)
+class ViewPlan:
+    """Every random choice of one view's photometric chain, drawn up front.
+
+    The jitter factors and the blur sigma are drawn whether or not the view
+    uses them, so the rng stream shape never depends on earlier outcomes.
+    """
+    flip: bool
+    jitter: bool
+    brightness: float
+    contrast: float
+    saturation: float
+    hue_shift: float
+    grayscale: bool
+    blur: bool
+    sigma: float
+    solarize: bool
 
 
-def _rgb_to_hsv(rgb: np.ndarray) -> np.ndarray:
-    r, g, b = rgb
-    maxc = rgb.max(axis=0)
-    minc = rgb.min(axis=0)
-    v = maxc
-    delta = maxc - minc
-    s = np.where(maxc > 0, delta / np.where(maxc > 0, maxc, 1.0), 0.0)
-    safe = np.where(delta > 0, delta, 1.0)
-    rc = (maxc - r) / safe
-    gc = (maxc - g) / safe
-    bc = (maxc - b) / safe
-    h = np.where(maxc == r, bc - gc, np.where(maxc == g, 2.0 + rc - bc, 4.0 + gc - rc))
-    h = np.where(delta > 0, (h / 6.0) % 1.0, 0.0)
-    return np.stack([h, s, v])
+def draw_plan(recipe: str, rng: np.random.Generator,
+              config: MultiCropConfig) -> ViewPlan:
+    """Draw one view's plan: 9 draws, plus a solarize draw for the second
+    global recipe, in the order flip, jitter, brightness, contrast,
+    saturation, hue, grayscale, blur, sigma[, solarize]."""
+    if recipe not in (FIRST_GLOBAL, SECOND_GLOBAL, LOCAL):
+        raise ParameterError(f"unknown augmentation recipe: {recipe!r}")
+    b, c, s, hue = config.jitter_strength
+    return ViewPlan(
+        flip=rng.random() < config.flip_p,
+        jitter=rng.random() < config.jitter_p,
+        brightness=rng.uniform(1 - b, 1 + b),
+        contrast=rng.uniform(1 - c, 1 + c),
+        saturation=rng.uniform(1 - s, 1 + s),
+        hue_shift=rng.uniform(-hue, hue),
+        grayscale=rng.random() < config.grayscale_p,
+        blur=rng.random() < config.blur_p[recipe],
+        sigma=rng.uniform(*config.blur_sigma),
+        solarize=recipe == SECOND_GLOBAL and rng.random() < config.solarize_p,
+    )
 
 
-def _hsv_to_rgb(hsv: np.ndarray) -> np.ndarray:
-    h, s, v = hsv
-    i = np.floor(h * 6.0)
-    f = h * 6.0 - i
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    i = i.astype(np.int64) % 6
-    r = np.choose(i, [v, q, p, p, t, v])
-    g = np.choose(i, [t, v, v, q, p, p])
-    b = np.choose(i, [p, p, t, v, v, q])
-    return np.stack([r, g, b])
+def _to_gray(views: np.ndarray) -> np.ndarray:
+    """Luma of a (B, 3, H, W) stack as (B, 1, H, W)."""
+    b, _, h, w = views.shape
+    return (_LUMA @ views.reshape(b, 3, h * w)).reshape(b, 1, h, w)
 
 
-def _color_jitter(view: np.ndarray, rng: np.random.Generator,
-                  strength: tuple[float, float, float, float]) -> np.ndarray:
-    b, c, s, hue = strength
-    out = view
-    out = out * rng.uniform(1 - b, 1 + b)
-    gray_mean = _to_gray(out).mean()
-    out = (out - gray_mean) * rng.uniform(1 - c, 1 + c) + gray_mean
-    gray = _to_gray(out)[None]
-    out = gray + (out - gray) * rng.uniform(1 - s, 1 + s)
-    shift = rng.uniform(-hue, hue)
+def _hue_rotate(rgb: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Rotate the HSV hue of a (B, 3, H, W) stack in [0, 1] by shift (B,)
+    turns, in closed form without leaving RGB.
+
+    With max, delta = max - min and the hue h in turns, HSV -> RGB is
+    c = max - delta * clip(min(k, 4 - k), 0, 1), k = (n + 6h) mod 6, with
+    n = 5, 3, 1 for R, G, B. That ramp equals clip(d - 1, 0, 1), for d the
+    circular distance of 6h from the channel's primary at 0, 2 or 4, which
+    needs one reduction mod 6 instead of three. The max channel is selected
+    with boolean masks: np.where over unpredictable masks measured several
+    times slower per element.
+    """
+    r, g, b = np.ascontiguousarray(rgb.transpose(1, 0, 2, 3))
+    maxc = np.maximum(np.maximum(r, g), b)
+    delta = maxc - np.minimum(np.minimum(r, g), b)
+    r_max = maxc == r
+    g_max = (maxc == g) > r_max
+    b_max = ~(r_max | g_max)
+    # hue in sextants, in [-1, 5): by the max channel, (g - b) / delta,
+    # 2 + (b - r) / delta or 4 + (r - g) / delta; 0 for gray pixels
+    h6 = r_max * (g - b)
+    h6 += g_max * (b - r + 2.0 * delta)
+    h6 += b_max * (r - g + 4.0 * delta)
+    h6 /= delta + (delta == 0)
+    h6 += 6.0 * shift[:, None, None]
+    h6 -= 6.0 * np.floor(h6 * (1.0 / 6.0))
+    out = np.empty((3,) + maxc.shape)
+    for ch, primary in enumerate((0.0, 2.0, 4.0)):
+        dist = np.abs(h6 - primary)
+        ramp = np.minimum(dist - 1.0, 5.0 - dist, out=dist)
+        np.clip(ramp, 0.0, 1.0, out=ramp)
+        ramp *= delta
+        np.subtract(maxc, ramp, out=out[ch])
+    return out.transpose(1, 0, 2, 3)
+
+
+def _color_jitter(views: np.ndarray, plans: list[ViewPlan], hue: float) -> np.ndarray:
+    """Brightness, contrast, saturation and (for hue > 0) hue on (B, 3, H, W)."""
+    def factor(name):
+        return np.array([getattr(p, name) for p in plans])[:, None, None, None]
+
+    out = views * factor("brightness")
+    gray_mean = _to_gray(out).mean(axis=(-2, -1), keepdims=True)
+    out -= gray_mean
+    out *= factor("contrast")
+    out += gray_mean
+    gray = _to_gray(out)
+    out -= gray
+    out *= factor("saturation")
+    out += gray
     if hue > 0:
-        hsv = _rgb_to_hsv(np.clip(out, 0.0, 1.0))
-        hsv[0] = (hsv[0] + shift) % 1.0
-        out = _hsv_to_rgb(hsv)
+        np.clip(out, 0.0, 1.0, out=out)
+        out = _hue_rotate(out, np.array([p.hue_shift for p in plans]))
     return out
 
 
-def _gaussian_blur(view: np.ndarray, sigma: float) -> np.ndarray:
-    out = gaussian_filter1d(view, sigma, axis=-2, mode="nearest")
-    return gaussian_filter1d(out, sigma, axis=-1, mode="nearest")
+@functools.lru_cache(maxsize=64)
+def _clamped_shifts(size: int, radius: int) -> np.ndarray:
+    """Read-only (2 * radius + 1, size * size) bank: row o + radius is the
+    flattened (size, size) matrix that picks sample clip(i + o) for output i."""
+    rows = np.arange(size)
+    bank = np.zeros((2 * radius + 1, size, size))
+    for o in range(-radius, radius + 1):
+        bank[o + radius, rows, np.clip(rows + o, 0, size - 1)] = 1.0
+    bank = bank.reshape(2 * radius + 1, size * size)
+    bank.flags.writeable = False
+    return bank
+
+
+def _blur_matrices(sigmas: np.ndarray, size: int) -> np.ndarray:
+    """(B, size, size) matrices G with G @ x equal to scipy's
+    gaussian_filter1d(x, sigma, axis=0, mode="nearest", truncate=4)."""
+    radii = (_BLUR_TRUNCATE * sigmas + 0.5).astype(np.int64)
+    reach = int(radii.max())
+    x = np.arange(-reach, reach + 1)
+    phi = np.exp(-0.5 / (sigmas * sigmas)[:, None] * x ** 2)
+    phi[np.abs(x) > radii[:, None]] = 0.0
+    phi /= phi.sum(axis=1, keepdims=True)
+    return (phi @ _clamped_shifts(size, reach)).reshape(len(sigmas), size, size)
+
+
+def _gaussian_blur(views: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Separable Gaussian blur of (B, 3, s, s) with one sigma per view."""
+    g = _blur_matrices(sigmas, views.shape[-1])[:, None]
+    return g @ views @ g.transpose(0, 1, 3, 2)
+
+
+def apply_plans(views: np.ndarray, plans: list[ViewPlan],
+                config: MultiCropConfig) -> np.ndarray:
+    """Apply one plan per view to a (B, 3, s, s) stack; returns a new stack.
+
+    Order: horizontal flip, color jitter, grayscale, Gaussian blur,
+    solarization. Output clamped to [0, 1]. Each stage runs on the views
+    whose plan selects it. Views go through in chunks of about
+    `_CHUNK_VALUES` values, so that a stage's temporaries stay in cache.
+    """
+    out = np.array(views, dtype=np.float64, copy=True)
+    step = max(1, _CHUNK_VALUES // math.prod(out.shape[1:]))
+    for lo in range(0, len(out), step):
+        _apply_in_place(out[lo:lo + step], plans[lo:lo + step], config)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _apply_in_place(out: np.ndarray, plans: list[ViewPlan],
+                    config: MultiCropConfig) -> None:
+    def chosen(name):
+        return np.flatnonzero([getattr(p, name) for p in plans])
+
+    idx = chosen("flip")
+    if idx.size:
+        out[idx] = out[idx, ..., ::-1]
+    idx = chosen("jitter")
+    if idx.size:
+        out[idx] = _color_jitter(out[idx], [plans[i] for i in idx],
+                                 config.jitter_strength[3])
+    idx = chosen("grayscale")
+    if idx.size:
+        out[idx] = _to_gray(out[idx])
+    idx = chosen("blur")
+    if idx.size:
+        out[idx] = _gaussian_blur(out[idx], np.array([plans[i].sigma for i in idx]))
+    idx = chosen("solarize")
+    if idx.size:
+        sel = out[idx]
+        out[idx] = np.where(sel > config.solarize_threshold, 1.0 - sel, sel)
 
 
 def augment_view(view: np.ndarray, recipe: str, rng: np.random.Generator,
                  config: MultiCropConfig) -> np.ndarray:
-    """Photometric augmentation chain for one view.
-
-    Order: horizontal flip, color jitter, grayscale, Gaussian blur, and for
-    the second global recipe only, solarization. Output clamped to [0, 1].
-    Every probability draw happens unconditionally so the rng stream shape
-    does not depend on earlier outcomes.
-    """
-    if recipe not in (FIRST_GLOBAL, SECOND_GLOBAL, LOCAL):
-        raise ParameterError(f"unknown augmentation recipe: {recipe!r}")
-    out = np.array(view, dtype=np.float64, copy=True)
-
-    if rng.random() < config.flip_p:
-        out = out[..., ::-1].copy()
-
-    do_jitter = rng.random() < config.jitter_p
-    jittered = _color_jitter(out, rng, config.jitter_strength)
-    if do_jitter:
-        out = jittered
-
-    if rng.random() < config.grayscale_p:
-        out = np.broadcast_to(_to_gray(out)[None], out.shape).copy()
-
-    do_blur = rng.random() < config.blur_p[recipe]
-    sigma = rng.uniform(*config.blur_sigma)
-    if do_blur:
-        out = _gaussian_blur(out, sigma)
-
-    if recipe == SECOND_GLOBAL and rng.random() < config.solarize_p:
-        out = np.where(out > config.solarize_threshold, 1.0 - out, out)
-
-    return np.clip(out, 0.0, 1.0)
+    """Photometric augmentation chain for one (3, s, s) view: `draw_plan`,
+    then `apply_plans` on a batch of one."""
+    plan = draw_plan(recipe, rng, config)
+    return apply_plans(view[None], [plan], config)[0]
 
 
 # ---------------------------------------------------------------------------
 # batch assembly
 # ---------------------------------------------------------------------------
 
-def build_multicrop(image: np.ndarray, config: MultiCropConfig,
+def _global_recipe(i: int) -> str:
+    return FIRST_GLOBAL if i % 2 == 0 else SECOND_GLOBAL
+
+
+def build_multicrop(images: np.ndarray, config: MultiCropConfig,
                     rng: np.random.Generator) -> MultiCropBatch:
-    """Generate the student and teacher view sets for one image.
+    """Generate the student and teacher view sets for images (..., 3, H, W).
 
     Teacher views share the student's global crop geometries but are
-    independent augmentation draws of the same recipes.
+    independent augmentation draws of the same recipes. Every view's pixels
+    are a (..., 3, s, s) stack over the images.
+
+    Draw order (the invariant that keeps runs and resumes exact): image by
+    image, each global crop draws its geometry (`sample_crop`) and then the
+    student's and the teacher's plan; then each local crop draws its
+    geometry and its plan. All draws come first; each output size is then
+    augmented by one `apply_plans` call.
     """
-    student: list[View] = []
-    teacher: list[View] = []
+    lead = images.shape[:-3]
+    flat = images.reshape((-1,) + images.shape[-3:])
+    n = flat.shape[0]
+    ng, nl = config.n_global, config.n_local
+    gs, ls = config.global_out_size, config.local_out_size
+    # view slots: globals by (crop, student | teacher, image), locals by (crop, image)
+    g_raw = np.empty((ng, 2, n, 3, gs, gs))
+    l_raw = np.empty((nl, n, 3, ls, ls))
+    g_plans = [[[None] * n, [None] * n] for _ in range(ng)]
+    l_plans = [[None] * n for _ in range(nl)]
 
-    for i in range(config.n_global):
-        recipe = FIRST_GLOBAL if i % 2 == 0 else SECOND_GLOBAL
-        raw, geom = sample_crop(image, config.global_scale_range,
-                                config.global_out_size, rng, config.aspect_range)
-        student.append(View(augment_view(raw, recipe, rng, config), i, recipe))
-        teacher.append(View(augment_view(raw, recipe, rng, config), i, recipe))
+    for k, image in enumerate(flat):
+        for i in range(ng):
+            raw, _ = sample_crop(image, config.global_scale_range, gs, rng,
+                                 config.aspect_range)
+            g_raw[i, :, k] = raw  # student and teacher share the geometry
+            for role in range(2):
+                g_plans[i][role][k] = draw_plan(_global_recipe(i), rng, config)
+        for j in range(nl):
+            raw, _ = sample_crop(image, config.local_scale_range, ls, rng,
+                                 config.aspect_range)
+            l_raw[j, k] = raw
+            l_plans[j][k] = draw_plan(LOCAL, rng, config)
 
-    for j in range(config.n_local):
-        raw, geom = sample_crop(image, config.local_scale_range,
-                                config.local_out_size, rng, config.aspect_range)
-        student.append(View(augment_view(raw, LOCAL, rng, config),
-                            config.n_global + j, LOCAL))
+    g_out = apply_plans(g_raw.reshape(-1, 3, gs, gs),
+                        [p for crop in g_plans for role in crop for p in role],
+                        config).reshape((ng, 2) + lead + (3, gs, gs))
+    l_out = apply_plans(l_raw.reshape(-1, 3, ls, ls),
+                        [p for crop in l_plans for p in crop],
+                        config).reshape((nl,) + lead + (3, ls, ls))
 
+    student = [View(g_out[i, 0], i, _global_recipe(i)) for i in range(ng)]
+    student += [View(l_out[j], ng + j, LOCAL) for j in range(nl)]
+    teacher = [View(g_out[i, 1], i, _global_recipe(i)) for i in range(ng)]
     return MultiCropBatch(student_views=student, teacher_views=teacher)

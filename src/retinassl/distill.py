@@ -245,16 +245,6 @@ def optimizer_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 # forward helpers
 # ---------------------------------------------------------------------------
 
-def _stack_views(view_lists, selector):
-    """Group equally-sized views by crop index into (crop -> (B, 3, s, s))."""
-    by_crop: dict[int, list[np.ndarray]] = {}
-    for views in view_lists:
-        for v in views:
-            if selector(v):
-                by_crop.setdefault(v.crop_index, []).append(v.pixels)
-    return {c: np.stack(vs) for c, vs in by_crop.items()}
-
-
 def _forward_logits(images: np.ndarray, vit_config: ViTConfig,
                     head_config: ProjectionHeadConfig, params: dict[str, Tensor],
                     mode: str, rng) -> Tensor:
@@ -301,34 +291,34 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
     b = images.shape[0]
     rng = state.rng
 
-    batches = [build_multicrop(img, crop_config, rng) for img in images]
+    batch = build_multicrop(images, crop_config, rng)
 
     # Teacher path: tape-free, eval mode, current center.
-    teacher_by_crop = _stack_views((bt.teacher_views for bt in batches), lambda v: True)
     teacher_logits: dict[int, np.ndarray] = {}
-    for crop, stack in sorted(teacher_by_crop.items()):
-        logits = _forward_logits(stack, vit_config, head_config, state.teacher,
+    for view in batch.teacher_views:
+        logits = _forward_logits(view.pixels, vit_config, head_config, state.teacher,
                                  EVAL, None)
-        teacher_logits[crop] = logits.data
+        teacher_logits[view.crop_index] = logits.data
     p_t = {c: teacher_probs(o, state.center, cfg.tau_t, cfg.center_sign)
            for c, o in teacher_logits.items()}
 
     # Student path: taped, train mode (stochastic depth active).
-    student_global = _stack_views((bt.student_views for bt in batches), lambda v: v.is_global)
-    student_local = _stack_views((bt.student_views for bt in batches), lambda v: not v.is_global)
+    views = batch.student_views
+    student_groups = ([v for v in views if v.is_global],
+                      [v for v in views if not v.is_global])
 
     leaves = list(state.student.values())
     with Tape() as tape:
         log_p_s: dict[int, Tensor] = {}
-        for group in (student_global, student_local):
+        for group in student_groups:
             if not group:
                 continue
-            crops_sorted = sorted(group)
-            stacked = np.concatenate([group[c] for c in crops_sorted])
+            stacked = np.concatenate([v.pixels for v in group])
             logits = _forward_logits(stacked, vit_config, head_config, state.student,
                                      TRAIN, rng)
-            for i, c in enumerate(crops_sorted):
-                log_p_s[c] = student_log_probs(logits[i * b:(i + 1) * b], cfg.tau_s)
+            for i, v in enumerate(group):
+                log_p_s[v.crop_index] = student_log_probs(logits[i * b:(i + 1) * b],
+                                                          cfg.tau_s)
         loss = distillation_loss(p_t, log_p_s)
 
     loss_val = loss.item()

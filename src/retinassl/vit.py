@@ -102,40 +102,65 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02,
     return out
 
 
-def init_backbone_params(config: ViTConfig, rng: np.random.Generator,
-                         requires_grad: bool = True, std: float = 0.02) -> dict[str, Tensor]:
+def backbone_param_shapes(config: ViTConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every backbone parameter, in initialization order."""
     d = config.embed_dim
-    patch_in = 3 * config.patch_size * config.patch_size
-    p: dict[str, Tensor] = {}
-
-    def add(name, arr):
-        p[name] = Tensor(arr, requires_grad=requires_grad)
-
-    def trunc(shape):
-        return trunc_normal(rng, shape, std=std)
-
-    add("patch_embed.w", trunc((patch_in, d)))
-    add("patch_embed.b", np.zeros(d))
-    add("cls", trunc((config.n_cls_tokens, d)))
-    add("pos", trunc((config.n_tokens, d)))
+    hidden = int(d * config.mlp_ratio)
+    shapes = {"patch_embed.w": (3 * config.patch_size * config.patch_size, d),
+              "patch_embed.b": (d,),
+              "cls": (config.n_cls_tokens, d),
+              "pos": (config.n_tokens, d)}
     for i in range(config.depth):
         pre = f"blocks.{i}."
-        add(pre + "ln1.scale", np.ones(d))
-        add(pre + "ln1.shift", np.zeros(d))
-        add(pre + "attn.qkv.w", trunc((d, 3 * d)))
-        add(pre + "attn.qkv.b", np.zeros(3 * d))
-        add(pre + "attn.proj.w", trunc((d, d)))
-        add(pre + "attn.proj.b", np.zeros(d))
-        add(pre + "ln2.scale", np.ones(d))
-        add(pre + "ln2.shift", np.zeros(d))
-        hidden = int(d * config.mlp_ratio)
-        add(pre + "mlp.fc1.w", trunc((d, hidden)))
-        add(pre + "mlp.fc1.b", np.zeros(hidden))
-        add(pre + "mlp.fc2.w", trunc((hidden, d)))
-        add(pre + "mlp.fc2.b", np.zeros(d))
-    add("ln_f.scale", np.ones(d))
-    add("ln_f.shift", np.zeros(d))
-    return p
+        shapes.update({
+            pre + "ln1.scale": (d,), pre + "ln1.shift": (d,),
+            pre + "attn.qkv.w": (d, 3 * d), pre + "attn.qkv.b": (3 * d,),
+            pre + "attn.proj.w": (d, d), pre + "attn.proj.b": (d,),
+            pre + "ln2.scale": (d,), pre + "ln2.shift": (d,),
+            pre + "mlp.fc1.w": (d, hidden), pre + "mlp.fc1.b": (hidden,),
+            pre + "mlp.fc2.w": (hidden, d), pre + "mlp.fc2.b": (d,)})
+    shapes.update({"ln_f.scale": (d,), "ln_f.shift": (d,)})
+    return shapes
+
+
+def head_param_shapes(config: ProjectionHeadConfig,
+                      in_dim: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every head parameter, in initialization order."""
+    h, k = config.hidden_dim, config.output_dim
+    return {"head.fc1.w": (in_dim, h), "head.fc1.b": (h,),
+            "head.fc2.w": (h, h), "head.fc2.b": (h,),
+            "head.fc3.w": (h, config.bottleneck_dim),
+            "head.fc3.b": (config.bottleneck_dim,),
+            # weight-normalized last layer: per-output-row direction and magnitude
+            "head.last.dir": (k, config.bottleneck_dim), "head.last.mag": (k,)}
+
+
+def param_shapes(vit_config: ViTConfig,
+                 head_config: ProjectionHeadConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of the full student (backbone + head), drawing nothing."""
+    return {**backbone_param_shapes(vit_config),
+            **head_param_shapes(head_config,
+                                vit_config.n_cls_tokens * vit_config.embed_dim)}
+
+
+def _init_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator,
+                 requires_grad: bool, std: float) -> dict[str, Tensor]:
+    """Biases and shifts start at 0, scales and magnitudes at 1; every other
+    tensor is a truncated-normal draw, taken in table order."""
+    def init(name, shape):
+        if name.endswith((".b", ".shift")):
+            return np.zeros(shape)
+        if name.endswith((".scale", ".mag")):
+            return np.ones(shape)
+        return trunc_normal(rng, shape, std=std)
+
+    return {name: Tensor(init(name, shape), requires_grad=requires_grad)
+            for name, shape in shapes.items()}
+
+
+def init_backbone_params(config: ViTConfig, rng: np.random.Generator,
+                         requires_grad: bool = True, std: float = 0.02) -> dict[str, Tensor]:
+    return _init_params(backbone_param_shapes(config), rng, requires_grad, std)
 
 
 def init_head_params(config: ProjectionHeadConfig, in_dim: int,
@@ -144,24 +169,7 @@ def init_head_params(config: ProjectionHeadConfig, in_dim: int,
     """At very small widths a 0.02-scale init leaves the bottleneck with a
     near-zero norm, which makes the L2-normalize stage badly conditioned;
     toy configs should pass a larger `std`."""
-    p: dict[str, Tensor] = {}
-
-    def add(name, arr):
-        p[name] = Tensor(arr, requires_grad=requires_grad)
-
-    def trunc(shape):
-        return trunc_normal(rng, shape, std=std)
-
-    add("head.fc1.w", trunc((in_dim, config.hidden_dim)))
-    add("head.fc1.b", np.zeros(config.hidden_dim))
-    add("head.fc2.w", trunc((config.hidden_dim, config.hidden_dim)))
-    add("head.fc2.b", np.zeros(config.hidden_dim))
-    add("head.fc3.w", trunc((config.hidden_dim, config.bottleneck_dim)))
-    add("head.fc3.b", np.zeros(config.bottleneck_dim))
-    # Weight-normalized last layer: per-output-row direction and magnitude.
-    add("head.last.dir", trunc((config.output_dim, config.bottleneck_dim)))
-    add("head.last.mag", np.ones(config.output_dim))
-    return p
+    return _init_params(head_param_shapes(config, in_dim), rng, requires_grad, std)
 
 
 # ---------------------------------------------------------------------------

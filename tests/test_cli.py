@@ -247,6 +247,10 @@ MALFORMED_CHECKPOINTS = {
         (n, _without_key(p, "rng_state") if n == b"meta" else p) for n, p in secs],
     "missing_teacher_cls": lambda secs: [
         (n, p) for n, p in secs if n != b"teacher/cls"],
+    "every_group_without_cls": lambda secs: [
+        (n, p) for n, p in secs if not n.endswith(b"/cls")],
+    "center_of_wrong_shape": lambda secs: [
+        (n, dict(secs)[b"student/cls"] if n == b"center" else p) for n, p in secs],
 }
 
 
@@ -304,6 +308,16 @@ class TestProbeKnn:
         _rewrite_checkpoint(trained, MALFORMED_CHECKPOINTS[case])
         assert run(self._eval_args("probe", trained, synth_dir, tmp_path / "o",
                                    tiny_config)) == 2
+
+    @pytest.mark.parametrize("cmd", ["probe", "knn"])
+    def test_empty_manifest_exit_2(self, tmp_path, tiny_config, synth_dir,
+                                   trained, cmd, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("image,level\n")
+        args = self._eval_args(cmd, trained, synth_dir, tmp_path / "o", tiny_config)
+        args[args.index("--train-manifest") + 1] = str(empty)
+        assert run(args) == 2
+        assert f"manifest {empty} lists zero images" in capsys.readouterr().err
 
     def test_bad_checkpoint_exit_2(self, tmp_path, tiny_config, synth_dir):
         bad = tmp_path / "bad.ckpt"

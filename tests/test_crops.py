@@ -1,14 +1,22 @@
+import colorsys
+
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter1d
 
 from retinassl.crops import (
     FIRST_GLOBAL,
     LOCAL,
     SECOND_GLOBAL,
     MultiCropConfig,
+    _blur_matrices,
+    _gaussian_blur,
+    _hue_rotate,
+    apply_plans,
     augment_view,
     bicubic_resize,
     build_multicrop,
+    draw_plan,
     resample_matrix,
     sample_crop,
 )
@@ -196,6 +204,58 @@ class TestAugmentView:
             augment_view(random_image(), "vertical", np.random.default_rng(0), tiny_config())
 
 
+class TestHueRotate:
+    def test_matches_colorsys_reference(self):
+        special = [(0.5, 0.5, 0.5), (0.0, 0.0, 0.0), (1.0, 1.0, 1.0),  # gray
+                   (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0),  # primaries
+                   (1.0, 1.0, 0.0), (0.0, 1.0, 1.0), (1.0, 0.0, 1.0),  # tied maxima
+                   (0.7, 0.7, 0.2), (0.2, 0.7, 0.7), (0.7, 0.2, 0.7), (0.9, 0.3, 0.9)]
+        rgb = np.concatenate([np.array(special).T,
+                              np.random.default_rng(21).random((3, 60))], axis=1)
+        # +-0.97 carries almost every hue past 1 or below 0
+        shifts = np.array([0.0, 0.04, -0.04, 0.5, -0.5, 0.97, -0.97])
+        views = np.broadcast_to(rgb[None, :, None, :], (len(shifts),) + rgb[:, None].shape)
+        out = _hue_rotate(views, shifts)
+        for v, shift in enumerate(shifts):
+            for j in range(rgb.shape[1]):
+                h, sat, val = colorsys.rgb_to_hsv(*rgb[:, j])
+                ref = colorsys.hsv_to_rgb((h + shift) % 1.0, sat, val)
+                np.testing.assert_allclose(out[v, :, 0, j], ref, rtol=0, atol=1e-12)
+
+
+class TestGaussianBlur:
+    # 0.15 and 0.9 are where scipy's radius int(4 sigma + 0.5) differs from int(4 sigma)
+    SIGMAS = np.array([0.1, 0.15, 0.27, 0.5, 0.9, 1.3, 2.0])
+
+    @pytest.mark.parametrize("size", [8, 24, 48])
+    def test_matches_scipy_gaussian_filter1d(self, size):
+        rng = np.random.default_rng(size)
+        columns = rng.random((size, 7))
+        for g, sigma in zip(_blur_matrices(self.SIGMAS, size), self.SIGMAS):
+            ref = gaussian_filter1d(columns, sigma, axis=0, mode="nearest", truncate=4.0)
+            np.testing.assert_allclose(g @ columns, ref, rtol=0, atol=1e-12)
+        views = rng.random((len(self.SIGMAS), 3, size, size))
+        out = _gaussian_blur(views, self.SIGMAS)
+        for view, got, sigma in zip(views, out, self.SIGMAS):
+            ref = gaussian_filter1d(view, sigma, axis=-2, mode="nearest")
+            ref = gaussian_filter1d(ref, sigma, axis=-1, mode="nearest")
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+
+class TestApplyPlans:
+    def test_batch_across_chunks_equals_views_one_by_one(self):
+        # 64 px views are 12288 values each, so 12 of them span three chunks
+        cfg = tiny_config(jitter_p=0.7, blur_p={FIRST_GLOBAL: 0.5, SECOND_GLOBAL: 0.5,
+                                                LOCAL: 0.5}, solarize_p=0.5)
+        rng = np.random.default_rng(12)
+        views = rng.random((12, 3, 64, 64))
+        plans = [draw_plan(SECOND_GLOBAL, rng, cfg) for _ in views]
+        out = apply_plans(views, plans, cfg)
+        for view, plan, got in zip(views, plans, out):
+            np.testing.assert_allclose(got, apply_plans(view[None], [plan], cfg)[0],
+                                       rtol=0, atol=1e-12)
+
+
 class TestBuildMulticrop:
     def test_default_counts(self):
         batch = build_multicrop(random_image(9), tiny_config(), np.random.default_rng(0))
@@ -234,6 +294,74 @@ class TestBuildMulticrop:
         for v in batch.student_views:
             size = 16 if v.is_global else 8
             assert v.pixels.shape == (3, size, size)
+
+
+    def test_batch_equals_sequential_single_images(self):
+        images = np.random.default_rng(16).random((4, 3, 32, 32))
+        cfg = tiny_config()
+        rng_batch, rng_seq = np.random.default_rng(31), np.random.default_rng(31)
+        batch = build_multicrop(images, cfg, rng_batch)
+        singles = [build_multicrop(img, cfg, rng_seq) for img in images]
+        assert rng_batch.bit_generator.state == rng_seq.bit_generator.state
+        for group in ("student_views", "teacher_views"):
+            for c, view in enumerate(getattr(batch, group)):
+                ref = np.stack([getattr(s, group)[c].pixels for s in singles])
+                assert view.pixels.shape == ref.shape
+                np.testing.assert_allclose(view.pixels, ref, rtol=0, atol=1e-12)
+
+    def test_matches_per_view_composition(self):
+        # the reference: sample_crop and augment_view called view by view in
+        # the documented order (global crop, its student and teacher views,
+        # ..., then each local crop and its view)
+        img = random_image(17)
+        cfg = tiny_config(n_local=3)
+        rng, ref_rng = np.random.default_rng(43), np.random.default_rng(43)
+        batch = build_multicrop(img, cfg, rng)
+        student, teacher = [], []
+        for i, recipe in enumerate((FIRST_GLOBAL, SECOND_GLOBAL)):
+            raw, _ = sample_crop(img, cfg.global_scale_range, cfg.global_out_size,
+                                 ref_rng, cfg.aspect_range)
+            student.append(augment_view(raw, recipe, ref_rng, cfg))
+            teacher.append(augment_view(raw, recipe, ref_rng, cfg))
+        for _ in range(cfg.n_local):
+            raw, _ = sample_crop(img, cfg.local_scale_range, cfg.local_out_size,
+                                 ref_rng, cfg.aspect_range)
+            student.append(augment_view(raw, LOCAL, ref_rng, cfg))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for view, ref in zip(batch.student_views + batch.teacher_views, student + teacher):
+            np.testing.assert_allclose(view.pixels, ref, rtol=0, atol=1e-12)
+
+    def test_documented_draw_sequence(self):
+        images = np.random.default_rng(18).random((3, 3, 32, 32))
+        cfg = tiny_config(n_local=3)
+        rng = np.random.default_rng(41)
+        build_multicrop(images, cfg, rng)
+
+        replay = np.random.default_rng(41)
+
+        def plan_draws(second_global):
+            replay.random()                 # flip
+            replay.random()                 # jitter
+            for _ in range(4):              # brightness, contrast, saturation, hue
+                replay.uniform()
+            replay.random()                 # grayscale
+            replay.random()                 # blur
+            replay.uniform()                # sigma
+            if second_global:
+                replay.random()             # solarize
+
+        for img in images:
+            for i in range(cfg.n_global):
+                # 4 geometry draws: area, aspect, top, left
+                sample_crop(img, cfg.global_scale_range, cfg.global_out_size,
+                            replay, cfg.aspect_range)
+                plan_draws(i == 1)          # student
+                plan_draws(i == 1)          # teacher
+            for _ in range(cfg.n_local):
+                sample_crop(img, cfg.local_scale_range, cfg.local_out_size,
+                            replay, cfg.aspect_range)
+                plan_draws(False)
+        assert replay.bit_generator.state == rng.bit_generator.state
 
 
 class TestCropAt:

@@ -17,6 +17,7 @@ from retinassl.vit import (
     init_head_params,
     interpolate_pos_embed,
     last_layer_attention,
+    param_shapes,
     patch_embed,
     projection_head_forward,
 )
@@ -51,6 +52,24 @@ class TestViTConfig:
             tiny_vit(embed_dim=15)
         with pytest.raises(ParameterError):
             tiny_vit(patch_size=7)
+
+
+class TestParamShapes:
+    @pytest.mark.parametrize("vit_kw, head_kw", [
+        (dict(), dict(hidden_dim=32, bottleneck_dim=8, output_dim=64)),
+        (dict(image_size=48, depth=3, embed_dim=12, n_heads=3, n_cls_tokens=2,
+              mlp_ratio=2.5), dict(hidden_dim=16, bottleneck_dim=4, output_dim=10)),
+        (dict(image_size=64, patch_size=16, depth=1, embed_dim=8, n_heads=1,
+              n_cls_tokens=3), dict(hidden_dim=8, bottleneck_dim=8, output_dim=2)),
+    ], ids=["tiny", "multi-cls", "patch16"])
+    def test_table_matches_initialized_params(self, vit_kw, head_kw):
+        vit, head = tiny_vit(**vit_kw), ProjectionHeadConfig(**head_kw)
+        rng = np.random.default_rng(0)
+        params = init_backbone_params(vit, rng)
+        params.update(init_head_params(head, vit.n_cls_tokens * vit.embed_dim, rng))
+        table = param_shapes(vit, head)
+        assert table == {k: p.data.shape for k, p in params.items()}
+        assert list(table) == list(params)
 
 
 class TestPatchEmbed:
