@@ -338,10 +338,11 @@ def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
     if temperature <= 0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
     tau = float(temperature)
-    z = x.data / tau
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = Tensor(e / e.sum(axis=-1, keepdims=True))
+    e = x.data / tau
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    out = Tensor(e)
 
     def backward_fn(g):
         y = out.data
@@ -377,11 +378,14 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, epsilon: float = 1e-6) -
             f"layer_norm affine params must have shape ({d},), "
             f"got {scale.shape} and {shift.shape}")
 
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + epsilon)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * scale.data + shift.data)
+    # the same reductions as mean() then var(), without var's second mean
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    sq = xhat * xhat
+    inv = 1.0 / np.sqrt(sq.sum(axis=-1, keepdims=True) / d + epsilon)
+    xhat *= inv
+    np.multiply(xhat, scale.data, out=sq)
+    sq += shift.data
+    out = Tensor(sq)
 
     def backward_fn(g):
         dxhat = g * scale.data
@@ -401,7 +405,10 @@ def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x). The tanh approximation is deliberately
     not used; it differs in the 4th decimal and the pinned values assume erf.
     """
-    phi_cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    phi_cdf = x.data * _INV_SQRT2
+    erf(phi_cdf, out=phi_cdf)
+    phi_cdf += 1.0
+    phi_cdf *= 0.5
     out = Tensor(x.data * phi_cdf)
 
     def backward_fn(g):

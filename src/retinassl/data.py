@@ -42,13 +42,23 @@ class DatasetManifest:
         return np.array([r.grade for r in self.records], dtype=np.int64)
 
     def load_images(self) -> np.ndarray:
-        """Decode every record into one (n, 3, H, W) array (uniform sizes)."""
-        imgs = [decode_image(r.path) for r in self.records]
-        for record, img in zip(self.records, imgs):
-            if img.shape != imgs[0].shape:
+        """Decode every record into one (n, 3, H, W) array (uniform sizes).
+
+        Each image is decoded straight into its row of the result, so no
+        second copy of the dataset is ever held.
+        """
+        if not self.records:
+            return np.zeros((0, 3, 0, 0))
+        out = None
+        for i, record in enumerate(self.records):
+            img = decode_image(record.path)
+            if out is None:
+                out = np.empty((len(self.records),) + img.shape)
+            elif img.shape != out.shape[1:]:
                 raise InputError(f"{record.path} is {img.shape[1]}x{img.shape[2]}, unlike "
                                  f"{self.records[0].path}; images must share one size")
-        return np.stack(imgs) if imgs else np.zeros((0, 3, 0, 0))
+            out[i] = img
+        return out
 
 
 def _resolve_path(directory: str, image_id: str) -> str | None:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .crops import bicubic_resize
+from .crops import bicubic_resize, resample_matrix
 from .errors import ContractError, InputError, ParameterError
 from .vit import EVAL, ViTConfig, encoder_forward, last_layer_attention, patch_embed
 
@@ -94,28 +94,51 @@ class KnnConfig:
             raise ParameterError(f"knn temperature must be > 0, got {self.temperature}")
 
 
+# Values that the widest activation of one chunk of the feature forward may
+# hold: the attention scores (heads x T x T) or the MLP hidden layer
+# (T x hidden) per image. Chosen by a sweep at the desk config, where it
+# gives 23 images per chunk; features do not depend on it.
+_CHUNK_VALUES = 1 << 17
+
+
 def extract_features(backbone_params: dict[str, Tensor], images: np.ndarray,
                      config: ViTConfig, n_last_blocks: int = 1) -> np.ndarray:
     """Concatenated CLS outputs of the last n_last_blocks blocks, no pooling.
 
-    Returns (n_images, n_last_blocks * n_cls_tokens * embed_dim).
+    Returns (n_images, n_last_blocks * n_cls_tokens * embed_dim). Images go
+    through the forward a chunk at a time, so memory follows `_CHUNK_VALUES`
+    rather than the number of images; every eval-mode op treats rows
+    independently, so the chunking does not change a bit of the output.
     """
     if n_last_blocks < 1 or n_last_blocks > config.depth:
         raise ParameterError(f"n_last_blocks must be in 1..{config.depth}")
-    tokens = patch_embed(images, config, backbone_params)
-    out = encoder_forward(tokens, config, backbone_params, mode=EVAL,
-                          collect_block_cls=n_last_blocks)
-    feats = [blk.data for blk in out.block_cls]  # each (n, n_cls, d)
-    stacked = np.concatenate(feats, axis=1)
-    return stacked.reshape(len(images), -1)
+    if images.ndim == 3:  # one (3, S, S) image, as patch_embed accepts
+        images = images[None]
+    nc = config.n_cls_tokens
+    t = (images.shape[-1] // config.patch_size) ** 2 + nc
+    widest = max(config.n_heads * t * t, t * int(config.embed_dim * config.mlp_ratio))
+    step = max(1, _CHUNK_VALUES // widest)
+    feats = np.empty((len(images), n_last_blocks, nc, config.embed_dim))
+    for lo in range(0, len(images), step):
+        tokens = patch_embed(images[lo:lo + step], config, backbone_params)
+        out = encoder_forward(tokens, config, backbone_params, mode=EVAL,
+                              collect_block_cls=n_last_blocks)
+        for j, blk in enumerate(out.block_cls):  # each (chunk, n_cls, d)
+            feats[lo:lo + step, j] = blk.data
+    return feats.reshape(len(images), n_last_blocks * nc * config.embed_dim)
 
 
 def probe_eval_transform(images: np.ndarray, target_size: int) -> np.ndarray:
-    """Test-time transform: resize to ceil(8/7 * s), center-crop to s."""
+    """Test-time transform: resize to ceil(8/7 * s), center-crop to s.
+
+    Only the kept rows and columns are resampled: the crop's rows of each
+    axis' resample matrix give the (n, 3, s, s) result directly.
+    """
     big = int(np.ceil(target_size * 8.0 / 7.0))
-    resized = bicubic_resize(images, big)
     off = (big - target_size) // 2
-    return resized[:, :, off:off + target_size, off:off + target_size]
+    keep = slice(off, off + target_size)
+    h, w = images.shape[-2:]
+    return resample_matrix(h, big)[keep] @ images @ resample_matrix(w, big)[keep].T
 
 
 def probe_train_transform(images: np.ndarray, target_size: int,

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DataFormatError, DecodeError
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+# deflate expands at most 258 bytes from every 2 bits: 1032 to 1
+_MAX_INFLATE_RATIO = 1032
 
 
 def _chunk(tag: bytes, payload: bytes) -> bytes:
@@ -136,11 +138,24 @@ def decode_png(blob: bytes) -> np.ndarray:
         raise DataFormatError("interlaced PNG not supported")
     if comp != 0 or filt != 0:
         raise DecodeError("nonstandard compression/filter method")
+    if w == 0 or h == 0:
+        raise DecodeError(f"PNG header gives a {w}x{h} image")
+    channels = 1 if color_type == 0 else 3
+    need = h * (w * channels + 1)
+    if need > _MAX_INFLATE_RATIO * len(idat):
+        raise DecodeError(f"a {w}x{h} image needs {need} pixel-stream bytes, more than "
+                          f"{len(idat)} compressed bytes can hold")
+    # keep no more than the header's pixel stream; the rest of the stream is
+    # still inflated, in bounded pieces, so that its checksum is verified
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(bytes(idat))
+        raw = inflater.decompress(idat, need)
+        while not inflater.eof and inflater.decompress(inflater.unconsumed_tail, 1 << 16):
+            pass
     except zlib.error as exc:
         raise DecodeError(f"corrupt PNG pixel stream: {exc}") from exc
-    channels = 1 if color_type == 0 else 3
+    if not inflater.eof:
+        raise DecodeError("corrupt PNG pixel stream: incomplete or truncated stream")
     pixels = _unfilter(raw, h, w, channels)
     return pixels[:, :, 0] if channels == 1 else pixels
 

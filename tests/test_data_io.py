@@ -1,5 +1,7 @@
+import functools
 import os
 import struct
+import tracemalloc
 import warnings
 import zlib
 
@@ -21,14 +23,25 @@ from retinassl.imagecodec import (decode_image, decode_png, decode_pnm,
 from retinassl.vit import ProjectionHeadConfig, ViTConfig
 
 
-def _rgb_png(w, h, stream):
-    """Hand-built 8-bit RGB PNG around an already filtered pixel stream."""
+def _rgb_png(w, h, stream, idat=None):
+    """Hand-built 8-bit RGB PNG around an already filtered pixel stream, or
+    around the given compressed IDAT payload."""
     def chunk(tag, payload):
         return (struct.pack(">I", len(payload)) + tag + payload
                 + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF))
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+    if idat is None:
+        idat = zlib.compress(bytes(stream))
     return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
-            + chunk(b"IDAT", zlib.compress(bytes(stream))) + chunk(b"IEND", b""))
+            + chunk(b"IDAT", idat) + chunk(b"IEND", b""))
+
+
+@functools.cache
+def _zeros_idat(megabytes):
+    """A zlib stream of `megabytes` MB of zeros, built without holding them."""
+    comp = zlib.compressobj()
+    zeros = bytes(1 << 20)
+    return b"".join(comp.compress(zeros) for _ in range(megabytes)) + comp.flush()
 
 
 class TestPnm:
@@ -120,6 +133,42 @@ class TestPng:
         out = decode_png(_rgb_png(w, h, stream))
         np.testing.assert_array_equal(out, rows.reshape(h, w, 3))
 
+    def test_inflation_stops_at_the_header_size(self):
+        # only the 48x48 image's 6960 stream bytes of the 100 MB are inflated
+        blob = _rgb_png(48, 48, None, idat=_zeros_idat(100))
+        tracemalloc.start()
+        try:
+            out = decode_png(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out, np.zeros((48, 48, 3), dtype=np.uint8))
+        assert peak < 4 << 20
+
+    def test_header_larger_than_the_stream_can_inflate_to(self):
+        # a 10000 x 10000 RGB image needs 300 MB of stream, more than the
+        # ~100 KB IDAT can inflate to, so it is refused before inflating
+        blob = _rgb_png(10000, 10000, None, idat=_zeros_idat(100))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecodeError):
+                decode_png(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_stream_missing_its_checksum(self):
+        # the pixel bytes are all there; the zlib stream's Adler-32 is not
+        stream = bytes(3 * (1 + 4 * 3))
+        with pytest.raises(DecodeError):
+            decode_png(_rgb_png(4, 3, None, idat=zlib.compress(stream)[:-4]))
+
+    @pytest.mark.parametrize("w, h", [(0, 4), (4, 0), (0, 0)])
+    def test_zero_dimensions(self, w, h):
+        with pytest.raises(DecodeError):
+            decode_png(_rgb_png(w, h, bytes(h)))
+
     def test_all_five_filter_types_decode_without_warnings(self):
         # Encoder side of PNG filtering (spec section 9), written out per byte
         # on Python ints; rows cycle through filter types 0..4 twice.
@@ -196,6 +245,22 @@ class TestManifest:
         path = self._write(tmp_path, [f"{n},0" for n in names], images=names)
         m = load_manifest(path, tmp_path)
         assert [r.image_id for r in m.records] == names
+
+    def test_load_images_holds_one_copy(self, tmp_path):
+        names = [f"im{i:02d}" for i in range(40)]
+        path = self._write(tmp_path, [f"{n},0" for n in names])
+        for i, n in enumerate(names):
+            encode_image(tmp_path / f"{n}.png", np.full((3, 32, 32), i / 40))
+        m = load_manifest(path, tmp_path)
+        tracemalloc.start()
+        try:
+            images = m.load_images()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert images.shape == (40, 3, 32, 32)
+        np.testing.assert_array_equal(images[7], decode_image(tmp_path / "im07.png"))
+        assert peak <= 1.25 * images.nbytes
 
     def test_roundtrip(self, tmp_path):
         ds = generate_synthetic_dataset(0, 2, image_size=16)

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from retinassl import evaluation
+from retinassl.crops import bicubic_resize
 from retinassl.errors import ContractError, InputError, ParameterError
 from retinassl.evaluation import (EmbeddingIndex, KnnConfig, ProbeConfig,
                                   attention_heatmaps, build_index,
@@ -81,6 +85,55 @@ class TestExtractFeatures:
         with pytest.raises(ParameterError):
             extract_features(params, np.zeros((1, 3, 16, 16)), cfg, n_last_blocks=3)
 
+    def test_single_unbatched_image_is_one_row(self):
+        cfg, params = tiny_backbone(n_cls=3, dim=8)
+        img = np.random.default_rng(3).random((3, 16, 16))
+        np.testing.assert_array_equal(extract_features(params, img, cfg),
+                                      extract_features(params, img[None], cfg))
+
+    @pytest.mark.parametrize("n_last_blocks", [1, 2])
+    def test_zero_images(self, n_last_blocks):
+        cfg, params = tiny_backbone(n_cls=2, dim=8)
+        feats = extract_features(params, np.zeros((0, 3, 16, 16)), cfg, n_last_blocks)
+        assert feats.shape == (0, n_last_blocks * 2 * 8)
+
+
+def rows_per_chunk_budget(cfg, rows):
+    """A `_CHUNK_VALUES` that makes extract_features take `rows` images a chunk."""
+    t = cfg.n_tokens
+    return rows * max(cfg.n_heads * t * t, t * int(cfg.embed_dim * cfg.mlp_ratio))
+
+
+class TestChunkedExtraction:
+    @pytest.mark.parametrize("n_last_blocks", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_chunking_changes_no_bit(self, monkeypatch, rows, n_last_blocks):
+        cfg, params = tiny_backbone(n_cls=2, dim=8)
+        imgs = np.random.default_rng(5).random((23, 3, 16, 16))
+        monkeypatch.setattr(evaluation, "_CHUNK_VALUES", 1 << 40)
+        whole = extract_features(params, imgs, cfg, n_last_blocks)
+        single = np.concatenate([extract_features(params, im[None], cfg, n_last_blocks)
+                                 for im in imgs])
+        monkeypatch.setattr(evaluation, "_CHUNK_VALUES", rows_per_chunk_budget(cfg, rows))
+        chunked = extract_features(params, imgs, cfg, n_last_blocks)
+        np.testing.assert_array_equal(chunked, whole)
+        np.testing.assert_array_equal(chunked, single)
+
+    def test_memory_follows_the_chunk_not_the_batch(self, monkeypatch):
+        cfg, params = tiny_backbone(dim=16)
+        monkeypatch.setattr(evaluation, "_CHUNK_VALUES", rows_per_chunk_budget(cfg, 8))
+        imgs = np.random.default_rng(6).random((256, 3, 16, 16))
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                extract_features(params, batch, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(imgs) < 1.5 * peak(imgs[:64])
+
 
 class TestLinearProbe:
     def test_separable_blobs_perfect_train_accuracy(self):
@@ -127,6 +180,21 @@ class TestEvalTransform:
     def test_ratio_matches_256_224(self):
         # for s=224 the resize target must be 256
         assert int(np.ceil(224 * 8.0 / 7.0)) == 256
+
+    @pytest.mark.parametrize("h, w, s", [
+        (16, 16, 16),  # s equal to the input size, margin 19 - 16 = 3
+        (40, 56, 32),  # non-square, margin 37 - 32 = 5
+        (20, 20, 14),  # even margin 16 - 14 = 2
+        (9, 13, 7),    # margin 8 - 7 = 1
+    ])
+    def test_matches_resize_then_center_crop(self, h, w, s):
+        imgs = np.random.default_rng(h * w + s).random((3, 3, h, w))
+        big = int(np.ceil(s * 8.0 / 7.0))
+        off = (big - s) // 2
+        oracle = bicubic_resize(imgs, big)[..., off:off + s, off:off + s]
+        out = probe_eval_transform(imgs, s)
+        assert out.flags.c_contiguous
+        np.testing.assert_allclose(out, oracle, rtol=0, atol=1e-12)
 
 
 class TestKnn:
