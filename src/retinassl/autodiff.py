@@ -65,12 +65,6 @@ class Tensor:
     def __radd__(self, other):
         return add(_as_tensor(other), self)
 
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
@@ -78,8 +72,7 @@ class Tensor:
         return mul(_as_tensor(other), self)
 
     def __truediv__(self, other):
-        return mul(self, _as_tensor(1.0 / np.asarray(other, dtype=DTYPE))) \
-            if not isinstance(other, Tensor) else mul(self, reciprocal(other))
+        return mul(self, _as_tensor(1.0 / np.asarray(other, dtype=DTYPE)))
 
     def __neg__(self):
         return mul(self, _as_tensor(-1.0))
@@ -104,18 +97,22 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+GradFn = Callable[[np.ndarray], np.ndarray]
+
+
 class Tape:
     """Ordered record of executed operations for one forward pass.
 
     Used as a context manager; at most one tape is active per thread of
-    execution. Each entry is an ``(out, backward_fn)`` pair: the op's output
-    tensor and the closure that pushes ``out.grad`` to the op's inputs.
+    execution. Each entry is an ``(out, parents, grad_fns)`` triple: the op's
+    output tensor, its input tensors, and one function per input that maps
+    ``out.grad`` to that input's gradient before unbroadcasting.
     """
 
     _active: "Tape | None" = None
 
     def __init__(self):
-        self.nodes: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self.nodes: list[tuple[Tensor, Sequence[Tensor], Sequence[GradFn]]] = []
 
     def __enter__(self) -> "Tape":
         if Tape._active is not None:
@@ -128,11 +125,13 @@ class Tape:
         return False
 
 
-def _record(out: Tensor, parents: Sequence[Tensor], backward_fn) -> Tensor:
+def _record(value, parents: Sequence[Tensor], *grad_fns: GradFn) -> Tensor:
+    """Wrap `value` as an op's output; record the op if a parent needs a gradient."""
+    out = Tensor(value)
     tape = Tape._active
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        tape.nodes.append((out, backward_fn))
+        tape.nodes.append((out, parents, grad_fns))
     return out
 
 
@@ -149,152 +148,63 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    t.grad = g if t.grad is None else t.grad + g
-
-
 # ---------------------------------------------------------------------------
 # elementwise / structural ops
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data)
-
-    def backward_fn(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _record(out, (a, b), backward_fn)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data)
-
-    def backward_fn(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _record(out, (a, b), backward_fn)
+    return _record(a.data + b.data, (a, b), lambda g: g, lambda g: g)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data)
-
-    def backward_fn(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _record(out, (a, b), backward_fn)
-
-
-def reciprocal(a: Tensor) -> Tensor:
-    out = Tensor(1.0 / a.data)
-
-    def backward_fn(g):
-        _accum(a, -g / (a.data * a.data))
-
-    return _record(out, (a,), backward_fn)
-
-
-def exp(a: Tensor) -> Tensor:
-    val = np.exp(a.data)
-    out = Tensor(val)
-
-    def backward_fn(g):
-        _accum(a, g * out.data)
-
-    return _record(out, (a,), backward_fn)
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-
-    def backward_fn(g):
-        _accum(a, g / a.data)
-
-    return _record(out, (a,), backward_fn)
-
-
-def square(a: Tensor) -> Tensor:
-    out = Tensor(a.data * a.data)
-
-    def backward_fn(g):
-        _accum(a, 2.0 * g * a.data)
-
-    return _record(out, (a,), backward_fn)
+    return _record(a.data * b.data, (a, b),
+                   lambda g: g * b.data, lambda g: g * a.data)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape) if isinstance(shape, (tuple, list)) else (shape,)
-    out = Tensor(a.data.reshape(shape))
-
-    def backward_fn(g):
-        _accum(a, g.reshape(a.data.shape))
-
-    return _record(out, (a,), backward_fn)
+    return _record(a.data.reshape(shape), (a,), lambda g: g.reshape(a.data.shape))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    out = Tensor(a.data.transpose(axes))
-
-    def backward_fn(g):
-        _accum(a, g.transpose(inv))
-
-    return _record(out, (a,), backward_fn)
+    return _record(a.data.transpose(axes), (a,), lambda g: g.transpose(inv))
 
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    out = Tensor(np.broadcast_to(a.data, shape).copy())
-
-    def backward_fn(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-
-    return _record(out, (a,), backward_fn)
+    return _record(np.broadcast_to(a.data, tuple(shape)).copy(), (a,), lambda g: g)
 
 
 def getitem(a: Tensor, idx) -> Tensor:
-    out = Tensor(a.data[idx])
+    def grad_a(g):
+        full = np.zeros_like(a.data)
+        full[idx] += g  # indices used here are slices/ints, never duplicated
+        return full
 
-    def backward_fn(g):
-        if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[idx] += g  # indices used here are slices/ints, never duplicated
-            _accum(a, full)
-
-    return _record(out, (a,), backward_fn)
+    return _record(a.data[idx], (a,), grad_a)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    tensors = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    tensors = tuple(tensors)
+    value = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
-    def backward_fn(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accum(t, g[tuple(sl)])
+    def piece(lo, hi):
+        sl = [slice(None)] * value.ndim
+        sl[axis] = slice(lo, hi)
+        return lambda g: g[tuple(sl)]
 
-    return _record(out, tensors, backward_fn)
+    return _record(value, tensors,
+                   *(piece(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])))
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    def grad_a(g):
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return np.broadcast_to(gg, a.data.shape).copy()
 
-    def backward_fn(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(gg, a.data.shape).copy())
-
-    return _record(out, (a,), backward_fn)
+    return _record(a.data.sum(axis=axis, keepdims=keepdims), (a,), grad_a)
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -313,17 +223,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(
             f"matmul inner extents differ: {a.shape} x {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            _accum(a, _unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accum(b, _unbroadcast(gb, b.data.shape))
-
-    return _record(out, (a, b), backward_fn)
+    return _record(np.matmul(a.data, b.data), (a, b),
+                   lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                   lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g))
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +240,16 @@ def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
     if temperature <= 0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
     tau = float(temperature)
-    e = x.data / tau
-    e -= e.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    out = Tensor(e)
+    y = x.data / tau
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
-    def backward_fn(g):
-        y = out.data
+    def grad_x(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        _accum(x, y * (g - dot) / tau)
+        return y * (g - dot) / tau
 
-    return _record(out, (x,), backward_fn)
+    return _record(y, (x,), grad_x)
 
 
 def log_softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
@@ -359,13 +259,9 @@ def log_softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
     tau = float(temperature)
     z = x.data / tau
     z = z - z.max(axis=-1, keepdims=True)
-    out = Tensor(z - np.log(np.exp(z).sum(axis=-1, keepdims=True)))
-
-    def backward_fn(g):
-        p = np.exp(out.data)
-        _accum(x, (g - p * g.sum(axis=-1, keepdims=True)) / tau)
-
-    return _record(out, (x,), backward_fn)
+    log_p = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return _record(log_p, (x,), lambda g: (
+        g - np.exp(log_p) * g.sum(axis=-1, keepdims=True)) / tau)
 
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, epsilon: float = 1e-6) -> Tensor:
@@ -385,20 +281,16 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, epsilon: float = 1e-6) -
     xhat *= inv
     np.multiply(xhat, scale.data, out=sq)
     sq += shift.data
-    out = Tensor(sq)
 
-    def backward_fn(g):
+    def grad_x(g):
         dxhat = g * scale.data
-        if x.requires_grad:
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accum(x, (dxhat - m1 - xhat * m2) * inv)
-        if scale.requires_grad:
-            _accum(scale, (g * xhat).reshape(-1, d).sum(axis=0))
-        if shift.requires_grad:
-            _accum(shift, g.reshape(-1, d).sum(axis=0))
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return (dxhat - m1 - xhat * m2) * inv
 
-    return _record(out, (x, scale, shift), backward_fn)
+    return _record(sq, (x, scale, shift), grad_x,
+                   lambda g: (g * xhat).reshape(-1, d).sum(axis=0),
+                   lambda g: g.reshape(-1, d).sum(axis=0))
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -409,13 +301,12 @@ def gelu(x: Tensor) -> Tensor:
     erf(phi_cdf, out=phi_cdf)
     phi_cdf += 1.0
     phi_cdf *= 0.5
-    out = Tensor(x.data * phi_cdf)
 
-    def backward_fn(g):
+    def grad_x(g):
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        _accum(x, g * (phi_cdf + x.data * pdf))
+        return g * (phi_cdf + x.data * pdf)
 
-    return _record(out, (x,), backward_fn)
+    return _record(x.data * phi_cdf, (x,), grad_x)
 
 
 def l2_normalize_rows(x: Tensor, guard: float = 1e-12) -> Tensor:
@@ -427,14 +318,12 @@ def l2_normalize_rows(x: Tensor, guard: float = 1e-12) -> Tensor:
     norms = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
     small = norms < guard
     safe = np.where(small, 1.0, norms)
-    out = Tensor(x.data / safe)
 
-    def backward_fn(g):
+    def grad_x(g):
         dot = (g * x.data).sum(axis=-1, keepdims=True)
-        gx = g / safe - x.data * dot / (safe ** 3)
-        _accum(x, np.where(small, g, gx))
+        return np.where(small, g, g / safe - x.data * dot / (safe ** 3))
 
-    return _record(out, (x,), backward_fn)
+    return _record(x.data / safe, (x,), grad_x)
 
 
 def cross_entropy_rows(p, log_q: Tensor) -> Tensor:
@@ -459,8 +348,9 @@ def cross_entropy_rows(p, log_q: Tensor) -> Tensor:
 def backward(loss: Tensor, tape: Tape, leaves: Iterable[Tensor] = ()) -> None:
     """Populate .grad on every requires_grad leaf reachable from `loss`.
 
-    Leaves listed in `leaves` that are not on the loss's dependency cone get
-    an explicit zero gradient.
+    Only here are constant inputs skipped and gradients unbroadcast and
+    accumulated. Leaves listed in `leaves` that are not on the loss's
+    dependency cone get an explicit zero gradient.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -468,9 +358,14 @@ def backward(loss: Tensor, tape: Tape, leaves: Iterable[Tensor] = ()) -> None:
     # Interior tensors are created with requires_grad=True by _record, so the
     # per-tensor grad slots double as the sweep's accumulation buffers.
     loss.grad = np.ones((), dtype=DTYPE)
-    for out, backward_fn in reversed(tape.nodes):
-        if out.grad is not None:
-            backward_fn(np.asarray(out.grad, dtype=DTYPE))
+    for out, parents, grad_fns in reversed(tape.nodes):
+        if out.grad is None:
+            continue
+        g = np.asarray(out.grad, dtype=DTYPE)
+        for parent, grad_fn in zip(parents, grad_fns):
+            if parent.requires_grad:
+                gp = _unbroadcast(grad_fn(g), parent.data.shape)
+                parent.grad = gp if parent.grad is None else parent.grad + gp
 
     for leaf in leaves:
         if leaf.requires_grad and leaf.grad is None:

@@ -29,6 +29,7 @@ import zlib
 import numpy as np
 
 from .autodiff import Tensor
+from .configio import build_section
 from .crops import MultiCropConfig
 from .distill import DistillConfig, TrainState
 from .errors import (CheckpointChecksumError, CheckpointError,
@@ -72,19 +73,6 @@ def _unpack_array(payload: bytes) -> np.ndarray:
 
 def _config_dict(cfg) -> dict:
     return dataclasses.asdict(cfg)
-
-
-def _config_from_dict(cls, raw: dict):
-    # JSON loses tuples; restore them per-field from the dataclass defaults.
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in raw:
-            continue
-        v = raw[f.name]
-        if isinstance(v, list):
-            v = tuple(v)
-        kwargs[f.name] = v
-    return cls(**kwargs)
 
 
 def save_checkpoint(state: TrainState, path, vit_config: ViTConfig,
@@ -164,7 +152,7 @@ def _read_metadata(sections: dict[str, bytes]):
         step = int(meta["step"])
         rng = np.random.default_rng()
         rng.bit_generator.state = meta["rng_state"]
-        configs = [_config_from_dict(cls, cfg_raw[name]) for name, cls in (
+        configs = [build_section(cls(), cfg_raw[name]) for name, cls in (
             ("vit", ViTConfig), ("head", ProjectionHeadConfig),
             ("crop", MultiCropConfig), ("distill", DistillConfig))]
     except (KeyError, TypeError, ValueError) as exc:

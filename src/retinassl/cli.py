@@ -154,6 +154,10 @@ def cmd_train(args) -> int:
     steps_per_epoch = max(1, int(np.ceil(len(images) / b)))
     total = distill.total_epochs * steps_per_epoch
     n_steps = total - state.step if args.steps is None else args.steps
+    if n_steps < 0:
+        raise InputError(f"step count must be >= 0, got {n_steps}")
+    if args.checkpoint_every < 0:
+        raise InputError(f"--checkpoint-every must be >= 0, got {args.checkpoint_every}")
     if state.step + n_steps > total:
         raise InputError(f"{n_steps} steps from step {state.step} exceeds the "
                          f"{total}-step schedule")

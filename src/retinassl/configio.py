@@ -57,9 +57,57 @@ def parse_assignments(lines, source: str = "<config>") -> dict[str, object]:
         key = key.strip()
         try:
             out[key] = ast.literal_eval(value.strip())
-        except (ValueError, SyntaxError):
+        except (ValueError, TypeError, SyntaxError, MemoryError, RecursionError):
             raise ConfigError(f"{source}:{lineno}: cannot parse value {value.strip()!r}")
     return out
+
+
+def _same_kind(value, default) -> bool:
+    """Whether `value` may stand where the field default `default` does.
+
+    An int stands for a float, a bool is not a number, and tuples and dicts
+    are checked element by element.
+    """
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(_same_kind(v, default[0]) for v in value)
+    if isinstance(default, dict):
+        return (isinstance(value, dict) and value.keys() == default.keys()
+                and all(_same_kind(value[k], default[k]) for k in default))
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def build_section(base, values):
+    """Return the config dataclass `base` with fields replaced from `values`.
+
+    `values` comes from outside (a config file, ``--set`` or a checkpoint's
+    JSON), where there are no tuples, so lists become tuples. Names that are
+    not fields of `base` are ignored. A value of another kind than the field's
+    default, or one that fails the section's own validation, raises
+    ConfigError.
+    """
+    cls = type(base)
+    if not isinstance(values, dict):
+        raise ConfigError(f"{cls.__name__} values must be a mapping, got {values!r}")
+    defaults = cls()
+    updates = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in values:
+            continue
+        value = values[f.name]
+        if isinstance(value, list):
+            value = tuple(value)
+        if not _same_kind(value, getattr(defaults, f.name)):
+            raise ConfigError(f"{cls.__name__}.{f.name} cannot be {value!r}: "
+                              f"the default is {getattr(defaults, f.name)!r}")
+        updates[f.name] = value
+    try:
+        return dataclasses.replace(base, **updates)
+    except (RetinaSSLError, ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid value in {cls.__name__}: {exc}") from exc
 
 
 def _valid_keys() -> set[str]:
@@ -78,19 +126,9 @@ def apply_assignments(config: RunConfig, assignments: dict[str, object]) -> RunC
             raise ConfigError(f"unknown config key {key!r}")
         section, name = key.split(".", 1)
         grouped.setdefault(section, {})[name] = value
-    replacements = {}
-    for section, updates in grouped.items():
-        current = getattr(config, section)
-        coerced = {}
-        for name, value in updates.items():
-            if isinstance(value, list):
-                value = tuple(value)
-            coerced[name] = value
-        try:
-            replacements[section] = dataclasses.replace(current, **coerced)
-        except (RetinaSSLError, ValueError, TypeError) as exc:
-            raise ConfigError(f"invalid value in section {section!r}: {exc}") from exc
-    return dataclasses.replace(config, **replacements)
+    return dataclasses.replace(config, **{
+        section: build_section(getattr(config, section), updates)
+        for section, updates in grouped.items()})
 
 
 def load_config(path=None, overrides: dict[str, object] | None = None) -> RunConfig:

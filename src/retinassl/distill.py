@@ -132,14 +132,9 @@ def teacher_probs(teacher_logits: np.ndarray, center: np.ndarray, tau_t: float,
                   center_sign: float = -1.0) -> np.ndarray:
     """Centered, sharpened teacher targets: softmax((O_t + sign*C) / tau_t).
 
-    Plain numpy; no gradient ever flows through the teacher path.
+    Returns a plain array; no gradient ever flows through the teacher path.
     """
-    if tau_t <= 0:
-        raise ParameterError(f"tau_t must be positive, got {tau_t}")
-    z = (teacher_logits + center_sign * center) / tau_t
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return ad.softmax_rows(Tensor(teacher_logits + center_sign * center), tau_t).data
 
 
 def student_log_probs(student_logits: Tensor, tau_s: float) -> Tensor:

@@ -129,6 +129,8 @@ def decode_png(blob: bytes) -> np.ndarray:
             break
     if ihdr is None:
         raise DecodeError("PNG missing IHDR")
+    if len(ihdr) != 13:
+        raise DecodeError(f"PNG IHDR holds {len(ihdr)} bytes, not 13")
     w, h, depth, color_type, comp, filt, interlace = struct.unpack(">IIBBBBB", ihdr)
     if depth != 8:
         raise DataFormatError(f"only 8-bit PNG supported, got depth {depth}")

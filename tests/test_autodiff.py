@@ -314,3 +314,100 @@ class TestTapeSemantics:
         for out in (softmax_rows(x, 0.01), log_softmax_rows(x, 0.01), gelu(x),
                     ad.l2_normalize_rows(x)):
             assert np.all(np.isfinite(out.data))
+
+
+def _x(*shape, seed=0):
+    return np.random.default_rng(seed).normal(size=shape)
+
+
+def _zero_row(x):
+    x = x.copy()
+    x[1] = 0.0
+    return x
+
+
+# (input arrays, forward over Tensors of those arrays) for every recorded op;
+# the broadcast cases put each operand shape through the one unbroadcast in
+# backward
+OP_CASES = {
+    "add_B11": ([_x(2, 3, 4), _x(2, 1, 1, seed=1)], lambda a, b: a + b),
+    "add_d": ([_x(4, seed=1), _x(2, 3, 4)], lambda a, b: a + b),
+    "add_scalar": ([_x(2, 3), _x(seed=1)], lambda a, b: a + b),
+    "mul_B11": ([_x(2, 3, 4), _x(2, 1, 1, seed=1)], lambda a, b: a * b),
+    "mul_d": ([_x(4, seed=1), _x(2, 3, 4)], lambda a, b: a * b),
+    "mul_scalar": ([_x(seed=1), _x(2, 3)], lambda a, b: a * b),
+    "broadcast_to": ([_x(3, 1)], lambda a: ad.broadcast_to(a, (2, 3, 4))),
+    "reshape": ([_x(2, 6)], lambda a: a.reshape(3, 4)),
+    "transpose": ([_x(2, 3, 4)], lambda a: a.transpose((2, 0, 1))),
+    "getitem": ([_x(3, 4)], lambda a: a[1:, ::2]),
+    "concat_axis1": ([_x(2, 3, 4), _x(2, 2, 4, seed=1)],
+                     lambda a, b: ad.concat([a, b], axis=1)),
+    "concat_axis-1": ([_x(2, 3), _x(2, 5, seed=1)],
+                      lambda a, b: ad.concat([a, b], axis=-1)),
+    "sum_all": ([_x(2, 3)], lambda a: a.sum()),
+    "sum_axis": ([_x(2, 3, 4)], lambda a: a.sum(axis=1)),
+    "sum_keepdims": ([_x(2, 3, 4)], lambda a: a.sum(axis=1, keepdims=True)),
+    "mean": ([_x(2, 3)], lambda a: ad.mean(a, axis=0)),
+    "matmul_batched_2d_weight": ([_x(2, 3, 4), _x(4, 5, seed=1)], matmul),
+    "softmax_rows": ([_x(3, 4)], lambda a: softmax_rows(a, 0.5)),
+    "log_softmax_rows": ([_x(3, 4)], lambda a: log_softmax_rows(a, 0.5)),
+    "layer_norm": ([_x(2, 3, 4), _x(4, seed=1), _x(4, seed=2)],
+                   lambda x, s, b: layer_norm(x, s, b, epsilon=1e-5)),
+    "gelu": ([_x(3, 4)], gelu),
+    "l2_normalize_guarded_zero_row": ([_zero_row(_x(3, 4))],
+                                      lambda a: ad.l2_normalize_rows(a, guard=0.5)),
+    "cross_entropy_rows": ([_x(3, 4)], lambda a: cross_entropy_rows(
+        np.full((3, 4), 0.25), log_softmax_rows(a))),
+}
+
+
+@pytest.mark.parametrize("case", list(OP_CASES))
+def test_every_op_matches_finite_differences(case):
+    arrays, op = OP_CASES[case]
+    params = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Tape():
+        out_shape = op(*params).shape
+    weight = Tensor(_x(*out_shape, seed=9))  # a constant, so no gradient to it
+
+    def forward():
+        return (op(*params) * weight).sum()
+
+    with Tape() as tape:
+        loss = forward()
+    backward(loss, tape, leaves=params)
+    numeric = finite_difference(lambda: forward().item(), params)
+    for p, n in zip(params, numeric):
+        assert p.grad.shape == p.shape
+        np.testing.assert_allclose(p.grad, n, rtol=1e-6, atol=1e-8)
+    assert weight.grad is None
+
+
+def test_constant_operand_gradient_is_never_formed(monkeypatch):
+    # (3, 1) is the constant's shape and no other tensor's, so a reduction
+    # to it would be the gradient of `c`, which nothing needs
+    w = Tensor(_x(2, 3, 4), requires_grad=True)
+    c = Tensor(_x(3, 1, seed=1))
+    reduced_to = []
+    real = ad._unbroadcast
+
+    def spy(grad, shape):
+        reduced_to.append(shape)
+        return real(grad, shape)
+
+    monkeypatch.setattr(ad, "_unbroadcast", spy)
+    with Tape() as tape:
+        loss = (w * c).sum()
+    backward(loss, tape)
+    assert (3, 1) not in reduced_to
+    assert c.grad is None
+    np.testing.assert_array_equal(w.grad, np.broadcast_to(c.data, w.shape))
+
+
+def test_tape_entries_name_their_op():
+    w = Tensor(_x(2, 3), requires_grad=True)
+    with Tape() as tape:
+        ad.layer_norm(w * 2.0, Tensor(np.ones(3)), Tensor(np.zeros(3))).sum()
+    ops = [{fn.__qualname__.split(".")[0] for fn in grad_fns}
+           for _, _, grad_fns in tape.nodes]
+    assert ops == [{"mul"}, {"layer_norm"}, {"tensor_sum"}]
+    assert [len(parents) for _, parents, _ in tape.nodes] == [2, 3, 1]

@@ -9,6 +9,7 @@ import pytest
 from retinassl.checkpoint import load_checkpoint
 from retinassl.cli import main
 from retinassl.data import generate_synthetic_dataset, write_synthetic_dataset
+from retinassl.errors import CheckpointError
 
 
 def run(args):
@@ -159,6 +160,23 @@ class TestTrain:
                     "--images", synth_dir, "--out", str(tmp_path / "o"),
                     "--config", str(bad), "--steps", "1"]) == 2
 
+    @pytest.mark.parametrize("value", ["{[]: 1}", '"x"'], ids=["unhashable", "string"])
+    def test_bad_set_value_exit_2(self, tmp_path, tiny_config, synth_dir, value):
+        assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
+                    "--images", synth_dir, "--out", str(tmp_path / "o"),
+                    "--config", tiny_config, "--steps", "1",
+                    "--set", f"vit.depth={value}"]) == 2
+
+    @pytest.mark.parametrize("counts", [["--steps", "-3"],
+                                        ["--steps", "2", "--checkpoint-every", "-1"]],
+                             ids=["steps", "checkpoint_every"])
+    def test_negative_count_exit_2(self, tmp_path, tiny_config, synth_dir, counts):
+        out = tmp_path / "o"
+        assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
+                    "--images", synth_dir, "--out", str(out),
+                    "--config", tiny_config, *counts]) == 2
+        assert not out.exists()
+
     def test_unknown_config_key_exit_2(self, tmp_path):
         # a deleted key must fail loudly rather than be silently ignored
         assert run(["make-synth", "--out", str(tmp_path / "o"),
@@ -236,6 +254,12 @@ def _without_key(payload, key):
                        if k != key}).encode()
 
 
+def _with_vit_depth(payload, depth):
+    configs = json.loads(payload)
+    configs["vit"]["depth"] = depth
+    return json.dumps(configs).encode()
+
+
 MALFORMED_CHECKPOINTS = {
     "non_utf8_section_name": lambda secs: [
         (b"teacher/\xff\xfe" if n == b"teacher/cls" else n, p) for n, p in secs],
@@ -249,6 +273,8 @@ MALFORMED_CHECKPOINTS = {
         (n, p) for n, p in secs if n != b"teacher/cls"],
     "every_group_without_cls": lambda secs: [
         (n, p) for n, p in secs if not n.endswith(b"/cls")],
+    "vit_depth_a_string": lambda secs: [
+        (n, _with_vit_depth(p, "x") if n == b"configs" else p) for n, p in secs],
     "center_of_wrong_shape": lambda secs: [
         (n, dict(secs)[b"student/cls"] if n == b"center" else p) for n, p in secs],
 }
@@ -318,6 +344,11 @@ class TestProbeKnn:
         args[args.index("--train-manifest") + 1] = str(empty)
         assert run(args) == 2
         assert f"manifest {empty} lists zero images" in capsys.readouterr().err
+
+    def test_config_of_another_kind_is_a_checkpoint_error(self, trained):
+        _rewrite_checkpoint(trained, MALFORMED_CHECKPOINTS["vit_depth_a_string"])
+        with pytest.raises(CheckpointError, match="depth"):
+            load_checkpoint(trained)
 
     def test_bad_checkpoint_exit_2(self, tmp_path, tiny_config, synth_dir):
         bad = tmp_path / "bad.ckpt"

@@ -7,6 +7,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retinassl.checkpoint import load_checkpoint, save_checkpoint
 from retinassl.configio import RunConfig, load_config, parse_assignments
@@ -17,23 +19,26 @@ from retinassl.distill import DistillConfig, init_train_state, train_loop
 from retinassl.errors import (CheckpointChecksumError, CheckpointMagicError,
                               CheckpointTruncationError, CheckpointVersionError,
                               ConfigError, DataFormatError, DecodeError,
-                              ManifestError)
+                              ManifestError, RetinaSSLError)
 from retinassl.imagecodec import (decode_image, decode_png, decode_pnm,
                                   encode_image, encode_png, encode_pnm)
 from retinassl.vit import ProjectionHeadConfig, ViTConfig
 
 
-def _rgb_png(w, h, stream, idat=None):
-    """Hand-built 8-bit RGB PNG around an already filtered pixel stream, or
-    around the given compressed IDAT payload."""
+def _png(ihdr, idat):
+    """Hand-built PNG of the given IHDR and IDAT payloads, with valid CRCs."""
     def chunk(tag, payload):
         return (struct.pack(">I", len(payload)) + tag + payload
                 + struct.pack(">I", zlib.crc32(tag + payload) & 0xFFFFFFFF))
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
-    if idat is None:
-        idat = zlib.compress(bytes(stream))
     return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", ihdr)
             + chunk(b"IDAT", idat) + chunk(b"IEND", b""))
+
+
+def _rgb_png(w, h, stream, idat=None):
+    """Hand-built 8-bit RGB PNG around an already filtered pixel stream, or
+    around the given compressed IDAT payload."""
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+    return _png(ihdr, zlib.compress(bytes(stream)) if idat is None else idat)
 
 
 @functools.cache
@@ -163,6 +168,13 @@ class TestPng:
         stream = bytes(3 * (1 + 4 * 3))
         with pytest.raises(DecodeError):
             decode_png(_rgb_png(4, 3, None, idat=zlib.compress(stream)[:-4]))
+
+    @pytest.mark.parametrize("length", [0, 10, 12, 14])
+    def test_ihdr_of_wrong_length(self, length):
+        # a 10-byte IHDR with a valid CRC used to escape as struct.error
+        ihdr = (struct.pack(">IIBBBBB", 4, 3, 8, 2, 0, 0, 0) + b"\0")[:length]
+        with pytest.raises(DecodeError, match="IHDR"):
+            decode_png(_png(ihdr, zlib.compress(bytes(3 * 13))))
 
     @pytest.mark.parametrize("w, h", [(0, 4), (4, 0), (0, 0)])
     def test_zero_dimensions(self, w, h):
@@ -307,6 +319,46 @@ def small_state():
     return vit, head, crop, distill, state
 
 
+# a 4x3 RGB image whose rows use the Sub, Average and Paeth filters
+_FUZZ_IHDR = struct.pack(">IIBBBBB", 4, 3, 8, 2, 0, 0, 0)
+_FUZZ_IDAT = zlib.compress(b"".join(bytes([f]) + bytes(range(12)) for f in (1, 3, 4)))
+_FUZZ_KEYS = ["vit.depth", "vit.mlp_ratio", "crop.global_scale_range",
+              "crop.blur_p", "probe.flip_augment"]
+
+
+class TestParserFuzz:
+    """Outside bytes and text give a value or a RetinaSSLError, nothing else."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ihdr_len=st.integers(0, 14), in_payloads=st.booleans(),
+           edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)),
+                          max_size=4))
+    def test_mutated_png(self, ihdr_len, in_payloads, edits):
+        # edits inside the payloads get fresh CRCs, so they reach the header
+        # and pixel-stream checks; edits anywhere else mostly meet the CRC
+        payloads = bytearray((_FUZZ_IHDR + b"\0")[:ihdr_len] + _FUZZ_IDAT)
+        for pos, value in edits if in_payloads else ():
+            payloads[pos % len(payloads)] = value
+        blob = bytearray(_png(bytes(payloads[:ihdr_len]), bytes(payloads[ihdr_len:])))
+        for pos, value in () if in_payloads else edits:
+            blob[pos % len(blob)] = value
+        try:
+            pixels = decode_png(bytes(blob))
+        except RetinaSSLError:
+            return
+        assert pixels.dtype == np.uint8
+
+    @settings(max_examples=150, deadline=None)
+    @given(line=st.one_of(
+        st.text(max_size=40),
+        st.builds("{} = {}".format, st.sampled_from(_FUZZ_KEYS), st.text(max_size=30))))
+    def test_arbitrary_config_text(self, line):
+        try:
+            load_config(None, parse_assignments([line]))
+        except RetinaSSLError:
+            pass
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         vit, head, crop, distill, state = small_state()
@@ -427,6 +479,28 @@ class TestConfig:
         path.write_text("distill.tau_t 0.04\n")
         with pytest.raises(ConfigError, match=":1"):
             load_config(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("vit.depth", "x"), ("vit.depth", True), ("vit.depth", 2.0),
+        ("distill.tau_t", False), ("distill.tau_t", "0.1"),
+        ("probe.flip_augment", 1), ("crop.blur_sigma", (0.1, "a")),
+        ("crop.blur_p", {"local": 0.5})])
+    def test_value_of_another_kind_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key.split(".")[1]):
+            load_config(None, overrides={key: value})
+
+    def test_int_for_float_and_list_for_tuple(self):
+        cfg = load_config(None, overrides={"distill.tau_t": 1,
+                                           "crop.blur_sigma": [0.2, 1]})
+        assert cfg.distill.tau_t == 1
+        assert cfg.crop.blur_sigma == (0.2, 1)
+
+    @pytest.mark.parametrize("value", ["{[]: 1}", "+" * 5000 + "1", "-" * 100000 + "1"],
+                             ids=["unhashable_key", "deep", "deeper"])
+    def test_unparsable_value_is_a_config_error(self, value):
+        # literal_eval raises TypeError, RecursionError and MemoryError here
+        with pytest.raises(ConfigError, match="cannot parse"):
+            parse_assignments([f"vit.depth = {value}"])
 
     def test_parse_assignments_plain(self):
         out = parse_assignments(["a.b = 1", "c.d = 'x'"])
