@@ -155,7 +155,7 @@ def _read_metadata(sections: dict[str, bytes]):
         configs = [build_section(cls(), cfg_raw[name]) for name, cls in (
             ("vit", ViTConfig), ("head", ProjectionHeadConfig),
             ("crop", MultiCropConfig), ("distill", DistillConfig))]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(
             f"malformed checkpoint metadata: {type(exc).__name__}: {exc}") from exc
     return (step, rng, *configs)

@@ -1,9 +1,10 @@
 """Local-to-global multi-crop view generation.
 
-Produces the student view set (two global + six local crops per image under
-defaults) and the teacher view set (the same two global crop geometries,
-independently augmented). All randomness flows through an explicit
-numpy Generator, so (seed, config, images) fully determines a batch.
+Produces the student views (two global + six local crops per image under
+defaults) and the teacher views (the same two global crop geometries,
+independently augmented) as crop stacks, in which a view's position is its
+provenance. All randomness flows through an explicit numpy Generator, so
+(seed, config, images) fully determines a batch.
 
 Augmentation runs in two phases: every random choice is drawn first, in a
 fixed order, into one `ViewPlan` per view; `apply_plans` then augments all
@@ -55,29 +56,26 @@ class MultiCropConfig:
                                ("local_scale_range", self.local_scale_range)):
             if not (0.0 < lo <= hi <= 1.0):
                 raise ParameterError(f"{name} must satisfy 0 < min <= max <= 1, got {(lo, hi)}")
-        if self.n_global < 0 or self.n_local < 0:
-            raise ParameterError("crop counts must be nonnegative")
+        # every teacher crop needs a student view other than its own to score
+        if self.n_global < 1 or self.n_local < 0 or self.n_global + self.n_local < 2:
+            raise ParameterError(f"crop counts need n_global >= 1, n_local >= 0 and a sum "
+                                 f">= 2, got {self.n_global} and {self.n_local}")
         if self.global_out_size < 1 or self.local_out_size < 1:
             raise ParameterError("output sizes must be positive")
 
 
 @dataclass
-class View:
-    """One augmented view plus provenance: which crop geometry produced it."""
-    pixels: np.ndarray
-    crop_index: int
-    recipe: str
-
-    @property
-    def is_global(self) -> bool:
-        return self.recipe in (FIRST_GLOBAL, SECOND_GLOBAL)
-
-
-@dataclass
 class MultiCropBatch:
-    """Student views D1 (globals + locals) and teacher views D2 (globals only)."""
-    student_views: list[View]
-    teacher_views: list[View]
+    """Student views D1 (globals, then locals) and teacher views D2 (globals).
+
+    Position is provenance: `student_global[i]` and `teacher_global[i]` are
+    global crop i of every image, one geometry augmented twice, both under
+    recipe `_global_recipe(i)` (first_global for even i, second_global for
+    odd i); `student_local[j]` is local crop j, under the local recipe.
+    """
+    student_global: np.ndarray  # (n_global, ..., 3, gs, gs)
+    student_local: np.ndarray   # (n_local, ..., 3, ls, ls)
+    teacher_global: np.ndarray  # (n_global, ..., 3, gs, gs)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +395,11 @@ def _global_recipe(i: int) -> str:
 
 def build_multicrop(images: np.ndarray, config: MultiCropConfig,
                     rng: np.random.Generator) -> MultiCropBatch:
-    """Generate the student and teacher view sets for images (..., 3, H, W).
+    """Generate the student and teacher crop stacks for images (..., 3, H, W).
 
     Teacher views share the student's global crop geometries but are
-    independent augmentation draws of the same recipes. Every view's pixels
-    are a (..., 3, s, s) stack over the images.
+    independent augmentation draws of the same recipes. The global stacks
+    are two halves of one array, so each is contiguous.
 
     Draw order (the invariant that keeps runs and resumes exact): image by
     image, each global crop draws its geometry (`sample_crop`) and then the
@@ -414,19 +412,19 @@ def build_multicrop(images: np.ndarray, config: MultiCropConfig,
     n = flat.shape[0]
     ng, nl = config.n_global, config.n_local
     gs, ls = config.global_out_size, config.local_out_size
-    # view slots: globals by (crop, student | teacher, image), locals by (crop, image)
-    g_raw = np.empty((ng, 2, n, 3, gs, gs))
+    # view slots: globals by (student | teacher, crop, image), locals by (crop, image)
+    g_raw = np.empty((2, ng, n, 3, gs, gs))
     l_raw = np.empty((nl, n, 3, ls, ls))
-    g_plans = [[[None] * n, [None] * n] for _ in range(ng)]
+    g_plans = [[[None] * n for _ in range(ng)] for _ in range(2)]
     l_plans = [[None] * n for _ in range(nl)]
 
     for k, image in enumerate(flat):
         for i in range(ng):
             raw, _ = sample_crop(image, config.global_scale_range, gs, rng,
                                  config.aspect_range)
-            g_raw[i, :, k] = raw  # student and teacher share the geometry
+            g_raw[:, i, k] = raw  # student and teacher share the geometry
             for role in range(2):
-                g_plans[i][role][k] = draw_plan(_global_recipe(i), rng, config)
+                g_plans[role][i][k] = draw_plan(_global_recipe(i), rng, config)
         for j in range(nl):
             raw, _ = sample_crop(image, config.local_scale_range, ls, rng,
                                  config.aspect_range)
@@ -434,13 +432,10 @@ def build_multicrop(images: np.ndarray, config: MultiCropConfig,
             l_plans[j][k] = draw_plan(LOCAL, rng, config)
 
     g_out = apply_plans(g_raw.reshape(-1, 3, gs, gs),
-                        [p for crop in g_plans for role in crop for p in role],
-                        config).reshape((ng, 2) + lead + (3, gs, gs))
+                        [p for role in g_plans for crop in role for p in crop],
+                        config).reshape((2, ng) + lead + (3, gs, gs))
     l_out = apply_plans(l_raw.reshape(-1, 3, ls, ls),
                         [p for crop in l_plans for p in crop],
                         config).reshape((nl,) + lead + (3, ls, ls))
-
-    student = [View(g_out[i, 0], i, _global_recipe(i)) for i in range(ng)]
-    student += [View(l_out[j], ng + j, LOCAL) for j in range(nl)]
-    teacher = [View(g_out[i, 1], i, _global_recipe(i)) for i in range(ng)]
-    return MultiCropBatch(student_views=student, teacher_views=teacher)
+    return MultiCropBatch(student_global=g_out[0], student_local=l_out,
+                          teacher_global=g_out[1])

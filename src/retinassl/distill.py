@@ -142,33 +142,32 @@ def student_log_probs(student_logits: Tensor, tau_s: float) -> Tensor:
     return ad.log_softmax_rows(student_logits, tau_s)
 
 
-def distillation_loss(teacher_probs_by_crop: dict[int, np.ndarray],
-                      student_logprobs_by_crop: dict[int, Tensor]) -> Tensor:
-    """Summed multi-view cross entropy.
+def distillation_loss(teacher_probs: np.ndarray, student_log_probs: Tensor) -> Tensor:
+    """Summed multi-view cross entropy, with views matched by position.
 
-    Keys are crop indices (provenance tags). Every (teacher crop x, student
-    crop x') pair with x' != x contributes one cross-entropy term; terms are
-    summed over pairs and averaged over the image batch. With 2 teacher
-    globals and 8 student views that is 2 * 7 = 14 terms.
+    teacher_probs is (G, B, K): G teacher global crops of B images.
+    student_log_probs is (V*B, K), view-major with the G student globals
+    first, so student view s < G is teacher crop s's geometry. Every (teacher
+    crop t, student view s) pair with s != t contributes one cross-entropy
+    term; terms are summed over pairs and averaged over the image batch. With
+    2 teacher globals and 8 student views that is 2 * 7 = 14 terms, computed
+    as one product: view s is scored against targets[s] = sum_{t != s} p_t.
     """
-    if not teacher_probs_by_crop or not student_logprobs_by_crop:
-        raise ContractError("distillation_loss needs tagged teacher and student views")
-    missing = set(teacher_probs_by_crop) - set(student_logprobs_by_crop)
-    if missing:
-        raise ContractError(f"student views missing for teacher crops {sorted(missing)}")
-
-    terms = []
-    for t_crop, p_t in teacher_probs_by_crop.items():
-        batch = p_t.shape[0]
-        for s_crop, log_p in student_logprobs_by_crop.items():
-            if s_crop == t_crop:
-                continue
-            ce = ad.cross_entropy_rows(p_t, log_p)  # (batch,)
-            terms.append(ad.tensor_sum(ce) * (1.0 / batch))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total
+    p = np.asarray(teacher_probs, dtype=float)
+    if p.ndim != 3 or 0 in p.shape or student_log_probs.ndim != 2:
+        raise ContractError(f"distillation_loss needs (G, B, K) teacher and (V*B, K) "
+                            f"student rows, got {p.shape} and {student_log_probs.shape}")
+    g, b, k = p.shape
+    v, rest = divmod(student_log_probs.shape[0], b)
+    if rest or student_log_probs.shape[1] != k or v < max(g, 2):
+        raise ContractError(f"student rows {student_log_probs.shape} are not V >= "
+                            f"{max(g, 2)} views of the teacher's {b} x {k}")
+    if not np.allclose(p.sum(axis=-1), 1.0, atol=1e-6):
+        raise ContractError("teacher probability rows must sum to 1 within 1e-6")
+    # (V, G) 0/1 mask times the teacher rows: exact sums of the chosen p_t
+    targets = (1.0 - np.eye(v, g)) @ p.reshape(g, b * k)
+    targets *= -1.0 / b
+    return ad.tensor_sum(ad.mul(Tensor(targets.reshape(v * b, k)), student_log_probs))
 
 
 def clip_gradients(grads: dict[str, np.ndarray], threshold: float,
@@ -283,38 +282,28 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
     center update from this step's teacher logits.
     """
     cfg = distill_config
-    b = images.shape[0]
     rng = state.rng
 
     batch = build_multicrop(images, crop_config, rng)
 
-    # Teacher path: tape-free, eval mode, current center.
-    teacher_logits: dict[int, np.ndarray] = {}
-    for view in batch.teacher_views:
-        logits = _forward_logits(view.pixels, vit_config, head_config, state.teacher,
-                                 EVAL, None)
-        teacher_logits[view.crop_index] = logits.data
-    p_t = {c: teacher_probs(o, state.center, cfg.tau_t, cfg.center_sign)
-           for c, o in teacher_logits.items()}
+    # Teacher path: tape-free, eval mode, current center, one call per crop.
+    teacher_logits = np.stack([
+        _forward_logits(crop, vit_config, head_config, state.teacher, EVAL, None).data
+        for crop in batch.teacher_global])
+    p_t = teacher_probs(teacher_logits, state.center, cfg.tau_t, cfg.center_sign)
 
-    # Student path: taped, train mode (stochastic depth active).
-    views = batch.student_views
-    student_groups = ([v for v in views if v.is_global],
-                      [v for v in views if not v.is_global])
-
+    # Student path: taped, train mode (stochastic depth active), one forward
+    # per crop size; rows stay view-major, globals first.
     leaves = list(state.student.values())
     with Tape() as tape:
-        log_p_s: dict[int, Tensor] = {}
-        for group in student_groups:
-            if not group:
-                continue
-            stacked = np.concatenate([v.pixels for v in group])
-            logits = _forward_logits(stacked, vit_config, head_config, state.student,
-                                     TRAIN, rng)
-            for i, v in enumerate(group):
-                log_p_s[v.crop_index] = student_log_probs(logits[i * b:(i + 1) * b],
-                                                          cfg.tau_s)
-        loss = distillation_loss(p_t, log_p_s)
+        log_p_s = []
+        for group in (batch.student_global, batch.student_local):
+            if len(group):
+                logits = _forward_logits(group.reshape((-1,) + group.shape[-3:]),
+                                         vit_config, head_config, state.student,
+                                         TRAIN, rng)
+                log_p_s.append(student_log_probs(logits, cfg.tau_s))
+        loss = distillation_loss(p_t, ad.concat(log_p_s, axis=0))
 
     loss_val = loss.item()
     if not np.isfinite(loss_val):
@@ -341,11 +330,12 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
                    t=state.step + 1, lr=lr, weight_decay=wd)
     ema_update(state.teacher, state.student, lam)
 
-    all_teacher = np.concatenate(list(teacher_logits.values()))
+    k = teacher_logits.shape[-1]
     if update_center:
-        state.center = center_update(state.center, all_teacher, cfg.center_momentum)
+        state.center = center_update(state.center, teacher_logits.reshape(-1, k),
+                                     cfg.center_momentum)
 
-    entropy = mean_entropy(np.concatenate(list(p_t.values())))
+    entropy = mean_entropy(p_t.reshape(-1, k))
     state.step += 1
     return StepMetrics(
         step=state.step, epoch=(state.step - 1) // steps_per_epoch, loss=loss_val,

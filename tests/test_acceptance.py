@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from retinassl.autodiff import Tape, Tensor, backward
+from retinassl.autodiff import Tape, Tensor, backward, concat
 from retinassl.cli import main as cli_main
 from retinassl.crops import MultiCropConfig, build_multicrop
 from retinassl.data import generate_synthetic_dataset
@@ -120,45 +120,39 @@ def test_criterion_1_gradient_correctness():
     crop_cfg = MultiCropConfig(global_out_size=32, local_out_size=16)
     img = np.random.default_rng(1).random((3, 32, 32))
     batch = build_multicrop(img, crop_cfg, np.random.default_rng(2))
-    g_idx = sorted(v.crop_index for v in batch.student_views if v.is_global)
-    l_idx = sorted(v.crop_index for v in batch.student_views if not v.is_global)
-    by_idx = {v.crop_index: v.pixels for v in batch.student_views}
-    globals_px = np.stack([by_idx[i] for i in g_idx])
-    locals_px = np.stack([by_idx[i] for i in l_idx])
+    groups = (batch.student_global, batch.student_local)  # view order: globals first
 
     center = np.zeros(head.output_dim)
-    p_t = {}
-    for v in batch.teacher_views:
-        out = backbone_forward(v.pixels[None], vit, params)
+    p_t = []
+    for crop in batch.teacher_global:
+        out = backbone_forward(crop[None], vit, params)
         logits = projection_head_forward(out.cls_features, head, params)
-        p_t[v.crop_index] = teacher_probs(logits.data, center, 0.04)
+        p_t.append(teacher_probs(logits.data, center, 0.04))
+    p_t = np.stack(p_t)  # (n_global, 1, K)
 
     twin = NumpyTwin(vit, head, params)
 
     def np_loss():
-        logps = {}
-        for idxs, px in ((g_idx, globals_px), (l_idx, locals_px)):
+        logps = []
+        for px in groups:
             z = twin.logits(px) / 0.1
             z = z - z.max(-1, keepdims=True)
             lp = z - np.log(np.exp(z).sum(-1, keepdims=True))
-            for j, idx in enumerate(idxs):
-                logps[idx] = lp[j:j + 1]
+            logps.extend(lp[j:j + 1] for j in range(len(px)))
         total = 0.0
-        for ti, pt in p_t.items():
-            for si, lp in logps.items():
+        for ti, pt in enumerate(p_t):
+            for si, lp in enumerate(logps):
                 if si != ti:
                     total += -(pt * lp).sum()
         return total
 
     def tensor_loss():
-        logps = {}
-        for idxs, px in ((g_idx, globals_px), (l_idx, locals_px)):
+        logps = []
+        for px in groups:
             out = backbone_forward(px, vit, params)
             logits = projection_head_forward(out.cls_features, head, params)
-            lp = student_log_probs(logits, 0.1)
-            for j, idx in enumerate(idxs):
-                logps[idx] = lp[j:j + 1]
-        return distillation_loss(p_t, logps)
+            logps.append(student_log_probs(logits, 0.1))
+        return distillation_loss(p_t, concat(logps, axis=0))
 
     with Tape() as tape:
         loss = tensor_loss()
@@ -195,10 +189,9 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_loss_pair_enumeration():
     K = 64
     uniform = np.full((1, K), 1.0 / K)
-    log_uniform = Tensor(np.log(uniform))
-    p_t = {0: uniform, 1: uniform}                       # 2 teacher globals
-    log_p = {i: log_uniform for i in range(8)}           # 8 student views
-    n_pairs = sum(1 for t in p_t for s in log_p if s != t)
+    p_t = np.stack([uniform, uniform])                   # 2 teacher globals
+    log_p = Tensor(np.log(np.tile(uniform, (8, 1))))     # 8 student views
+    n_pairs = sum(1 for t in range(len(p_t)) for s in range(8) if s != t)
     loss = distillation_loss(p_t, log_p).item()
     ok = n_pairs == 14 and abs(loss - 14 * np.log(K)) < 1e-6
     report(2, "loss-pair enumeration", ok,

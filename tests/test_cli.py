@@ -177,6 +177,16 @@ class TestTrain:
                     "--config", tiny_config, *counts]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("counts", [["crop.n_global=1", "crop.n_local=0"],
+                                        ["crop.n_global=0"]],
+                             ids=["one_view", "no_global"])
+    def test_crop_counts_without_a_pair_exit_2(self, tmp_path, tiny_config, synth_dir,
+                                               counts):
+        sets = [arg for assignment in counts for arg in ("--set", assignment)]
+        assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
+                    "--images", synth_dir, "--out", str(tmp_path / "o"),
+                    "--config", tiny_config, "--steps", "1", *sets]) == 2
+
     def test_unknown_config_key_exit_2(self, tmp_path):
         # a deleted key must fail loudly rather than be silently ignored
         assert run(["make-synth", "--out", str(tmp_path / "o"),
@@ -254,6 +264,12 @@ def _without_key(payload, key):
                        if k != key}).encode()
 
 
+def _with_rng_state(payload, value):
+    meta = json.loads(payload)
+    meta["rng_state"]["state"]["state"] = value
+    return json.dumps(meta).encode()
+
+
 def _with_vit_depth(payload, depth):
     configs = json.loads(payload)
     configs["vit"]["depth"] = depth
@@ -273,6 +289,8 @@ MALFORMED_CHECKPOINTS = {
         (n, p) for n, p in secs if n != b"teacher/cls"],
     "every_group_without_cls": lambda secs: [
         (n, p) for n, p in secs if not n.endswith(b"/cls")],
+    "rng_state_out_of_range": lambda secs: [
+        (n, _with_rng_state(p, 2 ** 200) if n == b"meta" else p) for n, p in secs],
     "vit_depth_a_string": lambda secs: [
         (n, _with_vit_depth(p, "x") if n == b"configs" else p) for n, p in secs],
     "center_of_wrong_shape": lambda secs: [

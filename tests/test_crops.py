@@ -256,45 +256,40 @@ class TestApplyPlans:
                                        rtol=0, atol=1e-12)
 
 
+def views_of(batch):
+    """Every view of a batch, in order: student globals, student locals,
+    teacher globals."""
+    return [*batch.student_global, *batch.student_local, *batch.teacher_global]
+
+
 class TestBuildMulticrop:
     def test_default_counts(self):
         batch = build_multicrop(random_image(9), tiny_config(), np.random.default_rng(0))
-        assert len(batch.student_views) == 8
-        assert len(batch.teacher_views) == 2
+        assert len(batch.student_global) + len(batch.student_local) == 8
+        assert len(batch.teacher_global) == 2
 
     def test_degenerate_no_locals(self):
         batch = build_multicrop(random_image(10), tiny_config(n_local=0),
                                 np.random.default_rng(0))
-        assert len(batch.student_views) == 2
-        assert len(batch.teacher_views) == 2
-
-    def test_teacher_shares_geometry_with_student_globals(self):
-        batch = build_multicrop(random_image(11), tiny_config(), np.random.default_rng(3))
-        student_global_ids = [v.crop_index for v in batch.student_views if v.is_global]
-        teacher_ids = [v.crop_index for v in batch.teacher_views]
-        assert teacher_ids == student_global_ids  # D2 subset of D1 by provenance
-
-    def test_recipes(self):
-        batch = build_multicrop(random_image(12), tiny_config(), np.random.default_rng(4))
-        recipes = [v.recipe for v in batch.student_views]
-        assert recipes[:2] == [FIRST_GLOBAL, SECOND_GLOBAL]
-        assert all(r == LOCAL for r in recipes[2:])
+        assert len(batch.student_global) + len(batch.student_local) == 2
+        assert len(batch.teacher_global) == 2
 
     def test_bit_identical_on_repeat(self):
         img = random_image(13)
         cfg = tiny_config()
         b1 = build_multicrop(img, cfg, np.random.default_rng(77))
         b2 = build_multicrop(img, cfg, np.random.default_rng(77))
-        for v1, v2 in zip(b1.student_views + b1.teacher_views,
-                          b2.student_views + b2.teacher_views):
-            assert np.array_equal(v1.pixels, v2.pixels)
+        for v1, v2 in zip(views_of(b1), views_of(b2)):
+            assert np.array_equal(v1, v2)
 
     def test_view_shapes(self):
         batch = build_multicrop(random_image(14), tiny_config(), np.random.default_rng(5))
-        for v in batch.student_views:
-            size = 16 if v.is_global else 8
-            assert v.pixels.shape == (3, size, size)
-
+        assert batch.student_global.shape == (2, 3, 16, 16)
+        assert batch.student_local.shape == (6, 3, 8, 8)
+        assert batch.teacher_global.shape == (2, 3, 16, 16)
+        # the student forward takes each stack through a free reshape
+        assert batch.student_global.flags.c_contiguous
+        assert batch.student_local.flags.c_contiguous
 
     def test_batch_equals_sequential_single_images(self):
         images = np.random.default_rng(16).random((4, 3, 32, 32))
@@ -303,11 +298,11 @@ class TestBuildMulticrop:
         batch = build_multicrop(images, cfg, rng_batch)
         singles = [build_multicrop(img, cfg, rng_seq) for img in images]
         assert rng_batch.bit_generator.state == rng_seq.bit_generator.state
-        for group in ("student_views", "teacher_views"):
-            for c, view in enumerate(getattr(batch, group)):
-                ref = np.stack([getattr(s, group)[c].pixels for s in singles])
-                assert view.pixels.shape == ref.shape
-                np.testing.assert_allclose(view.pixels, ref, rtol=0, atol=1e-12)
+        for group in ("student_global", "student_local", "teacher_global"):
+            stack = getattr(batch, group)
+            ref = np.stack([getattr(s, group) for s in singles], axis=1)
+            assert stack.shape == ref.shape
+            np.testing.assert_allclose(stack, ref, rtol=0, atol=1e-12)
 
     def test_matches_per_view_composition(self):
         # the reference: sample_crop and augment_view called view by view in
@@ -328,8 +323,9 @@ class TestBuildMulticrop:
                                  ref_rng, cfg.aspect_range)
             student.append(augment_view(raw, LOCAL, ref_rng, cfg))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        for view, ref in zip(batch.student_views + batch.teacher_views, student + teacher):
-            np.testing.assert_allclose(view.pixels, ref, rtol=0, atol=1e-12)
+        assert len(views_of(batch)) == len(student + teacher)
+        for view, ref in zip(views_of(batch), student + teacher):
+            np.testing.assert_allclose(view, ref, rtol=0, atol=1e-12)
 
     def test_documented_draw_sequence(self):
         images = np.random.default_rng(18).random((3, 3, 32, 32))

@@ -1,6 +1,8 @@
 import functools
+import json
 import os
 import struct
+import tempfile
 import tracemalloc
 import warnings
 import zlib
@@ -324,6 +326,31 @@ _FUZZ_IHDR = struct.pack(">IIBBBBB", 4, 3, 8, 2, 0, 0, 0)
 _FUZZ_IDAT = zlib.compress(b"".join(bytes([f]) + bytes(range(12)) for f in (1, 3, 4)))
 _FUZZ_KEYS = ["vit.depth", "vit.mlp_ratio", "crop.global_scale_range",
               "crop.blur_p", "probe.flip_augment"]
+_FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@functools.cache
+def _fuzz_checkpoint_sections():
+    """The 12-byte header and the (name, payload) pairs of a small saved
+    checkpoint, parsed here apart from the library."""
+    vit, head, crop, distill, state = small_state()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.ckpt")
+        save_checkpoint(state, path, vit, head, crop, distill)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    sections, pos = [], 12  # magic + version
+    while pos < len(blob):
+        (nlen,) = struct.unpack_from("<H", blob, pos)
+        (plen,) = struct.unpack_from("<Q", blob, pos + 2 + nlen)
+        start = pos + 14 + nlen
+        sections.append((blob[pos + 2:pos + 2 + nlen], blob[start:start + plen]))
+        pos = start + plen
+    return blob[:12], tuple(sections)
 
 
 class TestParserFuzz:
@@ -357,6 +384,41 @@ class TestParserFuzz:
             load_config(None, parse_assignments([line]))
         except RetinaSSLError:
             pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_edited_checkpoint_metadata(self, data):
+        # one value of the meta or configs JSON is replaced or deleted, and
+        # the file is re-packed with fresh CRCs, so the edit reaches the parser
+        header, sections = _fuzz_checkpoint_sections()
+        target = data.draw(st.sampled_from([b"meta", b"configs"]))
+        doc = json.loads(dict(sections)[target])
+        node = doc
+        while True:
+            key = data.draw(st.sampled_from(
+                sorted(node) if isinstance(node, dict) else range(len(node))))
+            child = node[key]
+            if not (isinstance(child, (dict, list)) and child and data.draw(st.booleans())):
+                break
+            node = child
+        if isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(_FUZZ_JSON)
+        sections = [(n, json.dumps(doc).encode() if n == target else p)
+                    for n, p in sections]
+        blob = header + b"".join(
+            struct.pack("<H", len(n)) + n
+            + struct.pack("<QI", len(p), zlib.crc32(p) & 0xFFFFFFFF) + p
+            for n, p in sections)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.ckpt")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            try:
+                load_checkpoint(path)
+            except RetinaSSLError:
+                pass
 
 
 class TestCheckpoint:

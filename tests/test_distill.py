@@ -154,9 +154,8 @@ class TestStudentLogProbs:
 class TestDistillationLoss:
     def _uniform_views(self, n_teacher, n_student, k=16, batch=1):
         p = np.full((batch, k), 1.0 / k)
-        log_p = Tensor(np.log(p))
-        teacher = {i: p for i in range(n_teacher)}
-        student = {i: log_p for i in range(n_student)}
+        teacher = np.stack([p] * n_teacher)
+        student = Tensor(np.log(np.tile(p, (n_student, 1))))
         return teacher, student
 
     def test_fourteen_terms_uniform(self):
@@ -188,15 +187,67 @@ class TestDistillationLoss:
             raw = rng.random((1, 6))
             p_t = raw / raw.sum(-1, keepdims=True)
             log_p = ad.log_softmax_rows(Tensor(rng.normal(size=(1, 6))), 0.3)
-            loss = distillation_loss({0: p_t, 1: p_t}, {i: log_p for i in range(4)})
+            loss = distillation_loss(np.stack([p_t, p_t]),
+                                     ad.concat([log_p] * 4, axis=0))
             assert loss.item() >= 0.0
 
-    def test_missing_tags_rejected(self):
+    def test_missing_views_rejected(self):
         p = np.full((1, 4), 0.25)
         with pytest.raises(ContractError):
-            distillation_loss({0: p, 5: p}, {0: Tensor(np.log(p))})
+            distillation_loss(np.stack([p, p]), Tensor(np.log(p)))
         with pytest.raises(ContractError):
-            distillation_loss({}, {})
+            distillation_loss(np.zeros((0, 1, 4)), Tensor(np.zeros((0, 4))))
+
+    @pytest.mark.parametrize("teacher_shape, student_shape", [
+        ((1, 2, 4), (2, 4)), ((2, 2, 4), (3, 4)), ((2, 2, 4), (4, 5)),
+        ((2, 4), (4, 4)), ((2, 2, 4), (2, 2, 4))],
+        ids=["no_pair", "partial_view", "other_k", "teacher_2d", "student_3d"])
+    def test_bad_shapes_rejected(self, teacher_shape, student_shape):
+        teacher = np.full(teacher_shape, 1.0 / teacher_shape[-1])
+        with pytest.raises(ContractError):
+            distillation_loss(teacher, Tensor(np.zeros(student_shape)))
+
+    def test_teacher_rows_must_sum_to_one(self):
+        with pytest.raises(ContractError):
+            distillation_loss(np.full((2, 1, 4), 0.3), Tensor(np.zeros((3, 4))))
+
+    @pytest.mark.parametrize("n_teacher, n_student", [(1, 2), (1, 5), (2, 2),
+                                                      (2, 8), (3, 3), (3, 7)])
+    def test_matches_pairwise_cross_entropy(self, n_teacher, n_student):
+        # the oracle: one cross-entropy per (teacher crop t, student view s != t)
+        rng = np.random.default_rng(10 * n_teacher + n_student)
+        batch, k = 3, 5
+        raw = rng.random((n_teacher, batch, k)) ** 3
+        p_t = raw / raw.sum(-1, keepdims=True)
+        x = Tensor(rng.normal(size=(n_student * batch, k)), requires_grad=True)
+
+        def pairwise():
+            log_p = ad.log_softmax_rows(x, 0.3)
+            total = None
+            for t in range(n_teacher):
+                for s in range(n_student):
+                    if s != t:
+                        ce = ad.cross_entropy_rows(p_t[t], log_p[s * batch:(s + 1) * batch])
+                        term = ad.tensor_sum(ce) * (1.0 / batch)
+                        total = term if total is None else total + term
+            return total.item()
+
+        with Tape() as tape:
+            loss = distillation_loss(p_t, ad.log_softmax_rows(x, 0.3))
+        np.testing.assert_allclose(loss.item(), pairwise(), rtol=0, atol=1e-12)
+        backward(loss, tape, leaves=[x])
+        (numeric,) = ad.finite_difference(pairwise, [x])
+        np.testing.assert_allclose(x.grad, numeric, rtol=1e-6, atol=1e-8)
+
+    def test_tape_entries_independent_of_view_count(self):
+        def entries(n_student):
+            p_t = np.full((2, 2, 4), 0.25)
+            log_p = Tensor(np.full((n_student * 2, 4), np.log(0.25)), requires_grad=True)
+            with Tape() as tape:
+                distillation_loss(p_t, log_p)
+            return len(tape.nodes)
+
+        assert entries(3) == entries(8)
 
 
 class TestClipGradients:
