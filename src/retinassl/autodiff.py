@@ -228,6 +228,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                    lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g))
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the last axis of x, as one 2-D GEMM over every row.
+
+    The weight gradient is then one GEMM over all leading rows too, rather
+    than a batched product reduced over the batch afterwards.
+    """
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeMismatchError(
+            f"linear needs x (..., d), w (d, k) and b (k,), "
+            f"got {x.shape}, {w.shape} and {b.shape}")
+    d, k = w.shape
+    x2 = x.data.reshape(-1, d)
+    out = x2 @ w.data
+    out += b.data
+    return _record(out.reshape(*x.shape[:-1], k), (x, w, b),
+                   lambda g: (g.reshape(-1, k) @ w.data.T).reshape(x.shape),
+                   lambda g: x2.T @ g.reshape(-1, k),
+                   lambda g: g.reshape(-1, k).sum(axis=0))
+
+
 # ---------------------------------------------------------------------------
 # neural-net primitives
 # ---------------------------------------------------------------------------
@@ -264,6 +284,47 @@ def log_softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
         g - np.exp(log_p) * g.sum(axis=-1, keepdims=True)) / tau)
 
 
+def attention(qkv: Tensor, n_heads: int, scale: float) -> tuple[Tensor, np.ndarray]:
+    """Multi-head self-attention core on a (B, T, 3d) q|k|v projection.
+
+    Returns the (B, T, d) head outputs, recorded as one tape entry, and the
+    (B, heads, T, T) probabilities softmax(scale * q k^T) as a plain array.
+    The backward works from those saved probabilities, as FlashAttention's
+    does (Dao et al. 2022), and writes dq, dk and dv into one buffer.
+    """
+    if qkv.ndim != 3 or n_heads < 1 or qkv.shape[-1] % (3 * n_heads) != 0:
+        raise ShapeMismatchError(
+            f"attention needs a (B, T, 3d) input with d divisible by "
+            f"{n_heads} heads, got {qkv.shape}")
+    b, t, d3 = qkv.shape
+    d = d3 // 3
+    hd = d // n_heads
+    # views of qkv laid out as the per-head chain would index them, so that
+    # every product below sees the same strides and gives the same bits
+    q, k, v = qkv.data.reshape(b, t, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)
+    probs = np.matmul(q, k.transpose(0, 1, 3, 2))
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = np.matmul(probs, v).transpose(0, 2, 1, 3).reshape(b, t, d)
+
+    def grad_qkv(g):
+        gh = g.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
+        dqkv = np.empty((3, b, n_heads, t, hd))
+        np.matmul(probs.swapaxes(-1, -2), gh, out=dqkv[2])
+        ds = np.matmul(gh, v.swapaxes(-1, -2))
+        dot = (ds * probs).sum(axis=-1, keepdims=True)
+        ds -= dot
+        ds *= probs
+        ds *= scale
+        np.matmul(ds, k, out=dqkv[0])
+        dqkv[1] = np.matmul(q.swapaxes(-1, -2), ds).transpose(0, 1, 3, 2)
+        return dqkv.transpose(1, 3, 0, 2, 4).reshape(b, t, d3)
+
+    return _record(out, (qkv,), grad_qkv), probs
+
+
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, epsilon: float = 1e-6) -> Tensor:
     """Per-row (last axis) zero-mean unit-variance normalization, then affine."""
     if epsilon <= 0:
@@ -283,10 +344,16 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, epsilon: float = 1e-6) -
     sq += shift.data
 
     def grad_x(g):
+        # (dxhat - m1 - xhat * m2) * inv, evaluated in that order in place
         dxhat = g * scale.data
         m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return (dxhat - m1 - xhat * m2) * inv
+        scratch = dxhat * xhat
+        m2 = scratch.mean(axis=-1, keepdims=True)
+        np.multiply(xhat, m2, out=scratch)
+        dxhat -= m1
+        dxhat -= scratch
+        dxhat *= inv
+        return dxhat
 
     return _record(sq, (x, scale, shift), grad_x,
                    lambda g: (g * xhat).reshape(-1, d).sum(axis=0),
@@ -303,8 +370,16 @@ def gelu(x: Tensor) -> Tensor:
     phi_cdf *= 0.5
 
     def grad_x(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x.data * x.data)
-        return g * (phi_cdf + x.data * pdf)
+        # g * (phi_cdf + x * pdf(x)) in one buffer; -0.5 * (x * x) has the
+        # bits of (-0.5 * x) * x, as scaling by a power of two is exact
+        out = x.data * x.data
+        out *= -0.5
+        np.exp(out, out=out)
+        out *= _INV_SQRT_2PI
+        out *= x.data
+        out += phi_cdf
+        out *= g
+        return out
 
     return _record(x.data * phi_cdf, (x,), grad_x)
 

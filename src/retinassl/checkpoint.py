@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 import tempfile
@@ -59,16 +60,21 @@ def _unpack_array(payload: bytes) -> np.ndarray:
     if len(payload) < 1:
         raise CheckpointTruncationError("empty array payload")
     ndim = payload[0]
+    if ndim > 64:
+        raise CheckpointError(f"array rank {ndim} is above numpy's limit of 64")
     need = 1 + 8 * ndim
     if len(payload) < need:
         raise CheckpointTruncationError("array shape header cut short")
     shape = struct.unpack_from(f"<{ndim}Q", payload, 1)
-    count = int(np.prod(shape)) if ndim else 1
+    count = math.prod(shape)  # Python ints: a product of u64 dims cannot wrap
     if len(payload) != need + 8 * count:
         raise CheckpointTruncationError(
             f"array payload holds {len(payload) - need} bytes, expected {8 * count}")
-    return np.frombuffer(payload, dtype="<f8", count=count,
-                         offset=need).reshape(shape).copy()
+    values = np.frombuffer(payload, dtype="<f8", count=count, offset=need)
+    try:
+        return values.reshape(shape).copy()
+    except ValueError as exc:  # numpy's dimension limits, reached by empty arrays
+        raise CheckpointError(f"array shape {shape} is not representable: {exc}") from exc
 
 
 def _config_dict(cfg) -> dict:
@@ -158,6 +164,8 @@ def _read_metadata(sections: dict[str, bytes]):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(
             f"malformed checkpoint metadata: {type(exc).__name__}: {exc}") from exc
+    if step < 0:
+        raise CheckpointError(f"checkpoint step {step} is negative")
     return (step, rng, *configs)
 
 

@@ -181,7 +181,7 @@ def train_linear_probe(features: np.ndarray, labels: np.ndarray,
             idx = order[s * bs:(s + 1) * bs]
             x, y = features[idx], onehot[idx]
             with Tape() as tape:
-                logits = ad.matmul(Tensor(x), w) + b
+                logits = ad.linear(Tensor(x), w, b)
                 logp = ad.log_softmax_rows(logits, 1.0)
                 loss = ad.mean(ad.cross_entropy_rows(y, logp))
             w.grad = None

@@ -201,6 +201,8 @@ def decode_pnm(blob: bytes) -> np.ndarray:
                 pos += 1
             tokens.append(blob[start:pos])
     pos += 1  # the single whitespace after maxval
+    if any(len(t) > 9 for t in tokens):
+        raise DecodeError("pixmap width, height and maxval must have at most 9 digits")
     w, h, maxval = (int(t) if t.isdigit() else 0 for t in tokens)
     if min(w, h, maxval) < 1:
         raise DecodeError("pixmap width, height and maxval must be positive "

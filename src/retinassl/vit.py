@@ -222,7 +222,7 @@ def patch_embed(images: np.ndarray, config: ViTConfig, params: dict[str, Tensor]
     patches = images.reshape(b, c, g, ps, g, ps)
     patches = patches.transpose(0, 2, 4, 1, 3, 5).reshape(b, g * g, c * ps * ps)
 
-    tokens = ad.matmul(Tensor(patches), params["patch_embed.w"]) + params["patch_embed.b"]
+    tokens = ad.linear(Tensor(patches), params["patch_embed.w"], params["patch_embed.b"])
     cls = ad.broadcast_to(
         ad.reshape(params["cls"], (1, config.n_cls_tokens, config.embed_dim)),
         (b, config.n_cls_tokens, config.embed_dim))
@@ -255,11 +255,10 @@ def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor]
     """
     if mode not in (TRAIN, EVAL):
         raise ParameterError(f"mode must be 'train' or 'eval', got {mode!r}")
-    b, t, d = tokens.shape
+    _, _, d = tokens.shape
     if d != config.embed_dim:
         raise ContractError(f"token width {d} != embed_dim {config.embed_dim}")
-    nh, hd = config.n_heads, config.head_dim
-    scale = 1.0 / np.sqrt(hd)
+    scale = 1.0 / np.sqrt(config.head_dim)
 
     attention = [] if want_attention else None
     decisions: list = []
@@ -268,21 +267,16 @@ def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor]
     for i in range(config.depth):
         pre = f"blocks.{i}."
         h = ad.layer_norm(x, params[pre + "ln1.scale"], params[pre + "ln1.shift"])
-        qkv = ad.matmul(h, params[pre + "attn.qkv.w"]) + params[pre + "attn.qkv.b"]
-        qkv = ad.reshape(qkv, (b, t, 3, nh, hd))
-        qkv = ad.transpose(qkv, (2, 0, 3, 1, 4))  # (3, b, heads, t, hd)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        att = ad.softmax_rows(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * scale)
+        qkv = ad.linear(h, params[pre + "attn.qkv.w"], params[pre + "attn.qkv.b"])
+        out, att = ad.attention(qkv, config.n_heads, scale)
         if want_attention:
-            attention.append(att)
-        out = ad.matmul(att, v)
-        out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (b, t, d))
-        out = ad.matmul(out, params[pre + "attn.proj.w"]) + params[pre + "attn.proj.b"]
+            attention.append(Tensor(att))
+        out = ad.linear(out, params[pre + "attn.proj.w"], params[pre + "attn.proj.b"])
         x = x + _drop_path(out, config.drop_path_rate, mode, rng, decisions)
 
         h = ad.layer_norm(x, params[pre + "ln2.scale"], params[pre + "ln2.shift"])
-        m = ad.gelu(ad.matmul(h, params[pre + "mlp.fc1.w"]) + params[pre + "mlp.fc1.b"])
-        m = ad.matmul(m, params[pre + "mlp.fc2.w"]) + params[pre + "mlp.fc2.b"]
+        m = ad.gelu(ad.linear(h, params[pre + "mlp.fc1.w"], params[pre + "mlp.fc1.b"]))
+        m = ad.linear(m, params[pre + "mlp.fc2.w"], params[pre + "mlp.fc2.b"])
         x = x + _drop_path(m, config.drop_path_rate, mode, rng, decisions)
 
         if collect_block_cls > 0 and i >= config.depth - collect_block_cls:
@@ -321,9 +315,9 @@ def projection_head_forward(cls_features: Tensor, head_config: ProjectionHeadCon
     if z.ndim == 3:
         b, nc, d = z.shape
         z = ad.reshape(z, (b, nc * d))
-    h = ad.gelu(ad.matmul(z, params["head.fc1.w"]) + params["head.fc1.b"])
-    h = ad.gelu(ad.matmul(h, params["head.fc2.w"]) + params["head.fc2.b"])
-    h = ad.matmul(h, params["head.fc3.w"]) + params["head.fc3.b"]
+    h = ad.gelu(ad.linear(z, params["head.fc1.w"], params["head.fc1.b"]))
+    h = ad.gelu(ad.linear(h, params["head.fc2.w"], params["head.fc2.b"]))
+    h = ad.linear(h, params["head.fc3.w"], params["head.fc3.b"])
     h = ad.l2_normalize_rows(h)
     direction = ad.l2_normalize_rows(params["head.last.dir"])
     k = params["head.last.mag"].shape[0]

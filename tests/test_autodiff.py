@@ -354,6 +354,9 @@ OP_CASES = {
     "layer_norm": ([_x(2, 3, 4), _x(4, seed=1), _x(4, seed=2)],
                    lambda x, s, b: layer_norm(x, s, b, epsilon=1e-5)),
     "gelu": ([_x(3, 4)], gelu),
+    "linear_2d": ([_x(5, 4), _x(4, 3, seed=1), _x(3, seed=2)], ad.linear),
+    "linear_3d": ([_x(2, 3, 4), _x(4, 3, seed=1), _x(3, seed=2)], ad.linear),
+    "attention": ([_x(2, 5, 12)], lambda qkv: ad.attention(qkv, 2, 0.7)[0]),
     "l2_normalize_guarded_zero_row": ([_zero_row(_x(3, 4))],
                                       lambda a: ad.l2_normalize_rows(a, guard=0.5)),
     "cross_entropy_rows": ([_x(3, 4)], lambda a: cross_entropy_rows(
@@ -411,3 +414,106 @@ def test_tape_entries_name_their_op():
            for _, _, grad_fns in tape.nodes]
     assert ops == [{"mul"}, {"layer_norm"}, {"tensor_sum"}]
     assert [len(parents) for _, parents, _ in tape.nodes] == [2, 3, 1]
+
+
+def _unfused_linear(x, w, b):
+    return matmul(x, w) + b
+
+
+def _unfused_attention(qkv, n_heads, scale):
+    """The per-head op chain that ad.attention replaces: (out, probabilities)."""
+    b, t, d3 = qkv.shape
+    d = d3 // 3
+    hd = d // n_heads
+    qkv = ad.transpose(ad.reshape(qkv, (b, t, 3, n_heads, hd)), (2, 0, 3, 1, 4))
+    q, k, v = qkv[0], qkv[1], qkv[2]
+    att = softmax_rows(matmul(q, ad.transpose(k, (0, 1, 3, 2))) * scale)
+    out = ad.transpose(matmul(att, v), (0, 2, 1, 3))
+    return ad.reshape(out, (b, t, d)), att
+
+
+def _value_and_grads(op, arrays):
+    """[op's value, the gradient of each input] for a fixed random cotangent."""
+    params = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = op(*params)
+        loss = (out * Tensor(_x(*out.shape, seed=9))).sum()
+    backward(loss, tape, leaves=params)
+    return [out.data] + [p.grad for p in params]
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)], ids=["2d", "3d"])
+    def test_linear_matches_matmul_plus_bias(self, x_shape):
+        arrays = [_x(*x_shape), _x(4, 3, seed=1), _x(3, seed=2)]
+        fused = _value_and_grads(ad.linear, arrays)
+        for got, want in zip(fused, _value_and_grads(_unfused_linear, arrays)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_linear_constant_input_gets_no_gradient(self):
+        # the patch-embedding case: pixels are data, not parameters
+        x = Tensor(_x(2, 3, 4))
+        w = Tensor(_x(4, 5, seed=1), requires_grad=True)
+        b = Tensor(_x(5, seed=2), requires_grad=True)
+        with Tape() as tape:
+            loss = ad.linear(x, w, b).sum()
+        backward(loss, tape)
+        assert x.grad is None
+        np.testing.assert_allclose(w.grad, np.broadcast_to(
+            x.data.reshape(-1, 4).sum(axis=0)[:, None], (4, 5)), atol=1e-12)
+        np.testing.assert_array_equal(b.grad, np.full(5, 6.0))
+
+    def test_linear_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(4, 5\)"):
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))),
+                      Tensor(np.zeros(5)))
+        with pytest.raises(ShapeMismatchError):
+            ad.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 5))),
+                      Tensor(np.zeros(4)))
+
+    def test_attention_matches_the_op_chain(self):
+        arrays = [_x(2, 5, 12)]
+        fused = _value_and_grads(lambda qkv: ad.attention(qkv, 2, 0.7)[0], arrays)
+        chain = _value_and_grads(lambda qkv: _unfused_attention(qkv, 2, 0.7)[0], arrays)
+        for got, want in zip(fused, chain):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_attention_probabilities_are_the_chains_bits(self):
+        qkv = Tensor(_x(3, 7, 18))
+        _, probs = ad.attention(qkv, 3, 1.0 / np.sqrt(2.0))
+        _, att = _unfused_attention(qkv, 3, 1.0 / np.sqrt(2.0))
+        assert probs.shape == (3, 3, 7, 7)
+        np.testing.assert_array_equal(probs, att.data)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 5, 10), (5, 12)], ids=["width", "rank"])
+    def test_attention_shape_mismatch(self, shape):
+        with pytest.raises(ShapeMismatchError):
+            ad.attention(Tensor(np.zeros(shape)), 2, 1.0)
+
+    def test_gelu_gradient_has_the_bits_of_the_closed_form(self):
+        x = np.concatenate([_x(3, 40).ravel() * 4.0,
+                            [0.0, 40.0, -40.0, 1e-160, -1e-160, 1e150, -1e150]])
+        g = _x(x.size, seed=1)
+        t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            loss = (gelu(t) * Tensor(g)).sum()
+        backward(loss, tape)
+        phi = (erf(x * (1.0 / np.sqrt(2.0))) + 1.0) * 0.5
+        pdf = 1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * x * x)
+        np.testing.assert_array_equal(t.grad, g * (phi + x * pdf))
+
+    def test_layer_norm_gradient_has_the_bits_of_the_closed_form(self):
+        x, scale, shift = _x(2, 3, 8), _x(8, seed=1), _x(8, seed=2)
+        g = _x(2, 3, 8, seed=3)
+        t = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            loss = (layer_norm(t, Tensor(scale), Tensor(shift)) * Tensor(g)).sum()
+        backward(loss, tape)
+        xhat = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / 8 + 1e-6)
+        xhat *= inv
+        dxhat = g * scale
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(t.grad, (dxhat - m1 - xhat * m2) * inv)

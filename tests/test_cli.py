@@ -199,6 +199,15 @@ class TestTrain:
                     "--images", str(tmp_path), "--out", str(tmp_path / "o"),
                     "--config", tiny_config, "--steps", "1"]) == 2
 
+    def test_overlong_pnm_header_exit_2(self, tmp_path, tiny_config, capsys):
+        # 5000 digits is past Python's int-conversion limit
+        (tmp_path / "m.csv").write_text("image,level\n1_left,0\n")
+        (tmp_path / "1_left.ppm").write_bytes(b"P6\n" + b"7" * 5000 + b" 4\n255\n")
+        assert run(["train", "--manifest", str(tmp_path / "m.csv"),
+                    "--images", str(tmp_path), "--out", str(tmp_path / "o"),
+                    "--config", tiny_config, "--steps", "1"]) == 2
+        assert "at most 9 digits" in capsys.readouterr().err
+
     def test_mixed_size_manifest_exit_2(self, tmp_path, tiny_config, capsys):
         from retinassl.imagecodec import encode_image
         (tmp_path / "m.csv").write_text("image,level\na,0\nb,0\n")
@@ -270,6 +279,12 @@ def _with_rng_state(payload, value):
     return json.dumps(meta).encode()
 
 
+def _with_step(payload, step):
+    meta = json.loads(payload)
+    meta["step"] = step
+    return json.dumps(meta).encode()
+
+
 def _with_vit_depth(payload, depth):
     configs = json.loads(payload)
     configs["vit"]["depth"] = depth
@@ -291,8 +306,16 @@ MALFORMED_CHECKPOINTS = {
         (n, p) for n, p in secs if not n.endswith(b"/cls")],
     "rng_state_out_of_range": lambda secs: [
         (n, _with_rng_state(p, 2 ** 200) if n == b"meta" else p) for n, p in secs],
+    "negative_step": lambda secs: [
+        (n, _with_step(p, -5) if n == b"meta" else p) for n, p in secs],
     "vit_depth_a_string": lambda secs: [
         (n, _with_vit_depth(p, "x") if n == b"configs" else p) for n, p in secs],
+    "center_shape_product_wraps": lambda secs: [
+        (n, struct.pack("<BQQ", 2, 2 ** 32, 2 ** 32) if n == b"center" else p)
+        for n, p in secs],
+    "center_rank_above_64": lambda secs: [
+        (n, struct.pack("<B65Qd", 65, *[1] * 65, 0.0) if n == b"center" else p)
+        for n, p in secs],
     "center_of_wrong_shape": lambda secs: [
         (n, dict(secs)[b"student/cls"] if n == b"center" else p) for n, p in secs],
 }
@@ -362,6 +385,15 @@ class TestProbeKnn:
         args[args.index("--train-manifest") + 1] = str(empty)
         assert run(args) == 2
         assert f"manifest {empty} lists zero images" in capsys.readouterr().err
+
+    def test_resume_from_negative_step_exit_2(self, tmp_path, tiny_config, synth_dir,
+                                              trained, capsys):
+        _rewrite_checkpoint(trained, MALFORMED_CHECKPOINTS["negative_step"])
+        assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
+                    "--images", synth_dir, "--out", str(tmp_path / "o"),
+                    "--config", tiny_config, "--steps", "1",
+                    "--resume", trained]) == 2
+        assert "step -5 is negative" in capsys.readouterr().err
 
     def test_config_of_another_kind_is_a_checkpoint_error(self, trained):
         _rewrite_checkpoint(trained, MALFORMED_CHECKPOINTS["vit_depth_a_string"])

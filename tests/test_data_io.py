@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retinassl.checkpoint import load_checkpoint, save_checkpoint
+from retinassl.checkpoint import _read_sections, load_checkpoint, save_checkpoint
 from retinassl.configio import RunConfig, load_config, parse_assignments
 from retinassl.crops import MultiCropConfig
 from retinassl.data import (DatasetManifest, generate_synthetic_dataset,
@@ -333,6 +333,33 @@ _FUZZ_JSON = st.recursive(
     max_leaves=6)
 
 
+_FUZZ_PNM = encode_pnm(np.arange(36, dtype=np.uint8).reshape(3, 4, 3))
+# header tokens: numbers of any size, near-numbers, and digit runs past
+# Python's int-conversion limit
+_FUZZ_PNM_TOKEN = st.one_of(
+    st.integers(-3, 1 << 40).map(str), st.text("0123456789+-_#", max_size=5),
+    st.integers(1, 5000).map(lambda n: "7" * n))
+
+
+def _pack_sections(header, sections):
+    return header + b"".join(
+        struct.pack("<H", len(n)) + n
+        + struct.pack("<QI", len(p), zlib.crc32(p) & 0xFFFFFFFF) + p
+        for n, p in sections)
+
+
+def _load_or_refuse(blob):
+    """load_checkpoint on `blob` returns or raises a RetinaSSLError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            load_checkpoint(path)
+        except RetinaSSLError:
+            pass
+
+
 @functools.cache
 def _fuzz_checkpoint_sections():
     """The 12-byte header and the (name, payload) pairs of a small saved
@@ -407,18 +434,84 @@ class TestParserFuzz:
             node[key] = data.draw(_FUZZ_JSON)
         sections = [(n, json.dumps(doc).encode() if n == target else p)
                     for n, p in sections]
-        blob = header + b"".join(
-            struct.pack("<H", len(n)) + n
-            + struct.pack("<QI", len(p), zlib.crc32(p) & 0xFFFFFFFF) + p
-            for n, p in sections)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "c.ckpt")
-            with open(path, "wb") as fh:
-                fh.write(blob)
-            try:
-                load_checkpoint(path)
-            except RetinaSSLError:
-                pass
+        _load_or_refuse(_pack_sections(header, sections))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_edited_checkpoint_arrays(self, data):
+        # one array section gets a new rank, one new dimension or a payload
+        # cut or grown, re-packed with fresh CRCs
+        header, sections = _fuzz_checkpoint_sections()
+        arrays = [i for i, (n, _) in enumerate(sections) if n not in (b"meta", b"configs")]
+        i = data.draw(st.sampled_from(arrays))
+        payload = bytearray(sections[i][1])
+        edit = data.draw(st.sampled_from(["rank", "dim", "length"]))
+        if edit == "rank":
+            payload[0] = data.draw(st.integers(0, 255))
+        elif edit == "dim" and payload[0] > 0:
+            at = 1 + 8 * data.draw(st.integers(0, payload[0] - 1))
+            payload[at:at + 8] = struct.pack("<Q", data.draw(st.integers(0, (1 << 64) - 1)))
+        else:
+            cut = data.draw(st.integers(0, len(payload)))
+            payload = payload[:cut] + data.draw(st.binary(max_size=24))
+        sections = list(sections)
+        sections[i] = (sections[i][0], bytes(payload))
+        _load_or_refuse(_pack_sections(header, sections))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_checkpoint_container(self, data):
+        # arbitrary bytes, bytes after a valid header, or a saved file with
+        # byte edits and a cut end; edits that miss a section header mostly
+        # meet a checksum
+        header, sections = _fuzz_checkpoint_sections()
+        kind = data.draw(st.sampled_from(["bytes", "after_header", "mutated"]))
+        if kind == "bytes":
+            blob = data.draw(st.binary(max_size=64))
+        elif kind == "after_header":
+            blob = header + data.draw(st.binary(max_size=64))
+        else:
+            blob = bytearray(_pack_sections(header, sections))
+            for pos, value in data.draw(st.lists(
+                    st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)),
+                    max_size=4)):
+                blob[pos] = value
+            blob = bytes(blob[:data.draw(st.integers(0, len(blob)))])
+        try:
+            parsed = _read_sections(blob)
+        except RetinaSSLError:
+            return
+        assert all(isinstance(n, str) and isinstance(p, bytes) for n, p in parsed.items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(blob=st.one_of(
+        st.binary(max_size=48),
+        st.builds(bytes.__add__, st.sampled_from([b"P5", b"P6"]), st.binary(max_size=48)),
+        st.builds(lambda magic, w, h, m, sep, body: (
+            f"{magic}\n{w} {h}{sep}{m}\n".encode() + body),
+            st.sampled_from(["P5", "P6"]), _FUZZ_PNM_TOKEN, _FUZZ_PNM_TOKEN,
+            _FUZZ_PNM_TOKEN, st.sampled_from(["\n", " ", "\n# c\n", "#"]),
+            st.binary(max_size=40))))
+    def test_arbitrary_pnm(self, blob):
+        try:
+            pixels = decode_pnm(blob)
+        except RetinaSSLError:
+            return
+        assert pixels.dtype == np.uint8 and pixels.ndim in (2, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, len(_FUZZ_PNM) - 1),
+                                    st.integers(0, 255)), max_size=4),
+           cut=st.integers(0, len(_FUZZ_PNM)))
+    def test_mutated_pnm(self, edits, cut):
+        blob = bytearray(_FUZZ_PNM)
+        for pos, value in edits:
+            blob[pos] = value
+        try:
+            pixels = decode_pnm(bytes(blob[:cut]))
+        except RetinaSSLError:
+            return
+        assert pixels.dtype == np.uint8 and pixels.ndim in (2, 3)
 
 
 class TestCheckpoint:

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from retinassl import autodiff as ad
+from retinassl import distill
 from retinassl.autodiff import Tape, Tensor, backward, finite_difference
-from retinassl.crops import bicubic_resize
+from retinassl.crops import MultiCropConfig, bicubic_resize
 from retinassl.errors import ContractError, InputError, ParameterError
 from retinassl.vit import (
     EVAL,
@@ -307,3 +308,51 @@ class TestEndToEndGradient:
         rel = np.abs(analytic - numeric) / np.maximum.reduce(
             [np.abs(analytic), np.abs(numeric), np.full_like(numeric, 1e-3)])
         assert rel.max() <= 1e-4
+
+
+# One pre-norm block in train mode: an entry per layer, with the attention
+# core as one entry and each drop-path factor as a `mul`.
+BLOCK_OPS = ["layer_norm", "linear", "attention", "linear", "mul", "add",
+             "layer_norm", "linear", "gelu", "linear", "mul", "add"]
+
+
+def _op_names(tape):
+    """Each tape entry named by its gradient functions' __qualname__."""
+    names = []
+    for _, _, grad_fns in tape.nodes:
+        (name,) = {fn.__qualname__.split(".")[0] for fn in grad_fns}
+        names.append(name)
+    return names
+
+
+class TestTapeEntries:
+    def test_block_records_one_entry_per_layer(self):
+        cfg = tiny_vit(depth=1)
+        params = init_backbone_params(cfg, np.random.default_rng(0))
+        tokens = Tensor(np.random.default_rng(1).normal(
+            size=(2, cfg.n_tokens, cfg.embed_dim)))
+        with Tape() as tape:
+            encoder_forward(tokens, cfg, params, mode=TRAIN,
+                            rng=np.random.default_rng(2))
+        # then the final norm and the CLS and patch slices
+        assert _op_names(tape) == BLOCK_OPS + ["layer_norm", "getitem", "getitem"]
+
+    def test_desk_train_step_entries(self, monkeypatch):
+        # the acceptance desk recipe: 48 px, depth 2, batch 16, 2 + 4 crops
+        vit = ViTConfig(image_size=48, patch_size=8, depth=2, embed_dim=32,
+                        n_heads=4, drop_path_rate=0.1)
+        head = ProjectionHeadConfig(hidden_dim=64, bottleneck_dim=16, output_dim=256)
+        crop = MultiCropConfig(global_out_size=48, local_out_size=24, n_local=4)
+        cfg = distill.DistillConfig(batch_size=16, total_epochs=2)
+        state = distill.init_train_state(vit, head, seed=0, init_std=0.05)
+        entries = []
+        original = distill.backward
+
+        def spy(loss, tape, *args, **kwargs):
+            entries.append(len(tape.nodes))
+            return original(loss, tape, *args, **kwargs)
+
+        monkeypatch.setattr(distill, "backward", spy)
+        images = np.random.default_rng(0).random((16, 3, 48, 48))
+        distill.train_step(images, state, vit, head, crop, cfg, 1)
+        assert len(entries) == 1 and entries[0] <= 100
