@@ -163,19 +163,22 @@ def cmd_train(args) -> int:
                          f"{total}-step schedule")
 
     os.makedirs(args.out, exist_ok=True)
-    with _OutputLock(args.out):
-        lines: list[str] = []
+    with _OutputLock(args.out), \
+            open(os.path.join(args.out, "metrics.log"), "w") as log:
+        log.write(METRICS_HEADER + "\n")
+        log.flush()
 
-        def checkpoint_hook(metrics, st):
+        # each step's line is flushed before its checkpoint is written, so
+        # a run that fails leaves the log of every step it finished
+        def step_hook(metrics, st):
+            log.write(metrics.format_line() + "\n")
+            log.flush()
             if args.checkpoint_every and st.step % args.checkpoint_every == 0:
                 save_checkpoint(st, os.path.join(args.out, f"step{st.step:06d}.ckpt"),
                                 vit, head, crop, distill)
 
         train_loop(images, state, vit, head, crop, distill, n_steps=n_steps,
-                   log_lines=lines, step_callback=checkpoint_hook)
-        with open(os.path.join(args.out, "metrics.log"), "w") as fh:
-            fh.write(METRICS_HEADER + "\n")
-            fh.write("".join(line + "\n" for line in lines))
+                   step_callback=step_hook)
         save_checkpoint(state, os.path.join(args.out, "final.ckpt"),
                         vit, head, crop, distill)
     print(f"trained {n_steps} steps, final step {state.step}")

@@ -6,9 +6,11 @@ import zlib
 import numpy as np
 import pytest
 
+from retinassl import cli
 from retinassl.checkpoint import load_checkpoint
 from retinassl.cli import main
 from retinassl.data import generate_synthetic_dataset, write_synthetic_dataset
+from retinassl.distill import METRICS_HEADER
 from retinassl.errors import CheckpointError
 
 
@@ -110,6 +112,30 @@ class TestTrain:
         assert len(lines) == 6  # header + 5 steps
         assert lines[0].startswith("step\t")
         assert os.path.exists(out / "final.ckpt")
+
+    def test_failed_run_leaves_the_log_of_its_steps(self, tmp_path, tiny_config,
+                                                    synth_dir, monkeypatch):
+        real_save = cli.save_checkpoint
+
+        def save_failing_at_step_2(state, path, *configs):
+            if state.step == 2:
+                raise OSError("disk full")
+            real_save(state, path, *configs)
+
+        args = ["train", "--manifest", f"{synth_dir}/manifest.csv",
+                "--images", synth_dir, "--config", tiny_config]
+        done = tmp_path / "done"
+        assert run(args + ["--out", str(done), "--steps", "2"]) == 0
+        monkeypatch.setattr(cli, "save_checkpoint", save_failing_at_step_2)
+        out = tmp_path / "run"
+        assert run(args + ["--out", str(out), "--steps", "5",
+                           "--checkpoint-every", "1"]) == 2
+        text = (out / "metrics.log").read_text()
+        lines = text.split("\n")
+        assert lines[0] == METRICS_HEADER
+        assert [line.split("\t")[0] for line in lines[1:-1]] == ["1", "2"]
+        assert text == (done / "metrics.log").read_text()
+        assert not os.path.exists(out / "final.ckpt")
 
     def test_corrupted_labels_still_train(self, tmp_path, tiny_config, synth_dir):
         # SSL is label-blind: garbage in the level column must not matter

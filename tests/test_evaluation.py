@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +46,16 @@ def random_index(n, d, seed):
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
     labels = rng.integers(0, 5, size=n)
     return EmbeddingIndex(feats, labels)
+
+
+def index_with_duplicates(n, d, seed):
+    """A random index where about a third of the rows repeat an earlier
+    row, so equal similarities cross the k-th neighbour."""
+    index = random_index(n, d, seed)
+    rng = np.random.default_rng(seed + 1)
+    dst = rng.choice(n, size=n // 3, replace=False)
+    index.features[dst] = index.features[rng.integers(0, n, size=n // 3)]
+    return index
 
 
 class TestEmbeddingIndex:
@@ -243,6 +254,89 @@ class TestKnn:
         with pytest.raises(InputError):
             knn_classify(idx, np.zeros(3), KnnConfig(k=1))
 
+    def test_query_width_differs_from_index(self):
+        index = random_index(6, 4, seed=14)
+        with pytest.raises(InputError):
+            knn_classify(index, np.ones((2, 3)) / np.sqrt(3), KnnConfig(k=2))
+
+    def test_nan_query(self):
+        index = random_index(6, 4, seed=15)
+        query = np.array([np.nan, 0.0, 0.0, 1.0])
+        with pytest.raises(InputError):
+            knn_classify(index, query, KnnConfig(k=2))
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_blocking_changes_no_vote_bit(self, monkeypatch, rows):
+        index = index_with_duplicates(120, 6, seed=16)
+        rng = np.random.default_rng(17)
+        queries = rng.normal(size=(15, 6))  # blocks of 7 leave one row over
+        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+        queries[:4] = index.features[:4]  # equal to a duplicated row: ties
+        votes = []  # each block's votes, in call order
+        votes_of_block = evaluation._knn_votes
+
+        def recording_votes(*args):
+            votes.append(votes_of_block(*args))
+            return votes[-1]
+
+        monkeypatch.setattr(evaluation, "_knn_votes", recording_votes)
+        for k in (1, 3, 20):
+            monkeypatch.setattr(evaluation, "_KNN_BLOCK_VALUES", 1 << 40)
+            whole = knn_classify(index, queries, KnnConfig(k=k))
+            whole_votes = np.concatenate(votes)
+            votes.clear()
+            monkeypatch.setattr(evaluation, "_KNN_BLOCK_VALUES", 120 * rows)
+            blocked = knn_classify(index, queries, KnnConfig(k=k))
+            assert len(votes) == (7 if rows == 1 else 2)
+            np.testing.assert_array_equal(np.concatenate(votes), whole_votes)
+            votes.clear()
+            np.testing.assert_array_equal(blocked, whole)
+            np.testing.assert_array_equal(blocked, knn_oracle(index, queries, k))
+
+    def test_ties_across_the_kth_neighbour(self):
+        # one row just above five copies of another (one similarity, three
+        # grades, at scattered indices), then the rest far below
+        rng = np.random.default_rng(18)
+        q = np.array([1.0, 0.0, 0.0])
+        feats = rng.normal(size=(60, 3)) - [3.0, 0.0, 0.0]
+        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+        labels = rng.integers(0, 5, size=60)
+        feats[31] = [0.82, np.sqrt(1 - 0.82 ** 2), 0.0]
+        labels[31] = 2
+        at = [44, 9, 57, 20, 13]
+        feats[at] = [0.8, 0.6, 0.0]
+        labels[at] = [0, 3, 0, 1, 3]
+        index = EmbeddingIndex(feats, labels)
+        for k in range(1, 8):  # the cut before, inside and after the tie
+            for majority in (False, True):
+                cfg = KnnConfig(k=k, majority=majority)
+                np.testing.assert_array_equal(
+                    knn_classify(index, q, cfg),
+                    knn_oracle(index, q, k, majority=majority))
+
+    def test_k_equals_n(self):
+        index = index_with_duplicates(30, 4, seed=19)
+        queries = index.features[::3]
+        for majority in (False, True):
+            got = knn_classify(index, queries, KnnConfig(k=30, majority=majority))
+            np.testing.assert_array_equal(
+                got, knn_oracle(index, queries, 30, majority=majority))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(2, 5),
+           st.integers(1, 9), st.booleans())
+    def test_matches_oracle_property(self, seed, n, d, rows, majority):
+        index = index_with_duplicates(n, d, seed)
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, n + 1))
+        queries = rng.normal(size=(int(rng.integers(1, 12)), d))
+        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+        queries[::2] = index.features[rng.integers(0, n, size=len(queries[::2]))]
+        with mock.patch.object(evaluation, "_KNN_BLOCK_VALUES", n * rows):
+            got = knn_classify(index, queries, KnnConfig(k=k, majority=majority))
+        np.testing.assert_array_equal(
+            got, knn_oracle(index, queries, k, majority=majority))
+
 
 class TestAttentionHeatmaps:
     def test_counts_and_range(self):
@@ -307,6 +401,15 @@ class TestComputeMetrics:
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             compute_metrics(np.zeros(3, dtype=int), np.zeros(4, dtype=int))
+
+    def test_non_integer_grades(self):
+        with pytest.raises(InputError):
+            compute_metrics(np.array([0.0, 1.5]), np.array([0, 1]))
+
+    def test_no_predictions(self):
+        m = compute_metrics(np.array([]), np.array([]))
+        assert m.accuracy == 0.0
+        np.testing.assert_array_equal(m.confusion, np.zeros((5, 5), dtype=np.int64))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 1000))
