@@ -62,23 +62,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return mul(self, _as_tensor(1.0 / np.asarray(other, dtype=DTYPE)))
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
     def __getitem__(self, idx):
         return getitem(self, idx)

@@ -7,8 +7,9 @@ provenance. All randomness flows through an explicit numpy Generator, so
 (seed, config, images) fully determines a batch.
 
 Augmentation runs in two phases: every random choice is drawn first, in a
-fixed order, into one `ViewPlan` per view; `apply_plans` then augments all
-views of one output size as a batch.
+fixed order, as one row of uniforms per view (`draw_plan`); `apply_plans`
+then makes every decision and augments all views of one output size as a
+batch.
 
 Images are float arrays of shape (3, H, W), or stacks (..., 3, H, W), with
 values in [0, 1].
@@ -62,6 +63,10 @@ class MultiCropConfig:
                                  f">= 2, got {self.n_global} and {self.n_local}")
         if self.global_out_size < 1 or self.local_out_size < 1:
             raise ParameterError("output sizes must be positive")
+        # a plan maps its uniforms onto these ranges, which must not be reversed
+        if min(self.jitter_strength) < 0 or not 0 < self.blur_sigma[0] <= self.blur_sigma[1]:
+            raise ParameterError(f"need jitter strengths >= 0 and 0 < blur sigma min <= max, "
+                                 f"got {self.jitter_strength} and {self.blur_sigma}")
 
 
 @dataclass
@@ -203,45 +208,43 @@ _BLUR_TRUNCATE = 4.0
 _CHUNK_VALUES = 1 << 16
 
 
-@dataclass(frozen=True)
-class ViewPlan:
-    """Every random choice of one view's photometric chain, drawn up front.
+# A plan row holds one view's uniforms in draw order: 5 decisions, each
+# compared with its probability, and 5 factors, each mapped onto its range.
+PLAN_WIDTH = 10
+_DECISIONS = [0, 1, 6, 7, 9]  # flip, jitter, grayscale, blur, solarize
+_FACTORS = [2, 3, 4, 5, 8]    # brightness, contrast, saturation, hue, blur sigma
 
-    The jitter factors and the blur sigma are drawn whether or not the view
-    uses them, so the rng stream shape never depends on earlier outcomes.
+
+def draw_plan(recipe: str, rng: np.random.Generator) -> np.ndarray:
+    """Draw one view's plan row with one `rng.random` call: 9 uniforms, plus
+    a solarize draw for the second global recipe, in the order flip, jitter,
+    brightness, contrast, saturation, hue, grayscale, blur, sigma[, solarize].
+
+    Every draw is made whether or not the view uses it, so the rng stream
+    shape never depends on earlier outcomes. An undrawn solarize column
+    holds 1.0, which no probability <= 1 exceeds.
     """
-    flip: bool
-    jitter: bool
-    brightness: float
-    contrast: float
-    saturation: float
-    hue_shift: float
-    grayscale: bool
-    blur: bool
-    sigma: float
-    solarize: bool
-
-
-def draw_plan(recipe: str, rng: np.random.Generator,
-              config: MultiCropConfig) -> ViewPlan:
-    """Draw one view's plan: 9 draws, plus a solarize draw for the second
-    global recipe, in the order flip, jitter, brightness, contrast,
-    saturation, hue, grayscale, blur, sigma[, solarize]."""
     if recipe not in (FIRST_GLOBAL, SECOND_GLOBAL, LOCAL):
         raise ParameterError(f"unknown augmentation recipe: {recipe!r}")
+    plan = np.ones(PLAN_WIDTH)
+    n = PLAN_WIDTH if recipe == SECOND_GLOBAL else PLAN_WIDTH - 1
+    plan[:n] = rng.random(n)
+    return plan
+
+
+def _read_plans(plans: np.ndarray, recipes, config: MultiCropConfig
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Decisions (B, 5) and factors (B, 5) of (B, PLAN_WIDTH) plan rows, in
+    the column orders of `_DECISIONS` and `_FACTORS`; recipes name each
+    row's recipe. A factor is `lo + (hi - lo) * u`, exactly what
+    `Generator.uniform(lo, hi)` makes of the same draw."""
     b, c, s, hue = config.jitter_strength
-    return ViewPlan(
-        flip=rng.random() < config.flip_p,
-        jitter=rng.random() < config.jitter_p,
-        brightness=rng.uniform(1 - b, 1 + b),
-        contrast=rng.uniform(1 - c, 1 + c),
-        saturation=rng.uniform(1 - s, 1 + s),
-        hue_shift=rng.uniform(-hue, hue),
-        grayscale=rng.random() < config.grayscale_p,
-        blur=rng.random() < config.blur_p[recipe],
-        sigma=rng.uniform(*config.blur_sigma),
-        solarize=recipe == SECOND_GLOBAL and rng.random() < config.solarize_p,
-    )
+    lo = np.array([1 - b, 1 - c, 1 - s, -hue, config.blur_sigma[0]])
+    hi = np.array([1 + b, 1 + c, 1 + s, hue, config.blur_sigma[1]])
+    p = np.array([(config.flip_p, config.jitter_p, config.grayscale_p, config.blur_p[r],
+                   config.solarize_p if r == SECOND_GLOBAL else 0.0) for r in recipes])
+    p = p.reshape(-1, len(_DECISIONS))
+    return plans[:, _DECISIONS] < p, lo + (hi - lo) * plans[:, _FACTORS]
 
 
 def _to_gray(views: np.ndarray) -> np.ndarray:
@@ -286,23 +289,22 @@ def _hue_rotate(rgb: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return out.transpose(1, 0, 2, 3)
 
 
-def _color_jitter(views: np.ndarray, plans: list[ViewPlan], hue: float) -> np.ndarray:
-    """Brightness, contrast, saturation and (for hue > 0) hue on (B, 3, H, W)."""
-    def factor(name):
-        return np.array([getattr(p, name) for p in plans])[:, None, None, None]
-
-    out = views * factor("brightness")
+def _color_jitter(views: np.ndarray, factors: np.ndarray, hue: float) -> np.ndarray:
+    """Brightness, contrast, saturation and (for hue > 0) hue on (B, 3, H, W),
+    with per-view factors (B, 4) in that order."""
+    f = factors[:, :, None, None, None]
+    out = views * f[:, 0]
     gray_mean = _to_gray(out).mean(axis=(-2, -1), keepdims=True)
     out -= gray_mean
-    out *= factor("contrast")
+    out *= f[:, 1]
     out += gray_mean
     gray = _to_gray(out)
     out -= gray
-    out *= factor("saturation")
+    out *= f[:, 2]
     out += gray
     if hue > 0:
         np.clip(out, 0.0, 1.0, out=out)
-        out = _hue_rotate(out, np.array([p.hue_shift for p in plans]))
+        out = _hue_rotate(out, factors[:, 3])
     return out
 
 
@@ -337,52 +339,48 @@ def _gaussian_blur(views: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     return g @ views @ g.transpose(0, 1, 3, 2)
 
 
-def apply_plans(views: np.ndarray, plans: list[ViewPlan],
+def apply_plans(views: np.ndarray, plans: np.ndarray, recipes,
                 config: MultiCropConfig) -> np.ndarray:
-    """Apply one plan per view to a (B, 3, s, s) stack; returns a new stack.
+    """Apply one plan row per view to a (B, 3, s, s) stack; returns a new stack.
 
+    plans is (B, PLAN_WIDTH) and recipes names each view's recipe (B,).
     Order: horizontal flip, color jitter, grayscale, Gaussian blur,
     solarization. Output clamped to [0, 1]. Each stage runs on the views
     whose plan selects it. Views go through in chunks of about
     `_CHUNK_VALUES` values, so that a stage's temporaries stay in cache.
     """
+    chosen, factors = _read_plans(plans, recipes, config)
     out = np.array(views, dtype=np.float64, copy=True)
     step = max(1, _CHUNK_VALUES // math.prod(out.shape[1:]))
     for lo in range(0, len(out), step):
-        _apply_in_place(out[lo:lo + step], plans[lo:lo + step], config)
+        part = slice(lo, lo + step)
+        _apply_in_place(out[part], chosen[part], factors[part], config)
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _apply_in_place(out: np.ndarray, plans: list[ViewPlan],
+def _apply_in_place(out: np.ndarray, chosen: np.ndarray, factors: np.ndarray,
                     config: MultiCropConfig) -> None:
-    def chosen(name):
-        return np.flatnonzero([getattr(p, name) for p in plans])
-
-    idx = chosen("flip")
-    if idx.size:
-        out[idx] = out[idx, ..., ::-1]
-    idx = chosen("jitter")
-    if idx.size:
-        out[idx] = _color_jitter(out[idx], [plans[i] for i in idx],
-                                 config.jitter_strength[3])
-    idx = chosen("grayscale")
-    if idx.size:
-        out[idx] = _to_gray(out[idx])
-    idx = chosen("blur")
-    if idx.size:
-        out[idx] = _gaussian_blur(out[idx], np.array([plans[i].sigma for i in idx]))
-    idx = chosen("solarize")
-    if idx.size:
-        sel = out[idx]
-        out[idx] = np.where(sel > config.solarize_threshold, 1.0 - sel, sel)
+    flip, jitter, gray, blur, solarize = (np.flatnonzero(c) for c in chosen.T)
+    if flip.size:
+        out[flip] = out[flip, ..., ::-1]
+    if jitter.size:
+        out[jitter] = _color_jitter(out[jitter], factors[jitter, :4],
+                                    config.jitter_strength[3])
+    if gray.size:
+        out[gray] = _to_gray(out[gray])
+    if blur.size:
+        out[blur] = _gaussian_blur(out[blur], factors[blur, 4])
+    if solarize.size:
+        sel = out[solarize]
+        out[solarize] = np.where(sel > config.solarize_threshold, 1.0 - sel, sel)
 
 
 def augment_view(view: np.ndarray, recipe: str, rng: np.random.Generator,
                  config: MultiCropConfig) -> np.ndarray:
     """Photometric augmentation chain for one (3, s, s) view: `draw_plan`,
     then `apply_plans` on a batch of one."""
-    plan = draw_plan(recipe, rng, config)
-    return apply_plans(view[None], [plan], config)[0]
+    plan = draw_plan(recipe, rng)
+    return apply_plans(view[None], plan[None], [recipe], config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +413,8 @@ def build_multicrop(images: np.ndarray, config: MultiCropConfig,
     # view slots: globals by (student | teacher, crop, image), locals by (crop, image)
     g_raw = np.empty((2, ng, n, 3, gs, gs))
     l_raw = np.empty((nl, n, 3, ls, ls))
-    g_plans = [[[None] * n for _ in range(ng)] for _ in range(2)]
-    l_plans = [[None] * n for _ in range(nl)]
+    g_plans = np.empty((2, ng, n, PLAN_WIDTH))
+    l_plans = np.empty((nl, n, PLAN_WIDTH))
 
     for k, image in enumerate(flat):
         for i in range(ng):
@@ -424,18 +422,17 @@ def build_multicrop(images: np.ndarray, config: MultiCropConfig,
                                  config.aspect_range)
             g_raw[:, i, k] = raw  # student and teacher share the geometry
             for role in range(2):
-                g_plans[role][i][k] = draw_plan(_global_recipe(i), rng, config)
+                g_plans[role, i, k] = draw_plan(_global_recipe(i), rng)
         for j in range(nl):
             raw, _ = sample_crop(image, config.local_scale_range, ls, rng,
                                  config.aspect_range)
             l_raw[j, k] = raw
-            l_plans[j][k] = draw_plan(LOCAL, rng, config)
+            l_plans[j, k] = draw_plan(LOCAL, rng)
 
-    g_out = apply_plans(g_raw.reshape(-1, 3, gs, gs),
-                        [p for role in g_plans for crop in role for p in crop],
-                        config).reshape((2, ng) + lead + (3, gs, gs))
-    l_out = apply_plans(l_raw.reshape(-1, 3, ls, ls),
-                        [p for crop in l_plans for p in crop],
-                        config).reshape((nl,) + lead + (3, ls, ls))
+    g_recipes = [_global_recipe(i) for _ in range(2) for i in range(ng) for _ in range(n)]
+    g_out = apply_plans(g_raw.reshape(-1, 3, gs, gs), g_plans.reshape(-1, PLAN_WIDTH),
+                        g_recipes, config).reshape((2, ng) + lead + (3, gs, gs))
+    l_out = apply_plans(l_raw.reshape(-1, 3, ls, ls), l_plans.reshape(-1, PLAN_WIDTH),
+                        [LOCAL] * (nl * n), config).reshape((nl,) + lead + (3, ls, ls))
     return MultiCropBatch(student_global=g_out[0], student_local=l_out,
                           teacher_global=g_out[1])

@@ -69,6 +69,19 @@ def _resolve_path(directory: str, image_id: str) -> str | None:
     return None
 
 
+def _csv_rows(fh):
+    """The rows of an open CSV file; text that is not UTF-8 and rows the csv
+    module refuses (a field over its size limit, say) are ManifestErrors."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"manifest is not UTF-8 text: {exc.reason} "
+                            f"(byte 0x{exc.object[exc.start]:02x})") from None
+    except csv.Error as exc:
+        raise ManifestError(f"unreadable CSV row: {exc}", line=reader.line_num) from None
+
+
 def load_manifest(csv_path, image_directory, split: str = "train",
                   label_blind: bool = False) -> DatasetManifest:
     """Parse an ``image,level`` CSV and resolve image files.
@@ -80,8 +93,8 @@ def load_manifest(csv_path, image_directory, split: str = "train",
     records: list[ManifestRecord] = []
     missing: list[str] = []
     seen: set[str] = set()
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        reader = _csv_rows(fh)
         try:
             header = next(reader)
         except StopIteration:

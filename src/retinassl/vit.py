@@ -81,9 +81,7 @@ class ProjectionHeadConfig:
 @dataclass
 class BackboneOutput:
     cls_features: Tensor        # (batch, n_cls_tokens, embed_dim)
-    patch_features: Tensor      # (batch, n_patches, embed_dim)
     attention: list | None      # per layer: Tensor (batch, heads, tokens, tokens)
-    drop_decisions: list = field(default_factory=list)  # per branch: bool array (batch,)
     block_cls: list = field(default_factory=list)  # normalized CLS per collected block
 
 
@@ -231,15 +229,14 @@ def patch_embed(images: np.ndarray, config: ViTConfig, params: dict[str, Tensor]
     return tokens + pos
 
 
-def _drop_path(branch: Tensor, rate: float, mode: str, rng: np.random.Generator | None,
-               decisions: list) -> Tensor:
+def _drop_path(branch: Tensor, rate: float, mode: str,
+               rng: np.random.Generator | None) -> Tensor:
     if mode != TRAIN or rate <= 0.0:
         return branch
     if rng is None:
         raise ContractError("train-mode forward with drop_path_rate > 0 needs an rng")
     b = branch.shape[0]
     keep = rng.random(b) >= rate
-    decisions.append(~keep)
     factor = keep.astype(np.float64) / (1.0 - rate)
     return branch * Tensor(factor.reshape(b, 1, 1))
 
@@ -261,7 +258,7 @@ def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor]
     scale = 1.0 / np.sqrt(config.head_dim)
 
     attention = [] if want_attention else None
-    decisions: list = []
+    nc = config.n_cls_tokens
     block_cls: list = []
     x = tokens
     for i in range(config.depth):
@@ -272,26 +269,20 @@ def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor]
         if want_attention:
             attention.append(Tensor(att))
         out = ad.linear(out, params[pre + "attn.proj.w"], params[pre + "attn.proj.b"])
-        x = x + _drop_path(out, config.drop_path_rate, mode, rng, decisions)
+        x = x + _drop_path(out, config.drop_path_rate, mode, rng)
 
         h = ad.layer_norm(x, params[pre + "ln2.scale"], params[pre + "ln2.shift"])
         m = ad.gelu(ad.linear(h, params[pre + "mlp.fc1.w"], params[pre + "mlp.fc1.b"]))
         m = ad.linear(m, params[pre + "mlp.fc2.w"], params[pre + "mlp.fc2.b"])
-        x = x + _drop_path(m, config.drop_path_rate, mode, rng, decisions)
+        x = x + _drop_path(m, config.drop_path_rate, mode, rng)
 
         if collect_block_cls > 0 and i >= config.depth - collect_block_cls:
-            normed = ad.layer_norm(x, params["ln_f.scale"], params["ln_f.shift"])
-            block_cls.append(normed[:, :config.n_cls_tokens, :])
+            block_cls.append(ad.layer_norm(x[:, :nc, :], params["ln_f.scale"],
+                                           params["ln_f.shift"]))
 
-    x = ad.layer_norm(x, params["ln_f.scale"], params["ln_f.shift"])
-    nc = config.n_cls_tokens
-    return BackboneOutput(
-        cls_features=x[:, :nc, :],
-        patch_features=x[:, nc:, :],
-        attention=attention,
-        drop_decisions=decisions,
-        block_cls=block_cls,
-    )
+    # the final norm is per token, and only the CLS rows are read
+    cls = ad.layer_norm(x[:, :nc, :], params["ln_f.scale"], params["ln_f.shift"])
+    return BackboneOutput(cls_features=cls, attention=attention, block_cls=block_cls)
 
 
 def backbone_forward(images: np.ndarray, config: ViTConfig, params: dict[str, Tensor],

@@ -7,11 +7,13 @@ from scipy.ndimage import gaussian_filter1d
 from retinassl.crops import (
     FIRST_GLOBAL,
     LOCAL,
+    PLAN_WIDTH,
     SECOND_GLOBAL,
     MultiCropConfig,
     _blur_matrices,
     _gaussian_blur,
     _hue_rotate,
+    _read_plans,
     apply_plans,
     augment_view,
     bicubic_resize,
@@ -242,6 +244,58 @@ class TestGaussianBlur:
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
+class TestPlanRows:
+    @pytest.mark.parametrize("solarize_p", [0.2, 1.0])
+    def test_decisions_and_factors_match_scalar_draws(self, solarize_p):
+        # the oracle: the scalar Generator calls each row column stands for,
+        # replayed on a twin generator, must give the same decisions and bits
+        cfg = tiny_config(jitter_p=0.6, jitter_strength=(0.4, 0.3, 0.2, 0.1),
+                          blur_p={FIRST_GLOBAL: 0.9, SECOND_GLOBAL: 0.1, LOCAL: 0.5},
+                          blur_sigma=(0.1, 2.0), solarize_p=solarize_p)
+        recipes = [(FIRST_GLOBAL, SECOND_GLOBAL, LOCAL)[i % 3] for i in range(300)]
+        rng, twin = np.random.default_rng(50), np.random.default_rng(50)
+        plans = np.stack([draw_plan(recipe, rng) for recipe in recipes])
+        assert plans.shape == (300, PLAN_WIDTH)
+        chosen, factors = _read_plans(plans, recipes, cfg)
+        b, c, s, hue = cfg.jitter_strength
+        for recipe, got_chosen, got_factors in zip(recipes, chosen, factors):
+            flip = twin.random() < cfg.flip_p
+            jitter = twin.random() < cfg.jitter_p
+            brightness = twin.uniform(1 - b, 1 + b)
+            contrast = twin.uniform(1 - c, 1 + c)
+            saturation = twin.uniform(1 - s, 1 + s)
+            hue_shift = twin.uniform(-hue, hue)
+            gray = twin.random() < cfg.grayscale_p
+            blur = twin.random() < cfg.blur_p[recipe]
+            sigma = twin.uniform(*cfg.blur_sigma)
+            solarize = recipe == SECOND_GLOBAL and twin.random() < cfg.solarize_p
+            assert got_chosen.tolist() == [flip, jitter, gray, blur, solarize]
+            assert got_factors.tolist() == [brightness, contrast, saturation, hue_shift,
+                                            sigma]
+        assert rng.bit_generator.state == twin.bit_generator.state
+        if solarize_p == 1.0:
+            assert chosen[:, 4].tolist() == [r == SECOND_GLOBAL for r in recipes]
+
+    def test_one_random_call_per_view(self):
+        for recipe, width in ((FIRST_GLOBAL, 9), (SECOND_GLOBAL, 10), (LOCAL, 9)):
+            rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+            plan = draw_plan(recipe, rng)
+            np.testing.assert_array_equal(plan[:width], twin.random(width))
+            assert np.all(plan[width:] == 1.0)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_unknown_recipe(self):
+        with pytest.raises(ParameterError):
+            draw_plan("vertical", np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [dict(jitter_strength=(-0.4, 0.4, 0.4, 0.1)),
+                                     dict(blur_sigma=(2.0, 0.1)),
+                                     dict(blur_sigma=(0.0, 1.0))])
+    def test_reversed_or_empty_ranges_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            tiny_config(**bad)
+
+
 class TestApplyPlans:
     def test_batch_across_chunks_equals_views_one_by_one(self):
         # 64 px views are 12288 values each, so 12 of them span three chunks
@@ -249,11 +303,18 @@ class TestApplyPlans:
                                                 LOCAL: 0.5}, solarize_p=0.5)
         rng = np.random.default_rng(12)
         views = rng.random((12, 3, 64, 64))
-        plans = [draw_plan(SECOND_GLOBAL, rng, cfg) for _ in views]
-        out = apply_plans(views, plans, cfg)
-        for view, plan, got in zip(views, plans, out):
-            np.testing.assert_allclose(got, apply_plans(view[None], [plan], cfg)[0],
+        recipes = [(FIRST_GLOBAL, SECOND_GLOBAL, LOCAL)[i % 3] for i in range(12)]
+        plans = np.stack([draw_plan(recipe, rng) for recipe in recipes])
+        out = apply_plans(views, plans, recipes, cfg)
+        for view, plan, recipe, got in zip(views, plans, recipes, out):
+            np.testing.assert_allclose(got, apply_plans(view[None], plan[None], [recipe],
+                                                        cfg)[0],
                                        rtol=0, atol=1e-12)
+
+    def test_empty_batch(self):
+        out = apply_plans(np.zeros((0, 3, 8, 8)), np.zeros((0, PLAN_WIDTH)), [],
+                          tiny_config())
+        assert out.shape == (0, 3, 8, 8)
 
 
 def views_of(batch):

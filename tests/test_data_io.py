@@ -360,6 +360,25 @@ def _load_or_refuse(blob):
             pass
 
 
+_FUZZ_MANIFEST = b"image,level\n10_left,0\n10_right,4\n\"11,left\",2\n"
+
+
+def _load_manifest_or_refuse(blob, label_blind):
+    """load_manifest on `blob`, beside files for the valid manifest's
+    images, returns a manifest or raises a RetinaSSLError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for stem in ("10_left", "10_right", "11,left"):
+            open(os.path.join(tmp, stem + ".png"), "wb").close()
+        path = os.path.join(tmp, "m.csv")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            manifest = load_manifest(path, tmp, label_blind=label_blind)
+        except RetinaSSLError:
+            return
+    assert all(-1 <= g < 5 for g in manifest.grades())
+
+
 @functools.cache
 def _fuzz_checkpoint_sections():
     """The 12-byte header and the (name, payload) pairs of a small saved
@@ -512,6 +531,21 @@ class TestParserFuzz:
         except RetinaSSLError:
             return
         assert pixels.dtype == np.uint8 and pixels.ndim in (2, 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), label_blind=st.booleans())
+    def test_manifest_bytes(self, data, label_blind):
+        # arbitrary bytes, or the valid manifest with byte edits and a cut end
+        if data.draw(st.booleans()):
+            blob = data.draw(st.binary(max_size=64))
+        else:
+            blob = bytearray(_FUZZ_MANIFEST)
+            for pos, value in data.draw(st.lists(
+                    st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255)),
+                    max_size=4)):
+                blob[pos] = value
+            blob = bytes(blob[:data.draw(st.integers(0, len(blob)))])
+        _load_manifest_or_refuse(blob, label_blind)
 
 
 class TestCheckpoint:
