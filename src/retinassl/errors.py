@@ -39,10 +39,11 @@ class DecodeError(RetinaSSLError, ValueError):
 
 
 class ManifestError(RetinaSSLError, ValueError):
-    """Malformed dataset manifest; carries the offending line when known."""
+    """Malformed dataset manifest; carries the offending line when known,
+    and then names it in the message."""
 
     def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 

@@ -2,8 +2,9 @@
 
 PNG handling covers exactly what the rest of the library needs: 8-bit
 grayscale or RGB, no interlacing, no palette, no alpha. The encoder writes
-filter type 0 on every scanline. Pixmaps (P6) and graymaps (P5) exist so
-byte-level test fixtures do not need a compression codec.
+filter type 0 on every scanline; the decoder undoes all five filter types,
+for a block of same-header files at once. Pixmaps (P6) and graymaps (P5)
+exist so byte-level test fixtures do not need a compression codec.
 """
 
 from __future__ import annotations
@@ -52,58 +53,68 @@ def encode_png(pixels: np.ndarray) -> bytes:
             + _chunk(b"IEND", b""))
 
 
-def _unfilter(data: bytes, h: int, w: int, channels: int) -> np.ndarray:
-    stride = w * channels
-    if len(data) < h * (stride + 1):
-        raise DecodeError("PNG pixel stream shorter than the header promises")
-    # The per-byte loops run on Python ints (bytes and lists both index to
-    # int): numpy uint8 scalars would warn on every modulo-256 wrap. Whole
-    # uint8 arrays wrap silently, so Up stays vectorized.
-    out = bytearray()
-    prev = bytes(stride)
-    pos = 0
-    for _ in range(h):
-        ftype = data[pos]
-        line = data[pos + 1:pos + 1 + stride]
-        pos += stride + 1
-        if ftype == 0:
-            pass
-        elif ftype == 1:  # Sub
-            line = list(line)
-            for x in range(channels, stride):
-                line[x] = (line[x] + line[x - channels]) & 0xFF
-        elif ftype == 2:  # Up
-            line = (np.frombuffer(line, dtype=np.uint8)
-                    + np.frombuffer(bytes(prev), dtype=np.uint8)).tobytes()
-        elif ftype == 3:  # Average
-            line = list(line)
-            for x in range(stride):
-                left = line[x - channels] if x >= channels else 0
-                line[x] = (line[x] + (left + prev[x]) // 2) & 0xFF
-        elif ftype == 4:  # Paeth
-            line = list(line)
-            for x in range(stride):
-                a = line[x - channels] if x >= channels else 0
-                b = prev[x]
-                c = prev[x - channels] if x >= channels else 0
-                p = a + b - c
-                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                if pa <= pb and pa <= pc:
-                    pred = a
-                elif pb <= pc:
-                    pred = b
-                else:
-                    pred = c
-                line[x] = (line[x] + pred) & 0xFF
-        else:
-            raise DecodeError(f"unknown PNG filter type {ftype}")
-        out.extend(line)
-        prev = line
-    return np.frombuffer(out, dtype=np.uint8).reshape(h, w, channels)
+def _unfilter(streams: np.ndarray, channels: int) -> np.ndarray:
+    """Undo the PNG scanline filters of N pixel streams of one header at once.
+
+    streams: (N, h, w * channels + 1) uint8, each row led by its filter type,
+    already checked to be 0..4. Returns (N, h, w, channels) uint8, a view into
+    `streams` or into the working buffer.
+
+    Under every filter type pixel (y, x) depends only on (y, x - 1),
+    (y - 1, x) and (y - 1, x - 1), so the pixels of one anti-diagonal
+    y + x = d are independent of each other: h + w - 1 passes, each over
+    diagonal d of every file, decode the block. A block whose rows all use
+    filter 0 (what encode_png writes) already holds its pixels.
+    """
+    n, h, row = streams.shape
+    w = (row - 1) // channels
+    types = streams[:, :, 0]
+    pixels = streams[:, :, 1:].reshape(n, h, w, channels)
+    if not types.any():
+        return pixels
+    # The image below a zero pad row and right of a zero pad column,
+    # pixel-major with the files and channels innermost. Pixel (y, x) is
+    # entry (y + 1)(w + 1) + x + 1 = y * w + d + w + 2 with d = y + x, so
+    # diagonal d is every w-th entry from its first row to its last, and its
+    # left, upper and upper-left neighbours are that slice moved back by 1,
+    # w + 1 and w + 2 entries. Pixels are unfiltered in place.
+    buf = np.zeros(((h + 1) * (w + 1), n, channels), dtype=np.uint8)
+    grid = buf.reshape(h + 1, w + 1, n, channels)
+    grid[1:, 1:] = pixels.transpose(1, 2, 0, 3)
+    # row masks spelled out over the channels too, in the pass order, so that
+    # no operand of a pass broadcasts along its innermost axis
+    kind = np.repeat(types.T[:, :, None], channels, axis=2)
+    is_none, is_sub, is_up, is_avg = (kind == t for t in range(4))
+    for d in range(h + w - 1):
+        lo, hi = max(0, d - w + 1), min(h, d + 1)  # the rows diagonal d crosses
+        start, stop = lo * w + d + w + 2, (hi - 1) * w + d + w + 3
+        cur = buf[start:stop:w]
+        a = buf[start - 1:stop - 1:w].astype(np.int16)
+        b = buf[start - w - 1:stop - w - 1:w].astype(np.int16)
+        c = buf[start - w - 2:stop - w - 2:w].astype(np.int16)
+        # Paeth predicts whichever of a, b, c is nearest a + b - c, ties
+        # going to a, then b
+        pa, pb = b - c, a - c
+        pc = np.abs(pa + pb)
+        np.abs(pa, out=pa)
+        np.abs(pb, out=pb)
+        pred = c
+        np.copyto(pred, b, where=pb <= pc)
+        np.copyto(pred, a, where=pa <= np.minimum(pb, pc))
+        np.copyto(pred, (a + b) >> 1, where=is_avg[lo:hi])
+        np.copyto(pred, b, where=is_up[lo:hi])
+        np.copyto(pred, a, where=is_sub[lo:hi])
+        np.copyto(pred, 0, where=is_none[lo:hi])
+        np.add(cur, pred, out=cur, casting="unsafe")  # modulo 256
+    return grid[1:, 1:].transpose(2, 0, 1, 3)
 
 
-def decode_png(blob: bytes) -> np.ndarray:
-    """Decode an 8-bit non-interlaced grayscale or RGB PNG to uint8 pixels."""
+def inflate_png(blob: bytes) -> tuple[np.ndarray, int]:
+    """Check and inflate an 8-bit non-interlaced grayscale or RGB PNG.
+
+    Returns its filtered scanlines, (h, w * channels + 1) uint8 with each row
+    led by a filter type of 0..4, and its channel count (1 or 3).
+    """
     if not blob.startswith(PNG_SIGNATURE):
         raise DataFormatError("not a PNG stream (bad signature)")
     pos = len(PNG_SIGNATURE)
@@ -158,7 +169,20 @@ def decode_png(blob: bytes) -> np.ndarray:
         raise DecodeError(f"corrupt PNG pixel stream: {exc}") from exc
     if not inflater.eof:
         raise DecodeError("corrupt PNG pixel stream: incomplete or truncated stream")
-    pixels = _unfilter(raw, h, w, channels)
+    rows = np.frombuffer(raw, dtype=np.uint8)
+    if len(rows) < need:
+        raise DecodeError("PNG pixel stream shorter than the header promises")
+    rows = rows.reshape(h, need // h)
+    bad = np.flatnonzero(rows[:, 0] > 4)
+    if len(bad):
+        raise DecodeError(f"unknown PNG filter type {rows[bad[0], 0]} on row {bad[0]}")
+    return rows, channels
+
+
+def decode_png(blob: bytes) -> np.ndarray:
+    """Decode an 8-bit non-interlaced grayscale or RGB PNG to uint8 pixels."""
+    rows, channels = inflate_png(blob)
+    pixels = _unfilter(rows[None], channels)[0]
     return pixels[:, :, 0] if channels == 1 else pixels
 
 
@@ -226,15 +250,19 @@ def _to_float_chw(pixels: np.ndarray) -> np.ndarray:
 def decode_image(path) -> np.ndarray:
     """Read a PNG or binary pixmap file into a (3, H, W) array in [0, 1].
 
-    Grayscale inputs are replicated across the three channels.
+    Grayscale inputs are replicated across the three channels. An error
+    names the file.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob.startswith(PNG_SIGNATURE):
-        return _to_float_chw(decode_png(blob))
-    if blob[:2] in (b"P5", b"P6"):
-        return _to_float_chw(decode_pnm(blob))
-    raise DataFormatError(f"unknown image magic bytes in {path}")
+    try:
+        if blob.startswith(PNG_SIGNATURE):
+            return _to_float_chw(decode_png(blob))
+        if blob[:2] in (b"P5", b"P6"):
+            return _to_float_chw(decode_pnm(blob))
+        raise DataFormatError("unknown image magic bytes")
+    except (DataFormatError, DecodeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def encode_image(path, pixels01: np.ndarray) -> None:

@@ -244,6 +244,52 @@ class TestTrain:
                     "--config", tiny_config, "--steps", "1"]) == 2
         assert "b.png" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("position", ["inside", "across"])
+    def test_size_change_in_a_block_exit_2(self, tmp_path, tiny_config, capsys,
+                                           monkeypatch, position):
+        # blocks of two 16 px files: the 8 px file is the second of the first
+        # block, or the first of the second
+        from retinassl.imagecodec import encode_image
+        monkeypatch.setattr("retinassl.data._BLOCK_VALUES", 2 * 16 * (16 * 3 + 1))
+        sizes = [16, 8, 16] if position == "inside" else [16, 16, 8]
+        names = ["a", "b", "c"]
+        (tmp_path / "m.csv").write_text("image,level\n" + "".join(f"{n},0\n" for n in names))
+        for name, size in zip(names, sizes):
+            encode_image(tmp_path / f"{name}.png", np.zeros((3, size, size)))
+        assert run(["train", "--manifest", str(tmp_path / "m.csv"),
+                    "--images", str(tmp_path), "--out", str(tmp_path / "o"),
+                    "--config", tiny_config, "--steps", "1"]) == 2
+        bad = names[sizes.index(8)]
+        assert f"{bad}.png is 8x8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ftype", [5, 255])
+    def test_unknown_png_filter_type_exit_2(self, tmp_path, tiny_config, capsys, ftype):
+        from retinassl.imagecodec import encode_image
+        (tmp_path / "m.csv").write_text("image,level\na,0\nb,0\n")
+        encode_image(tmp_path / "a.png", np.zeros((3, 2, 2)))
+        stream = bytes(7) + bytes([ftype]) + bytes(6)
+        ihdr = struct.pack(">IIBBBBB", 2, 2, 8, 2, 0, 0, 0)
+        chunks = [(b"IHDR", ihdr), (b"IDAT", zlib.compress(stream)), (b"IEND", b"")]
+        (tmp_path / "b.png").write_bytes(b"\x89PNG\r\n\x1a\n" + b"".join(
+            struct.pack(">I", len(p)) + t + p + struct.pack(">I", zlib.crc32(t + p))
+            for t, p in chunks))
+        assert run(["train", "--manifest", str(tmp_path / "m.csv"),
+                    "--images", str(tmp_path), "--out", str(tmp_path / "o"),
+                    "--config", tiny_config, "--steps", "1"]) == 2
+        assert f"b.png: unknown PNG filter type {ftype}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, line", [
+        (["a" * 140_000 + ",1"], 2),
+        (["a,0", "b,1", "c"], 4),
+        (["a,0", "a,1"], 3),
+    ])
+    def test_manifest_error_names_its_line(self, tmp_path, tiny_config, capsys, rows, line):
+        (tmp_path / "m.csv").write_text("image,level\n" + "".join(r + "\n" for r in rows))
+        assert run(["train", "--manifest", str(tmp_path / "m.csv"),
+                    "--images", str(tmp_path), "--out", str(tmp_path / "o"),
+                    "--config", tiny_config, "--steps", "1"]) == 2
+        assert f"error: line {line}: " in capsys.readouterr().err
+
     def test_missing_manifest_exit_2(self, tmp_path, tiny_config):
         assert run(["train", "--manifest", "/nonexistent.csv",
                     "--images", str(tmp_path), "--out", str(tmp_path / "o"),

@@ -6,6 +6,7 @@ import tempfile
 import tracemalloc
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from retinassl.errors import (CheckpointChecksumError, CheckpointMagicError,
                               CheckpointTruncationError, CheckpointVersionError,
                               ConfigError, DataFormatError, DecodeError,
                               ManifestError, RetinaSSLError)
-from retinassl.imagecodec import (decode_image, decode_png, decode_pnm,
-                                  encode_image, encode_png, encode_pnm)
+from retinassl.imagecodec import (_unfilter, decode_image, decode_png, decode_pnm,
+                                  encode_image, encode_png, encode_pnm, inflate_png)
 from retinassl.vit import ProjectionHeadConfig, ViTConfig
 
 
@@ -41,6 +42,49 @@ def _rgb_png(w, h, stream, idat=None):
     around the given compressed IDAT payload."""
     ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
     return _png(ihdr, zlib.compress(bytes(stream)) if idat is None else idat)
+
+
+def _paeth(a, b, c):
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    return a if pa <= pb and pa <= pc else (b if pb <= pc else c)
+
+
+def _filtered_png(pixels, types):
+    """PNG of uint8 pixels, (h, w) gray or (h, w, 3) RGB, whose row y is
+    written with filter type types[y]. This is the encoder side of PNG
+    filtering (spec section 9) written out per byte on Python ints, the
+    reference that decoding must invert."""
+    ch = 1 if pixels.ndim == 2 else 3
+    h, w = pixels.shape[:2]
+    stream = bytearray()
+    prev = [0] * (w * ch)
+    for ftype, row in zip(types, pixels.reshape(h, w * ch).tolist()):
+        out = []
+        for x, v in enumerate(row):
+            a = row[x - ch] if x >= ch else 0
+            c = prev[x - ch] if x >= ch else 0
+            pred = [0, a, prev[x], (a + prev[x]) // 2, _paeth(a, prev[x], c)][ftype]
+            out.append((v - pred) & 0xFF)
+        stream += bytes([ftype] + out)
+        prev = row
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 0 if ch == 1 else 2, 0, 0, 0)
+    return _png(ihdr, zlib.compress(bytes(stream)))
+
+
+def _adaptive_files(directory, n, h, w, seed):
+    """n RGB PNGs of random pixels under `directory`, every row of a random
+    filter type, with a manifest naming them; returns (manifest path, the
+    (n, h, w, 3) pixels)."""
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, size=(n, h, w, 3), dtype=np.uint8)
+    names = [f"im{i:03d}" for i in range(n)]
+    for name, px in zip(names, pixels):
+        types = rng.integers(0, 5, size=h).tolist()
+        (directory / f"{name}.png").write_bytes(_filtered_png(px, types))
+    csv_path = directory / "m.csv"
+    csv_path.write_text("image,level\n" + "".join(f"{n},0\n" for n in names))
+    return csv_path, pixels
 
 
 @functools.cache
@@ -184,32 +228,39 @@ class TestPng:
             decode_png(_rgb_png(w, h, bytes(h)))
 
     def test_all_five_filter_types_decode_without_warnings(self):
-        # Encoder side of PNG filtering (spec section 9), written out per byte
-        # on Python ints; rows cycle through filter types 0..4 twice.
-        def paeth(a, b, c):
-            p = a + b - c
-            pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-            return a if pa <= pb and pa <= pc else (b if pb <= pc else c)
-
+        # rows cycle through filter types 0..4 twice
         rng = np.random.default_rng(11)
         h, w, ch = 10, 7, 3
         pixels = rng.integers(0, 256, size=(h, w, ch), dtype=np.uint8)
-        stream = bytearray()
-        prev = [0] * (w * ch)
-        for y, row in enumerate(pixels.reshape(h, w * ch).tolist()):
-            ftype = y % 5
-            out = []
-            for x, v in enumerate(row):
-                a = row[x - ch] if x >= ch else 0
-                c = prev[x - ch] if x >= ch else 0
-                pred = [0, a, prev[x], (a + prev[x]) // 2, paeth(a, prev[x], c)][ftype]
-                out.append((v - pred) & 0xFF)
-            stream += bytes([ftype] + out)
-            prev = row
+        blob = _filtered_png(pixels, [y % 5 for y in range(h)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = decode_png(_rgb_png(w, h, stream))
+            out = decode_png(blob)
         np.testing.assert_array_equal(out, pixels)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 5), h=st.integers(1, 9), w=st.integers(1, 9),
+           gray=st.booleans(), levels=st.sampled_from([2, 256]),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_lockstep_unfilter_inverts_the_per_byte_encoder(self, n, h, w, gray,
+                                                            levels, seed, data):
+        # few levels make Paeth's three-way ties common
+        shape = (h, w) if gray else (h, w, 3)
+        pixels = np.random.default_rng(seed).integers(0, levels, size=(n,) + shape,
+                                                      dtype=np.uint8)
+        types = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=h, max_size=h),
+                                   min_size=n, max_size=n))
+        blobs = [_filtered_png(px, t) for px, t in zip(pixels, types)]
+        streams = np.stack([inflate_png(blob)[0] for blob in blobs])
+        out = _unfilter(streams, 1 if gray else 3)
+        np.testing.assert_array_equal(out, pixels.reshape(out.shape))
+        np.testing.assert_array_equal(decode_png(blobs[-1]), pixels[-1])
+
+    @pytest.mark.parametrize("ftype", [5, 255])
+    def test_unknown_filter_type(self, ftype):
+        stream = bytes(7) + bytes([ftype]) + bytes(6)  # rows 0 and 1 of a 2x2 RGB image
+        with pytest.raises(DecodeError, match=f"unknown PNG filter type {ftype} on row 1"):
+            decode_png(_rgb_png(2, 2, stream))
 
 
 class TestManifest:
@@ -275,6 +326,74 @@ class TestManifest:
         assert images.shape == (40, 3, 32, 32)
         np.testing.assert_array_equal(images[7], decode_image(tmp_path / "im07.png"))
         assert peak <= 1.25 * images.nbytes
+
+    def test_load_images_of_adaptive_files_holds_one_copy(self, tmp_path):
+        # several blocks of files with all five filter types: the working
+        # memory is one block, not the dataset
+        path, pixels = _adaptive_files(tmp_path, 160, 32, 32, seed=5)
+        m = load_manifest(path, tmp_path)
+        types = {int(t) for r in m.records
+                 for t in inflate_png(Path(r.path).read_bytes())[0][:, 0]}
+        assert types == {0, 1, 2, 3, 4}
+        tracemalloc.start()
+        try:
+            images = m.load_images()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(images, pixels.transpose(0, 3, 1, 2) / 255.0)
+        assert peak <= 1.25 * images.nbytes
+
+    @pytest.mark.parametrize("block_files", [1, 7, 40])
+    def test_load_images_bits_do_not_depend_on_the_block(self, tmp_path, monkeypatch,
+                                                         block_files):
+        path, pixels = _adaptive_files(tmp_path, 40, 9, 11, seed=6)
+        monkeypatch.setattr("retinassl.data._BLOCK_VALUES", block_files * 9 * (11 * 3 + 1))
+        m = load_manifest(path, tmp_path)
+        images = m.load_images()
+        assert images.shape == (40, 3, 9, 11)
+        np.testing.assert_array_equal(images, pixels.transpose(0, 3, 1, 2) / 255.0)
+        for i, record in enumerate(m.records):
+            np.testing.assert_array_equal(images[i], decode_image(record.path))
+
+    @pytest.mark.parametrize("block_files", [1, 2, 8])
+    def test_gray_rgb_and_pnm_of_one_size_load_together(self, tmp_path, monkeypatch,
+                                                        block_files):
+        rng = np.random.default_rng(8)
+        names = []
+        for i, kind in enumerate(["rgb", "rgb", "gray", "pnm", "gray", "rgb", "pnm", "rgb"]):
+            names.append(f"{kind}{i}")
+            shape = (6, 5) if kind == "gray" else (6, 5, 3)
+            px = rng.integers(0, 256, size=shape, dtype=np.uint8)
+            if kind == "pnm":
+                (tmp_path / f"{kind}{i}.ppm").write_bytes(encode_pnm(px))
+            else:
+                types = rng.integers(0, 5, size=6).tolist()
+                (tmp_path / f"{kind}{i}.png").write_bytes(_filtered_png(px, types))
+        path = self._write(tmp_path, [f"{n},0" for n in names])
+        monkeypatch.setattr("retinassl.data._BLOCK_VALUES", block_files * 6 * 16)
+        m = load_manifest(path, tmp_path)
+        images = m.load_images()
+        for i, record in enumerate(m.records):
+            np.testing.assert_array_equal(images[i], decode_image(record.path))
+
+    @pytest.mark.parametrize("damage", ["crc", "filter 5", "filter 255", "magic"])
+    def test_load_images_error_names_the_file(self, tmp_path, damage):
+        names = [f"im{i}" for i in range(4)]
+        path = self._write(tmp_path, [f"{n},0" for n in names], images=names)
+        bad = tmp_path / "im2.png"
+        if damage == "crc":
+            blob = bytearray(bad.read_bytes())
+            blob[40] ^= 0xFF
+            bad.write_bytes(bytes(blob))
+        elif damage == "magic":
+            bad.write_bytes(b"GIF89a" + bytes(20))
+        else:
+            ftype = int(damage.split()[1])
+            bad.write_bytes(_rgb_png(4, 2, bytes(13) + bytes([ftype]) + bytes(12)))
+        m = load_manifest(path, tmp_path)
+        with pytest.raises((DecodeError, DataFormatError), match="im2.png"):
+            m.load_images()
 
     def test_roundtrip(self, tmp_path):
         ds = generate_synthetic_dataset(0, 2, image_size=16)
