@@ -269,33 +269,41 @@ def log_softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
         g - np.exp(log_p) * g.sum(axis=-1, keepdims=True)) / tau)
 
 
-def attention(qkv: Tensor, n_heads: int, scale: float) -> tuple[Tensor, np.ndarray]:
+def attention(qkv: Tensor, n_heads: int, scale: float,
+              rows: int | None = None) -> tuple[Tensor, np.ndarray]:
     """Multi-head self-attention core on a (B, T, 3d) q|k|v projection.
 
-    Returns the (B, T, d) head outputs, recorded as one tape entry, and the
-    (B, heads, T, T) probabilities softmax(scale * q k^T) as a plain array.
-    The backward works from those saved probabilities, as FlashAttention's
-    does (Dao et al. 2022), and writes dq, dk and dv into one buffer.
+    Only the leading `rows` tokens (all T by default) are queries; every
+    token is still a key and a value. Returns the (B, rows, d) head outputs,
+    recorded as one tape entry, and the (B, heads, rows, T) probabilities
+    softmax(scale * q k^T) as a plain array. The backward works from those
+    saved probabilities, as FlashAttention's does (Dao et al. 2022), and
+    writes dq, dk and dv into one buffer; dq is zero on the rows that are
+    not queried.
     """
     if qkv.ndim != 3 or n_heads < 1 or qkv.shape[-1] % (3 * n_heads) != 0:
         raise ShapeMismatchError(
             f"attention needs a (B, T, 3d) input with d divisible by "
             f"{n_heads} heads, got {qkv.shape}")
     b, t, d3 = qkv.shape
+    rows = t if rows is None else rows
+    if not 1 <= rows <= t:
+        raise ShapeMismatchError(f"attention query rows must be in 1..{t}, got {rows}")
     d = d3 // 3
     hd = d // n_heads
     # views of qkv laid out as the per-head chain would index them, so that
     # every product below sees the same strides and gives the same bits
     q, k, v = qkv.data.reshape(b, t, 3, n_heads, hd).transpose(2, 0, 3, 1, 4)
+    q = q[:, :, :rows]
     probs = np.matmul(q, k.transpose(0, 1, 3, 2))
     probs *= scale
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
-    out = np.matmul(probs, v).transpose(0, 2, 1, 3).reshape(b, t, d)
+    out = np.matmul(probs, v).transpose(0, 2, 1, 3).reshape(b, rows, d)
 
     def grad_qkv(g):
-        gh = g.reshape(b, t, n_heads, hd).transpose(0, 2, 1, 3)
+        gh = g.reshape(b, rows, n_heads, hd).transpose(0, 2, 1, 3)
         dqkv = np.empty((3, b, n_heads, t, hd))
         np.matmul(probs.swapaxes(-1, -2), gh, out=dqkv[2])
         ds = np.matmul(gh, v.swapaxes(-1, -2))
@@ -303,7 +311,8 @@ def attention(qkv: Tensor, n_heads: int, scale: float) -> tuple[Tensor, np.ndarr
         ds -= dot
         ds *= probs
         ds *= scale
-        np.matmul(ds, k, out=dqkv[0])
+        np.matmul(ds, k, out=dqkv[0, :, :, :rows])
+        dqkv[0, :, :, rows:] = 0.0
         dqkv[1] = np.matmul(q.swapaxes(-1, -2), ds).transpose(0, 1, 3, 2)
         return dqkv.transpose(1, 3, 0, 2, 4).reshape(b, t, d3)
 

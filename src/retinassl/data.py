@@ -11,6 +11,7 @@ that raw pixel statistics are a poor grade predictor.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass, field
 
@@ -111,14 +112,24 @@ def _resolve_path(directory: str, image_id: str) -> str | None:
 
 
 def _csv_rows(fh):
-    """The rows of an open CSV file; text that is not UTF-8 and rows the csv
-    module refuses (a field over its size limit, say) are ManifestErrors."""
-    reader = csv.reader(fh)
+    """(first physical line, row) for each row of a CSV file opened in binary
+    mode; text that is not UTF-8 and rows the csv module refuses (a field
+    over its size limit, say) are ManifestErrors naming their line."""
+    data = fh.read()
     try:
-        yield from reader
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
+        # the bad byte's line as csv numbers lines: the line breaks before it
+        # (\n, \r\n or \r), plus its own line, which the b"x" stands in for
+        line = len((data[:exc.start] + b"x").splitlines())
         raise ManifestError(f"manifest is not UTF-8 text: {exc.reason} "
-                            f"(byte 0x{exc.object[exc.start]:02x})") from None
+                            f"(byte 0x{data[exc.start]:02x})", line=line) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    start = 1  # a quoted field can span lines, so rows and lines differ
+    try:
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise ManifestError(f"unreadable CSV row: {exc}", line=reader.line_num) from None
 
@@ -134,16 +145,16 @@ def load_manifest(csv_path, image_directory, split: str = "train",
     records: list[ManifestRecord] = []
     missing: list[str] = []
     seen: set[str] = set()
-    with open(csv_path, newline="", encoding="utf-8") as fh:
+    with open(csv_path, "rb") as fh:
         reader = _csv_rows(fh)
         try:
-            header = next(reader)
+            _, header = next(reader)
         except StopIteration:
             raise ManifestError("manifest is empty, expected an 'image,level' header")
         if [h.strip().lower() for h in header[:2]] != ["image", "level"]:
             raise ManifestError(f"unexpected header {header!r}, expected image,level",
                                 line=1)
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in reader:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) < 2:

@@ -81,7 +81,9 @@ class ProjectionHeadConfig:
 @dataclass
 class BackboneOutput:
     cls_features: Tensor        # (batch, n_cls_tokens, embed_dim)
-    attention: list | None      # per layer: Tensor (batch, heads, tokens, tokens)
+    # per layer: Tensor (batch, heads, tokens, tokens); the last layer's is
+    # (batch, heads, rows, tokens), its leading query rows only (see encoder_forward)
+    attention: list | None
     block_cls: list = field(default_factory=list)  # normalized CLS per collected block
 
 
@@ -247,12 +249,21 @@ def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor]
                     collect_block_cls: int = 0) -> BackboneOutput:
     """Run the pre-norm transformer stack over an embedded token sequence.
 
+    Only CLS rows are read after the stack, so the last block computes only
+    its leading rows = min(max(n_cls_tokens, 2), T) token rows past QKV: the
+    queries, the attention output and projection, the residual, LN2 and the
+    MLP (as CaiT's class-attention layers do, Touvron et al. 2021). Every
+    token is still a key and a value, so the CLS outputs are unchanged. At
+    least two rows are kept because a one-row batched product takes numpy's
+    matrix-vector path, which rounds differently from the matrix product;
+    with two or more rows each row has the bits of the full-row forward.
+
     collect_block_cls=n gathers the final-norm CLS features of the last n
     blocks (feature extraction without pooling); 0 skips the bookkeeping.
     """
     if mode not in (TRAIN, EVAL):
         raise ParameterError(f"mode must be 'train' or 'eval', got {mode!r}")
-    _, _, d = tokens.shape
+    _, t, d = tokens.shape
     if d != config.embed_dim:
         raise ContractError(f"token width {d} != embed_dim {config.embed_dim}")
     scale = 1.0 / np.sqrt(config.head_dim)
@@ -263,12 +274,15 @@ def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor]
     x = tokens
     for i in range(config.depth):
         pre = f"blocks.{i}."
+        rows = min(max(nc, 2), t) if i == config.depth - 1 else t
         h = ad.layer_norm(x, params[pre + "ln1.scale"], params[pre + "ln1.shift"])
         qkv = ad.linear(h, params[pre + "attn.qkv.w"], params[pre + "attn.qkv.b"])
-        out, att = ad.attention(qkv, config.n_heads, scale)
+        out, att = ad.attention(qkv, config.n_heads, scale, rows)
         if want_attention:
             attention.append(Tensor(att))
         out = ad.linear(out, params[pre + "attn.proj.w"], params[pre + "attn.proj.b"])
+        if rows < t:
+            x = x[:, :rows, :]
         x = x + _drop_path(out, config.drop_path_rate, mode, rng)
 
         h = ad.layer_norm(x, params[pre + "ln2.scale"], params[pre + "ln2.shift"])
@@ -325,7 +339,7 @@ def last_layer_attention(image: np.ndarray, config: ViTConfig,
     """
     out = backbone_forward(image[None] if image.ndim == 3 else image,
                            config, params, mode=EVAL, want_attention=True)
-    att = out.attention[-1].data[0]            # (heads, tokens, tokens)
+    att = out.attention[-1].data[0]            # (heads, rows, tokens), rows >= nc
     nc = config.n_cls_tokens
     rows = att[:, :nc, nc:]                    # CLS queries -> patch keys
     return rows / rows.sum(axis=-1, keepdims=True)

@@ -357,6 +357,8 @@ OP_CASES = {
     "linear_2d": ([_x(5, 4), _x(4, 3, seed=1), _x(3, seed=2)], ad.linear),
     "linear_3d": ([_x(2, 3, 4), _x(4, 3, seed=1), _x(3, seed=2)], ad.linear),
     "attention": ([_x(2, 5, 12)], lambda qkv: ad.attention(qkv, 2, 0.7)[0]),
+    "attention_2_query_rows": ([_x(2, 5, 12)],
+                               lambda qkv: ad.attention(qkv, 2, 0.7, 2)[0]),
     "l2_normalize_guarded_zero_row": ([_zero_row(_x(3, 4))],
                                       lambda a: ad.l2_normalize_rows(a, guard=0.5)),
     "cross_entropy_rows": ([_x(3, 4)], lambda a: cross_entropy_rows(
@@ -490,6 +492,42 @@ class TestFusedOps:
     def test_attention_shape_mismatch(self, shape):
         with pytest.raises(ShapeMismatchError):
             ad.attention(Tensor(np.zeros(shape)), 2, 1.0)
+
+    @pytest.mark.parametrize("rows", [2, 3, 6])
+    def test_attention_query_rows_are_the_leading_rows_of_the_full_op(self, rows):
+        qkv = Tensor(_x(3, 7, 18))
+        full_out, full_probs = ad.attention(qkv, 3, 1.0 / np.sqrt(2.0))
+        out, probs = ad.attention(qkv, 3, 1.0 / np.sqrt(2.0), rows)
+        assert out.shape == (3, rows, 6) and probs.shape == (3, 3, rows, 7)
+        # two or more rows keep the matrix-product path, so the bits hold
+        np.testing.assert_array_equal(out.data, full_out.data[:, :rows])
+        np.testing.assert_array_equal(probs, full_probs[:, :, :rows])
+
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    def test_attention_gradient_of_fewer_query_rows(self, rows):
+        # the full op with the cotangent zero past `rows` is the same function
+        # of qkv, so its gradient is the reference; dq is exactly zero on the
+        # rows that are not queried
+        qkv = _x(2, 5, 12)
+        g = _x(2, rows, 4, seed=9)
+        got, want = Tensor(qkv.copy(), requires_grad=True), Tensor(qkv.copy(),
+                                                                    requires_grad=True)
+        with Tape() as tape:
+            loss = (ad.attention(got, 2, 0.7, rows)[0] * Tensor(g)).sum()
+        backward(loss, tape)
+        padded = np.zeros((2, 5, 4))
+        padded[:, :rows] = g
+        with Tape() as tape:
+            loss = (ad.attention(want, 2, 0.7)[0] * Tensor(padded)).sum()
+        backward(loss, tape)
+        np.testing.assert_allclose(got.grad, want.grad, rtol=0, atol=1e-12)
+        assert not got.grad[:, rows:, :4].any()
+        assert got.grad[:, :rows, :4].all() and got.grad[:, :, 4:].all()
+
+    @pytest.mark.parametrize("rows", [0, -1, 6])
+    def test_attention_query_rows_outside_1_to_t(self, rows):
+        with pytest.raises(ShapeMismatchError, match=r"rows must be in 1\.\.5"):
+            ad.attention(Tensor(np.zeros((2, 5, 12))), 2, 1.0, rows)
 
     def test_gelu_gradient_has_the_bits_of_the_closed_form(self):
         x = np.concatenate([_x(3, 40).ravel() * 4.0,

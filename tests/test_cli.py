@@ -302,6 +302,13 @@ class TestTrain:
                     "--config", tiny_config, "--steps", "1"]) == 2
         assert "not UTF-8" in capsys.readouterr().err
 
+    def test_non_utf8_manifest_names_its_line(self, tmp_path, tiny_config, capsys):
+        (tmp_path / "m.csv").write_bytes(b"image,level\na,0\nb,1\n\xff\xfe,1\n")
+        assert run(["train", "--manifest", str(tmp_path / "m.csv"),
+                    "--images", str(tmp_path), "--out", str(tmp_path / "o"),
+                    "--config", tiny_config, "--steps", "1"]) == 2
+        assert "error: line 4: manifest is not UTF-8 text" in capsys.readouterr().err
+
     def test_overlong_manifest_field_exit_2(self, tmp_path, tiny_config, capsys):
         # past the csv module's default field limit of 131072 characters
         (tmp_path / "m.csv").write_text("image,level\n" + "a" * 140_000 + ",1\n")

@@ -299,6 +299,33 @@ class TestManifest:
             load_manifest(path, tmp_path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_line_numbers_count_physical_lines(self, tmp_path, newline):
+        # the quoted identifier spans lines 2 and 3, so the bad grade is on 4
+        (tmp_path / "m.csv").write_bytes(
+            newline.join(["image,level", '"x', 'y",1', "z,9", ""]).encode())
+        with pytest.raises(ManifestError, match="^line 4: grade 9") as exc:
+            load_manifest(tmp_path / "m.csv", tmp_path)
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("bad_line", [b"\xff,1", b"d\xfe,1", b"d,1\xff"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, newline, bad_line):
+        # the quoted identifier spans lines 3 and 4, so the bad byte is on 5
+        nl = newline.encode()
+        (tmp_path / "m.csv").write_bytes(
+            nl.join([b"image,level", b"a,0", b'"b', b'c",1', bad_line, b""]))
+        with pytest.raises(ManifestError, match="^line 5: manifest is not UTF-8") as exc:
+            load_manifest(tmp_path / "m.csv", tmp_path)
+        assert exc.value.line == 5
+
+    def test_multiline_identifier_is_kept(self, tmp_path):
+        (tmp_path / "m.csv").write_text('image,level\n"x\ny",1\nz,0\n')
+        for name in ("x\ny", "z"):
+            encode_image(tmp_path / f"{name}.png", np.zeros((3, 4, 4)))
+        m = load_manifest(tmp_path / "m.csv", tmp_path)
+        assert [(r.image_id, r.grade) for r in m.records] == [("x\ny", 1), ("z", 0)]
+
     def test_label_blind_ignores_bad_grades(self, tmp_path):
         path = self._write(tmp_path, ["a,garbage"], images=["a"])
         m = load_manifest(path, tmp_path, label_blind=True)

@@ -3,9 +3,11 @@ import pytest
 
 from retinassl import autodiff as ad
 from retinassl import distill
+from retinassl import vit as vit_module
 from retinassl.autodiff import Tape, Tensor, backward, finite_difference
 from retinassl.crops import MultiCropConfig, bicubic_resize
 from retinassl.errors import ContractError, InputError, ParameterError
+from retinassl.evaluation import extract_features
 from retinassl.vit import (
     EVAL,
     TRAIN,
@@ -27,6 +29,14 @@ from retinassl.vit import (
 def tiny_vit(**kw) -> ViTConfig:
     defaults = dict(image_size=32, patch_size=8, depth=2, embed_dim=16,
                     n_heads=2, n_cls_tokens=1, drop_path_rate=0.1)
+    defaults.update(kw)
+    return ViTConfig(**defaults)
+
+
+def desk_vit(**kw) -> ViTConfig:
+    """The acceptance desk backbone: 48 px, patch 8, depth 2, width 32."""
+    defaults = dict(image_size=48, patch_size=8, depth=2, embed_dim=32,
+                    n_heads=4, n_cls_tokens=1, drop_path_rate=0.1)
     defaults.update(kw)
     return ViTConfig(**defaults)
 
@@ -320,9 +330,11 @@ class TestEndToEndGradient:
 
 
 # One pre-norm block in train mode: an entry per layer, with the attention
-# core as one entry and each drop-path factor as a `mul`.
+# core as one entry and each drop-path factor as a `mul`. The last block also
+# slices the residual down to the rows it computes.
 BLOCK_OPS = ["layer_norm", "linear", "attention", "linear", "mul", "add",
              "layer_norm", "linear", "gelu", "linear", "mul", "add"]
+LAST_BLOCK_OPS = BLOCK_OPS[:4] + ["getitem"] + BLOCK_OPS[4:]
 
 
 def _op_names(tape):
@@ -336,7 +348,7 @@ def _op_names(tape):
 
 class TestTapeEntries:
     def test_block_records_one_entry_per_layer(self):
-        cfg = tiny_vit(depth=1)
+        cfg = tiny_vit(depth=2)
         params = init_backbone_params(cfg, np.random.default_rng(0))
         tokens = Tensor(np.random.default_rng(1).normal(
             size=(2, cfg.n_tokens, cfg.embed_dim)))
@@ -344,12 +356,11 @@ class TestTapeEntries:
             encoder_forward(tokens, cfg, params, mode=TRAIN,
                             rng=np.random.default_rng(2))
         # then the CLS slice and the final norm of its rows
-        assert _op_names(tape) == BLOCK_OPS + ["getitem", "layer_norm"]
+        assert _op_names(tape) == BLOCK_OPS + LAST_BLOCK_OPS + ["getitem", "layer_norm"]
 
     def test_desk_train_step_entries(self, monkeypatch):
         # the acceptance desk recipe: 48 px, depth 2, batch 16, 2 + 4 crops
-        vit = ViTConfig(image_size=48, patch_size=8, depth=2, embed_dim=32,
-                        n_heads=4, drop_path_rate=0.1)
+        vit = desk_vit()
         head = ProjectionHeadConfig(hidden_dim=64, bottleneck_dim=16, output_dim=256)
         crop = MultiCropConfig(global_out_size=48, local_out_size=24, n_local=4)
         cfg = distill.DistillConfig(batch_size=16, total_epochs=2)
@@ -365,3 +376,119 @@ class TestTapeEntries:
         images = np.random.default_rng(0).random((16, 3, 48, 48))
         distill.train_step(images, state, vit, head, crop, cfg, 1)
         assert len(entries) == 1 and entries[0] <= 100
+
+
+# ---------------------------------------------------------------------------
+# the last block computes only the rows that are read
+# ---------------------------------------------------------------------------
+
+def _full_row_encoder(tokens, config, params, mode=EVAL, rng=None,
+                      want_attention=False, collect_block_cls=0):
+    """Reference for encoder_forward: every block computes every token row,
+    from the same ops in the same order."""
+    scale = 1.0 / np.sqrt(config.head_dim)
+    nc = config.n_cls_tokens
+    attention, block_cls = [], []
+    x = tokens
+    for i in range(config.depth):
+        pre = f"blocks.{i}."
+        h = ad.layer_norm(x, params[pre + "ln1.scale"], params[pre + "ln1.shift"])
+        qkv = ad.linear(h, params[pre + "attn.qkv.w"], params[pre + "attn.qkv.b"])
+        out, att = ad.attention(qkv, config.n_heads, scale)
+        attention.append(Tensor(att))
+        out = ad.linear(out, params[pre + "attn.proj.w"], params[pre + "attn.proj.b"])
+        x = x + vit_module._drop_path(out, config.drop_path_rate, mode, rng)
+        h = ad.layer_norm(x, params[pre + "ln2.scale"], params[pre + "ln2.shift"])
+        m = ad.gelu(ad.linear(h, params[pre + "mlp.fc1.w"], params[pre + "mlp.fc1.b"]))
+        m = ad.linear(m, params[pre + "mlp.fc2.w"], params[pre + "mlp.fc2.b"])
+        x = x + vit_module._drop_path(m, config.drop_path_rate, mode, rng)
+        if collect_block_cls > 0 and i >= config.depth - collect_block_cls:
+            block_cls.append(ad.layer_norm(x[:, :nc, :], params["ln_f.scale"],
+                                           params["ln_f.shift"]))
+    cls = ad.layer_norm(x[:, :nc, :], params["ln_f.scale"], params["ln_f.shift"])
+    return BackboneOutput(cls_features=cls,
+                          attention=attention if want_attention else None,
+                          block_cls=block_cls)
+
+
+class TestLastBlockRows:
+    # 23 images is one whole chunk of extract_features at the desk config
+    @pytest.mark.parametrize("n_images", [1, 2, 23])
+    @pytest.mark.parametrize("n_cls", [1, 2])
+    def test_extract_features_has_the_full_row_bits(self, n_images, n_cls):
+        cfg = desk_vit(n_cls_tokens=n_cls)
+        params = init_backbone_params(cfg, np.random.default_rng(40), std=0.05)
+        images = np.random.default_rng(41).random((n_images, 3, 48, 48))
+        for n_last in (1, 2):
+            want = _full_row_encoder(patch_embed(images, cfg, params), cfg, params,
+                                     collect_block_cls=n_last).block_cls
+            want = np.stack([b.data for b in want], axis=1).reshape(n_images, -1)
+            got = extract_features(params, images, cfg, n_last_blocks=n_last)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_cls", [1, 2, 3])
+    def test_attention_has_the_full_row_bits(self, n_cls):
+        cfg = desk_vit(n_cls_tokens=n_cls)
+        params = init_backbone_params(cfg, np.random.default_rng(42), std=0.05)
+        image = np.random.default_rng(43).random((3, 48, 48))
+        tokens = patch_embed(image, cfg, params)
+        want = _full_row_encoder(tokens, cfg, params, want_attention=True).attention
+        got = encoder_forward(tokens, cfg, params, want_attention=True).attention
+        rows = max(n_cls, 2)
+        assert got[-1].shape == (1, cfg.n_heads, rows, cfg.n_tokens)
+        assert np.array_equal(got[0].data, want[0].data)
+        assert np.array_equal(got[-1].data, want[-1].data[:, :, :rows])
+        ref = want[-1].data[0, :, :n_cls, n_cls:]
+        assert np.array_equal(last_layer_attention(image, cfg, params),
+                              ref / ref.sum(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("n_cls, rows", [(1, 2), (2, 2), (3, 3)])
+    def test_last_block_mlp_sees_only_the_read_rows(self, monkeypatch, n_cls, rows):
+        cfg = desk_vit(n_cls_tokens=n_cls)
+        params = init_backbone_params(cfg, np.random.default_rng(44))
+        images = np.random.default_rng(45).random((3, 3, 48, 48))
+        seen = []
+        real = ad.gelu
+
+        def spy(x):
+            seen.append(x.shape)
+            return real(x)
+
+        monkeypatch.setattr(ad, "gelu", spy)
+        backbone_forward(images, cfg, params, mode=TRAIN, rng=np.random.default_rng(0))
+        assert seen == [(3, cfg.n_tokens, 128), (3, rows, 128)]
+
+    def test_desk_step_gradients_match_full_rows(self, monkeypatch):
+        vit = desk_vit()
+        head = ProjectionHeadConfig(hidden_dim=64, bottleneck_dim=16, output_dim=256)
+        crop = MultiCropConfig(global_out_size=48, local_out_size=24, n_local=4)
+        cfg = distill.DistillConfig(batch_size=16, total_epochs=2)
+        images = np.random.default_rng(46).random((16, 3, 48, 48))
+        real_clip = distill.clip_gradients
+
+        def step_grads():
+            grads = []
+
+            def spy(g, threshold):
+                grads.append({k: v.copy() for k, v in g.items()})
+                return real_clip(g, threshold)
+
+            monkeypatch.setattr(distill, "clip_gradients", spy)
+            state = distill.init_train_state(vit, head, seed=3, init_std=0.05)
+            distill.train_step(images, state, vit, head, crop, cfg, 1)
+            return grads[0]
+
+        got = step_grads()
+        calls = []
+
+        def reference(*args, **kwargs):
+            calls.append(1)
+            return _full_row_encoder(*args, **kwargs)
+
+        monkeypatch.setattr(vit_module, "encoder_forward", reference)
+        want = step_grads()
+        assert calls, "the full-row reference did not run"
+        assert got.keys() == want.keys()
+        for name, g in want.items():
+            err = np.abs(got[name] - g).max()
+            assert err <= 1e-12 * np.abs(g).max(), f"{name}: {err}"
