@@ -19,7 +19,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .configio import load_config, parse_assignments
 from .data import (generate_synthetic_dataset, load_manifest,
                    write_synthetic_dataset)
-from .distill import METRICS_HEADER, init_train_state, train_loop
+from .distill import METRICS_HEADER, batch_schedule, init_train_state, train_loop
 from .errors import (CheckpointError, ConfigError, DataFormatError,
                      DecodeError, InputError, ManifestError, ParameterError,
                      RetinaSSLError, TrainingError)
@@ -150,8 +150,7 @@ def cmd_train(args) -> int:
                                     config.distill)
         state = init_train_state(vit, head, seed=args.seed)
 
-    b = min(distill.batch_size, len(images))
-    steps_per_epoch = max(1, int(np.ceil(len(images) / b)))
+    _, steps_per_epoch = batch_schedule(len(images), distill)
     total = distill.total_epochs * steps_per_epoch
     n_steps = total - state.step if args.steps is None else args.steps
     if n_steps < 0:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import io
 from dataclasses import dataclass, field
 
 from .crops import MultiCropConfig
@@ -65,11 +66,12 @@ def parse_assignments(lines, source: str = "<config>") -> dict[str, object]:
 def _same_kind(value, default) -> bool:
     """Whether `value` may stand where the field default `default` does.
 
-    An int stands for a float, a bool is not a number, and tuples and dicts
-    are checked element by element.
+    An int stands for a float, a bool is not a number, a tuple has the
+    default's length, and tuples and dicts are checked element by element.
     """
     if isinstance(default, tuple):
-        return isinstance(value, tuple) and all(_same_kind(v, default[0]) for v in value)
+        return (isinstance(value, tuple) and len(value) == len(default)
+                and all(_same_kind(v, d) for v, d in zip(value, default)))
     if isinstance(default, dict):
         return (isinstance(value, dict) and value.keys() == default.keys()
                 and all(_same_kind(value[k], default[k]) for k in default))
@@ -132,12 +134,18 @@ def apply_assignments(config: RunConfig, assignments: dict[str, object]) -> RunC
 
 
 def load_config(path=None, overrides: dict[str, object] | None = None) -> RunConfig:
-    """Build a validated RunConfig from defaults, a file, and overrides."""
+    """Build a validated RunConfig from defaults, a UTF-8 file, and overrides."""
     config = RunConfig()
     if path is not None:
-        with open(path) as fh:
-            assignments = parse_assignments(fh, source=str(path))
-        config = apply_assignments(config, assignments)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:  # newline=None splits lines as a file opened in text mode does
+            lines = io.StringIO(data.decode("utf-8"), newline=None)
+        except UnicodeDecodeError as exc:
+            line = len((data[:exc.start] + b"x").splitlines())  # as in data._csv_rows
+            raise ConfigError(f"{path}:{line}: config file is not UTF-8 text: "
+                              f"{exc.reason} (byte 0x{data[exc.start]:02x})") from None
+        config = apply_assignments(config, parse_assignments(lines, source=str(path)))
     if overrides:
         config = apply_assignments(config, dict(overrides))
     return config

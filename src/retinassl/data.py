@@ -17,17 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataFormatError, DecodeError, InputError, ManifestError
-from .imagecodec import (PNG_SIGNATURE, _unfilter, decode_image, encode_image,
-                         inflate_png)
+from .errors import InputError, ManifestError
+# decode_image is unused here, but perfbench's tracer patches data.decode_image
+from .imagecodec import decode_image, decode_images, encode_image
 
 N_GRADES = 5
 IMAGE_SUFFIXES = (".png", ".ppm", ".pgm", ".pnm")
-# A lockstep block of PNGs holds at most this many filtered bytes (or one
-# file, if a single image is larger): enough files for the per-pass cost of
-# unfiltering to be shared, few enough that a block's working memory stays
-# small beside the float64 result.
-_BLOCK_VALUES = 1 << 18
 
 
 @dataclass
@@ -49,58 +44,8 @@ class DatasetManifest:
         return np.array([r.grade for r in self.records], dtype=np.int64)
 
     def load_images(self) -> np.ndarray:
-        """Decode every record into one (n, 3, H, W) array (uniform sizes).
-
-        PNGs are checked and inflated one file at a time, then unfiltered in
-        lockstep, in blocks of consecutive files that share a header and hold
-        at most _BLOCK_VALUES filtered bytes; other files go through
-        decode_image. Each image is written straight into its row of the
-        result, so no second copy of the dataset is ever held and the working
-        memory is one block. An error names the file that caused it.
-        """
-        if not self.records:
-            return np.zeros((0, 3, 0, 0))
-        out = None
-        start = count = 0  # the block's first record, and its files so far
-
-        def write_block():
-            if count:
-                pixels = _unfilter(block[:count], channels)
-                np.divide(pixels.transpose(0, 3, 1, 2), 255.0,
-                          out=out[start:start + count])
-
-        for i, record in enumerate(self.records):
-            with open(record.path, "rb") as fh:
-                blob = fh.read()
-            if blob.startswith(PNG_SIGNATURE):
-                try:
-                    rows, ch = inflate_png(blob)
-                except (DataFormatError, DecodeError) as exc:
-                    raise type(exc)(f"{record.path}: {exc}") from None
-                size = (rows.shape[0], (rows.shape[1] - 1) // ch)
-            else:
-                rows, image = None, decode_image(record.path)
-                size = image.shape[1:]
-            if out is None:
-                out = np.empty((len(self.records), 3) + size)
-            elif size != out.shape[2:]:
-                raise InputError(f"{record.path} is {size[0]}x{size[1]}, unlike "
-                                 f"{self.records[0].path}; images must share one size")
-            if count and (rows is None or count == len(block)
-                          or rows.shape != block.shape[1:]):
-                write_block()
-                count = 0
-            if rows is None:
-                out[i] = image
-                continue
-            if not count:
-                start, channels = i, ch
-                files = min(len(self.records) - i, max(1, _BLOCK_VALUES // rows.size))
-                block = np.empty((files,) + rows.shape, dtype=np.uint8)
-            block[count] = rows
-            count += 1
-        write_block()
-        return out
+        """decode_images over every record: one (n, 3, H, W) array."""
+        return decode_images([r.path for r in self.records])
 
 
 def _resolve_path(directory: str, image_id: str) -> str | None:
@@ -228,6 +173,8 @@ def generate_synthetic_dataset(seed: int, n_per_class: int,
     """
     if n_per_class < 0:
         raise InputError("n_per_class must be >= 0")
+    if image_size < 1:
+        raise InputError(f"image_size must be >= 1, got {image_size}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
     n = 5 * n_per_class
     s = image_size

@@ -342,6 +342,12 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
         lr=lr, wd=wd, ema_lambda=lam, teacher_entropy=entropy)
 
 
+def batch_schedule(n_images: int, config: DistillConfig) -> tuple[int, int]:
+    """The batch size and steps per epoch of training on n_images images."""
+    b = min(config.batch_size, n_images)
+    return b, max(1, int(np.ceil(n_images / b)))
+
+
 def train_loop(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
                head_config: ProjectionHeadConfig, crop_config: MultiCropConfig,
                distill_config: DistillConfig, n_steps: int,
@@ -353,8 +359,7 @@ def train_loop(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
     run (with the restored rng) continues the exact same batch sequence.
     """
     n = images.shape[0]
-    b = min(distill_config.batch_size, n)
-    steps_per_epoch = max(1, int(np.ceil(n / b)))
+    b, steps_per_epoch = batch_schedule(n, distill_config)
     for _ in range(n_steps):
         idx = state.rng.choice(n, size=b, replace=False)
         metrics = train_step(images[idx], state, vit_config, head_config,

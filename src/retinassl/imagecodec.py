@@ -14,9 +14,14 @@ import zlib
 
 import numpy as np
 
-from .errors import DataFormatError, DecodeError
+from .errors import DataFormatError, DecodeError, InputError
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+# A lockstep block of files holds at most this many filtered bytes (or one
+# file, if a single image is larger): enough files for the per-pass cost of
+# unfiltering to be shared, few enough that a block's working memory stays
+# small beside the float64 result.
+_BLOCK_VALUES = 1 << 18
 # deflate expands at most 258 bytes from every 2 bits: 1032 to 1
 _MAX_INFLATE_RATIO = 1032
 
@@ -26,30 +31,34 @@ def _chunk(tag: bytes, payload: bytes) -> bytes:
     return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", crc)
 
 
+def _channels(pixels: np.ndarray, encoder: str) -> int:
+    """The channel count of the pixels an encoder takes: (H, W) uint8 for
+    grayscale or (H, W, 3) uint8 for RGB, with no side of 0, as the decoders
+    require."""
+    if pixels.dtype != np.uint8:
+        raise DataFormatError(f"{encoder} needs uint8 pixels, got {pixels.dtype}")
+    if not (pixels.ndim == 2 or pixels.ndim == 3 and pixels.shape[2] == 3):
+        raise DataFormatError(f"unsupported pixel shape {pixels.shape}")
+    if 0 in pixels.shape:
+        raise DataFormatError(f"cannot encode a {pixels.shape[1]}x{len(pixels)} image")
+    return 1 if pixels.ndim == 2 else 3
+
+
+def _filter0_rows(pixels: np.ndarray) -> np.ndarray:
+    """(H, W) or (H, W, 3) uint8 pixels as PNG scanlines of filter type 0."""
+    return np.pad(pixels.reshape(len(pixels), -1), ((0, 0), (1, 0)))
+
+
 def encode_png(pixels: np.ndarray) -> bytes:
     """Encode an 8-bit image as PNG.
 
     pixels: (H, W) uint8 for grayscale, or (H, W, 3) uint8 for RGB.
     """
-    if pixels.dtype != np.uint8:
-        raise DataFormatError(f"encode_png needs uint8 pixels, got {pixels.dtype}")
-    if pixels.ndim == 2:
-        color_type = 0
-        raw = pixels[:, :, None]
-    elif pixels.ndim == 3 and pixels.shape[2] == 3:
-        color_type = 2
-        raw = pixels
-    else:
-        raise DataFormatError(f"unsupported pixel shape {pixels.shape}")
-    h, w = raw.shape[:2]
-    scanlines = bytearray()
-    for row in raw:
-        scanlines.append(0)  # filter type 0 (None)
-        scanlines.extend(row.tobytes())
-    ihdr = struct.pack(">IIBBBBB", w, h, 8, color_type, 0, 0, 0)
+    color_type = 0 if _channels(pixels, "encode_png") == 1 else 2
+    ihdr = struct.pack(">IIBBBBB", pixels.shape[1], len(pixels), 8, color_type, 0, 0, 0)
     return (PNG_SIGNATURE
             + _chunk(b"IHDR", ihdr)
-            + _chunk(b"IDAT", zlib.compress(bytes(scanlines)))
+            + _chunk(b"IDAT", zlib.compress(_filter0_rows(pixels).tobytes()))
             + _chunk(b"IEND", b""))
 
 
@@ -188,16 +197,8 @@ def decode_png(blob: bytes) -> np.ndarray:
 
 def encode_pnm(pixels: np.ndarray) -> bytes:
     """Encode uint8 pixels as P6 (RGB) or P5 (grayscale)."""
-    if pixels.dtype != np.uint8:
-        raise DataFormatError(f"encode_pnm needs uint8 pixels, got {pixels.dtype}")
-    if pixels.ndim == 2:
-        magic = b"P5"
-        h, w = pixels.shape
-    elif pixels.ndim == 3 and pixels.shape[2] == 3:
-        magic = b"P6"
-        h, w = pixels.shape[:2]
-    else:
-        raise DataFormatError(f"unsupported pixel shape {pixels.shape}")
+    magic = b"P5" if _channels(pixels, "encode_pnm") == 1 else b"P6"
+    h, w = pixels.shape[:2]
     return magic + f"\n{w} {h}\n255\n".encode() + pixels.tobytes()
 
 
@@ -241,28 +242,63 @@ def decode_pnm(blob: bytes) -> np.ndarray:
     return pixels[:, :, 0] if channels == 1 else pixels
 
 
-def _to_float_chw(pixels: np.ndarray) -> np.ndarray:
-    if pixels.ndim == 2:
-        pixels = np.repeat(pixels[:, :, None], 3, axis=2)
-    return pixels.astype(np.float64).transpose(2, 0, 1) / 255.0
-
-
-def decode_image(path) -> np.ndarray:
-    """Read a PNG or binary pixmap file into a (3, H, W) array in [0, 1].
-
-    Grayscale inputs are replicated across the three channels. An error
-    names the file.
-    """
+def _read_rows(path) -> tuple[np.ndarray, int]:
+    """Read a PNG or binary pixmap file as inflate_png's (rows, channels),
+    a pixmap's rows led by filter type 0. An error names the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
         if blob.startswith(PNG_SIGNATURE):
-            return _to_float_chw(decode_png(blob))
+            return inflate_png(blob)
         if blob[:2] in (b"P5", b"P6"):
-            return _to_float_chw(decode_pnm(blob))
+            pixels = decode_pnm(blob)
+            return _filter0_rows(pixels), 1 if pixels.ndim == 2 else 3
         raise DataFormatError("unknown image magic bytes")
     except (DataFormatError, DecodeError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+def decode_images(paths) -> np.ndarray:
+    """Read a list of image files of one size into one (n, 3, H, W) array in
+    [0, 1], gray replicated across the channels. Files are read one at a
+    time; runs of files of one row layout are unfiltered in blocks of at most
+    _BLOCK_VALUES filtered bytes and written straight into the result, so
+    the working memory is one block. An error names the file."""
+    if not paths:
+        return np.zeros((0, 3, 0, 0))
+    out = None
+    start = count = 0  # the block's first file, and its files so far
+
+    def write_block():
+        if count:
+            pixels = _unfilter(block[:count], channels)
+            np.divide(pixels.transpose(0, 3, 1, 2), 255.0,
+                      out=out[start:start + count])
+
+    for i, path in enumerate(paths):
+        rows, ch = _read_rows(path)
+        size = (rows.shape[0], (rows.shape[1] - 1) // ch)
+        if out is None:
+            out = np.empty((len(paths), 3) + size)
+        elif size != out.shape[2:]:
+            raise InputError(f"{path} is {size[0]}x{size[1]}, unlike "
+                             f"{paths[0]}; images must share one size")
+        if count and (count == len(block) or rows.shape != block.shape[1:]):
+            write_block()
+            count = 0
+        if not count:
+            start, channels = i, ch
+            files = min(len(paths) - i, max(1, _BLOCK_VALUES // rows.size))
+            block = np.empty((files,) + rows.shape, dtype=np.uint8)
+        block[count] = rows
+        count += 1
+    write_block()
+    return out
+
+
+def decode_image(path) -> np.ndarray:
+    """Read a PNG or binary pixmap file into a (3, H, W) array in [0, 1]."""
+    return decode_images([path])[0]
 
 
 def encode_image(path, pixels01: np.ndarray) -> None:

@@ -84,6 +84,14 @@ class TestMakeSynth:
                         "--size", "16", "--seed", "7"]) == 0
         assert tree_bytes(a) == tree_bytes(b)
 
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_size_below_one_exit_2(self, tmp_path, capsys, size):
+        out = tmp_path / "d"
+        assert run(["make-synth", "--out", str(out), "--per-class", "1",
+                    "--size", size]) == 2
+        assert f"image_size must be >= 1, got {size}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_per_class_zero(self, tmp_path, capsys):
         out = tmp_path / "d"
         assert run(["make-synth", "--out", str(out), "--per-class", "0",
@@ -193,6 +201,26 @@ class TestTrain:
                     "--config", tiny_config, "--steps", "1",
                     "--set", f"vit.depth={value}"]) == 2
 
+    @pytest.mark.parametrize("value", ["crop.aspect_range=()", "crop.blur_sigma=(0.5,)",
+                                       "crop.aspect_range=(0.5, 1.0, 2.0)"],
+                             ids=["empty", "short", "long"])
+    def test_tuple_of_another_length_exit_2(self, tmp_path, tiny_config, synth_dir,
+                                            capsys, value):
+        assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
+                    "--images", synth_dir, "--out", str(tmp_path / "o"),
+                    "--config", tiny_config, "--steps", "1", "--set", value]) == 2
+        assert "the default is" in capsys.readouterr().err
+
+    def test_non_utf8_config_names_its_line(self, tmp_path, synth_dir, capsys):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(TINY_CFG.encode() + "# café\n".encode("latin-1"))
+        line = TINY_CFG.count("\n") + 1
+        assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
+                    "--images", synth_dir, "--out", str(tmp_path / "o"),
+                    "--config", str(config), "--steps", "1"]) == 2
+        assert (f"latin1.cfg:{line}: config file is not UTF-8 text"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("counts", [["--steps", "-3"],
                                         ["--steps", "2", "--checkpoint-every", "-1"]],
                              ids=["steps", "checkpoint_every"])
@@ -250,7 +278,7 @@ class TestTrain:
         # blocks of two 16 px files: the 8 px file is the second of the first
         # block, or the first of the second
         from retinassl.imagecodec import encode_image
-        monkeypatch.setattr("retinassl.data._BLOCK_VALUES", 2 * 16 * (16 * 3 + 1))
+        monkeypatch.setattr("retinassl.imagecodec._BLOCK_VALUES", 2 * 16 * (16 * 3 + 1))
         sizes = [16, 8, 16] if position == "inside" else [16, 16, 8]
         names = ["a", "b", "c"]
         (tmp_path / "m.csv").write_text("image,level\n" + "".join(f"{n},0\n" for n in names))
@@ -379,9 +407,9 @@ def _with_step(payload, step):
     return json.dumps(meta).encode()
 
 
-def _with_vit_depth(payload, depth):
+def _with_config(payload, section, key, value):
     configs = json.loads(payload)
-    configs["vit"]["depth"] = depth
+    configs[section][key] = value
     return json.dumps(configs).encode()
 
 
@@ -403,7 +431,11 @@ MALFORMED_CHECKPOINTS = {
     "negative_step": lambda secs: [
         (n, _with_step(p, -5) if n == b"meta" else p) for n, p in secs],
     "vit_depth_a_string": lambda secs: [
-        (n, _with_vit_depth(p, "x") if n == b"configs" else p) for n, p in secs],
+        (n, _with_config(p, "vit", "depth", "x") if n == b"configs" else p)
+        for n, p in secs],
+    "aspect_range_of_one_element": lambda secs: [
+        (n, _with_config(p, "crop", "aspect_range", [0.75]) if n == b"configs" else p)
+        for n, p in secs],
     "center_shape_product_wraps": lambda secs: [
         (n, struct.pack("<BQQ", 2, 2 ** 32, 2 ** 32) if n == b"center" else p)
         for n, p in secs],

@@ -1,3 +1,4 @@
+import builtins
 import functools
 import json
 import os
@@ -161,6 +162,13 @@ class TestPng:
     def test_bad_magic(self):
         with pytest.raises(DataFormatError):
             decode_png(b"NOTAPNG.........")
+
+    @pytest.mark.parametrize("encode", [encode_png, encode_pnm])
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0, 3), (4, 0, 3)])
+    def test_empty_image_refused(self, encode, shape):
+        # the decoders refuse a 0-pixel side, so the encoders do too
+        with pytest.raises(DataFormatError, match="cannot encode"):
+            encode(np.zeros(shape, dtype=np.uint8))
 
     def test_corrupt_chunk_crc(self):
         blob = bytearray(encode_png(np.zeros((2, 2, 3), dtype=np.uint8)))
@@ -375,7 +383,8 @@ class TestManifest:
     def test_load_images_bits_do_not_depend_on_the_block(self, tmp_path, monkeypatch,
                                                          block_files):
         path, pixels = _adaptive_files(tmp_path, 40, 9, 11, seed=6)
-        monkeypatch.setattr("retinassl.data._BLOCK_VALUES", block_files * 9 * (11 * 3 + 1))
+        monkeypatch.setattr("retinassl.imagecodec._BLOCK_VALUES",
+                            block_files * 9 * (11 * 3 + 1))
         m = load_manifest(path, tmp_path)
         images = m.load_images()
         assert images.shape == (40, 3, 9, 11)
@@ -387,22 +396,47 @@ class TestManifest:
     def test_gray_rgb_and_pnm_of_one_size_load_together(self, tmp_path, monkeypatch,
                                                         block_files):
         rng = np.random.default_rng(8)
-        names = []
-        for i, kind in enumerate(["rgb", "rgb", "gray", "pnm", "gray", "rgb", "pnm", "rgb"]):
+        names, pixels = [], []
+        for i, kind in enumerate(["rgb", "rgb", "gray", "pnm", "gray", "rgb", "pnm", "rgb",
+                                  "pgm"]):
             names.append(f"{kind}{i}")
-            shape = (6, 5) if kind == "gray" else (6, 5, 3)
+            shape = (6, 5) if kind in ("gray", "pgm") else (6, 5, 3)
             px = rng.integers(0, 256, size=shape, dtype=np.uint8)
+            pixels.append(np.repeat(px[:, :, None], 3, axis=2) if px.ndim == 2 else px)
             if kind == "pnm":
                 (tmp_path / f"{kind}{i}.ppm").write_bytes(encode_pnm(px))
+            elif kind == "pgm":
+                (tmp_path / f"{kind}{i}.pgm").write_bytes(encode_pnm(px))
             else:
                 types = rng.integers(0, 5, size=6).tolist()
                 (tmp_path / f"{kind}{i}.png").write_bytes(_filtered_png(px, types))
         path = self._write(tmp_path, [f"{n},0" for n in names])
-        monkeypatch.setattr("retinassl.data._BLOCK_VALUES", block_files * 6 * 16)
+        monkeypatch.setattr("retinassl.imagecodec._BLOCK_VALUES", block_files * 6 * 16)
         m = load_manifest(path, tmp_path)
         images = m.load_images()
+        np.testing.assert_array_equal(images, np.stack(pixels).transpose(0, 3, 1, 2) / 255.0)
         for i, record in enumerate(m.records):
             np.testing.assert_array_equal(images[i], decode_image(record.path))
+
+    def test_every_file_is_opened_once(self, tmp_path, monkeypatch):
+        names = ["a", "b", "c", "d"]
+        path = self._write(tmp_path, [f"{n},0" for n in names])
+        px = np.arange(48, dtype=np.uint8).reshape(4, 4, 3)
+        encode_image(tmp_path / "a.png", px.transpose(2, 0, 1) / 255.0)
+        (tmp_path / "b.ppm").write_bytes(encode_pnm(px))
+        (tmp_path / "c.pgm").write_bytes(encode_pnm(px[:, :, 0]))
+        (tmp_path / "d.ppm").write_bytes(encode_pnm(px))
+        m = load_manifest(path, tmp_path)
+        opened, real_open = [], builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.path.basename(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        m.load_images()
+        monkeypatch.undo()
+        assert sorted(opened) == ["a.png", "b.ppm", "c.pgm", "d.ppm"]
 
     @pytest.mark.parametrize("damage", ["crc", "filter 5", "filter 255", "magic"])
     def test_load_images_error_names_the_file(self, tmp_path, damage):

@@ -6,6 +6,7 @@ from retinassl.autodiff import Tape, Tensor, backward
 from retinassl.crops import MultiCropConfig
 from retinassl.distill import (
     DistillConfig,
+    batch_schedule,
     center_update,
     clip_gradients,
     distillation_loss,
@@ -434,6 +435,10 @@ class TestTrainStep:
             return lines
 
         assert run() == run()
+
+    @pytest.mark.parametrize("n, expected", [(10, (4, 3)), (8, (4, 2)), (3, (3, 1))])
+    def test_batch_schedule(self, n, expected):
+        assert batch_schedule(n, DistillConfig(batch_size=4)) == expected
 
 
 class TestMeanEntropy:

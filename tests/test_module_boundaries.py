@@ -1,0 +1,21 @@
+"""Modules of the library reach each other through public names only, so a
+private name can change with its own module and nowhere else."""
+
+import ast
+from pathlib import Path
+
+import retinassl
+
+PACKAGE = Path(retinassl.__file__).parent
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or (node.module or "").split(".")[0] == "retinassl":
+                found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert not found, found
