@@ -89,6 +89,11 @@ class MultiCropBatch:
 
 _A = -0.5
 
+# Values of the input that one chunk of a batched stage may hold: slices of
+# a `resample`, views of an `apply_plans` stage. Small enough that a chunk's
+# temporaries stay in cache; no output bit depends on it.
+_CHUNK_VALUES = 1 << 16
+
 
 def _cubic_weight(t: np.ndarray) -> np.ndarray:
     t = np.abs(t)
@@ -131,16 +136,47 @@ def resample_matrix(in_size: int, out_size: int) -> np.ndarray:
 
 def bicubic_resize(image: np.ndarray, out_size: int | tuple[int, int]) -> np.ndarray:
     """Separable bicubic resize of a (..., H, W) array: Mh @ image @ Mw.T
-    with the matrices of `resample_matrix`.
+    with the matrices of `resample_matrix`, computed by `resample`.
 
     Catmull-Rom kernel (a = -0.5), edge-clamped taps, half-pixel sample
     centers. The kernel is pinned so outputs are portable across platforms.
-    Always returns a new array; a same-size resize of finite input is a
-    bit-exact copy.
+    Always returns a new array. An axis whose size does not change skips its
+    product and is copied, so a same-size resize is a copy: the taps are
+    exactly the identity there, so for finite input the bits are those of
+    the product, but a NaN or an infinity now stays where it is rather than
+    spreading along its row or column (and -0.0 stays -0.0).
     """
     out_h, out_w = (out_size, out_size) if isinstance(out_size, int) else out_size
     h, w = image.shape[-2:]
-    return resample_matrix(h, out_h) @ image @ resample_matrix(w, out_w).T
+    if min(h, w, out_h, out_w) < 1:
+        raise ParameterError(f"sizes must be >= 1, got {h}x{w} -> {out_h}x{out_w}")
+    return resample(image, None if out_h == h else resample_matrix(h, out_h),
+                    None if out_w == w else resample_matrix(w, out_w))
+
+
+def resample(images: np.ndarray, rows: np.ndarray | None,
+             cols: np.ndarray | None) -> np.ndarray:
+    """rows @ images @ cols.T over the last two axes of a (..., H, W) stack,
+    written into one new array; a None matrix leaves its axis as it is.
+
+    The leading axis goes through a chunk of about `_CHUNK_VALUES` input
+    values at a time, so no temporary outgrows a chunk. Each (H, W) slice
+    meets the same 2-D products whatever the chunk, so no bit depends on it.
+    """
+    h, w = images.shape[-2:]
+    out = np.empty(images.shape[:-2] + (h if rows is None else len(rows),
+                                        w if cols is None else len(cols)))
+    src, dst = (images[None], out[None]) if images.ndim == 2 else (images, out)
+    step = max(1, _CHUNK_VALUES // max(1, math.prod(src.shape[1:])))
+    for lo in range(0, len(src), step):
+        part = src[lo:lo + step]
+        if rows is not None:
+            part = rows @ part
+        if cols is None:
+            dst[lo:lo + step] = part
+        else:  # the last product is written in place, not copied
+            np.matmul(part, cols.T, out=dst[lo:lo + step])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +241,6 @@ def sample_crop(image: np.ndarray, scale_range: tuple[float, float], out_size: i
 
 _LUMA = np.array([0.299, 0.587, 0.114])
 _BLUR_TRUNCATE = 4.0
-_CHUNK_VALUES = 1 << 16
 
 
 # A plan row holds one view's uniforms in draw order: 5 decisions, each

@@ -58,14 +58,16 @@ def _resolve_path(directory: str, image_id: str) -> str | None:
 
 def _csv_rows(fh):
     """(first physical line, row) for each row of a CSV file opened in binary
-    mode; text that is not UTF-8 and rows the csv module refuses (a field
-    over its size limit, say) are ManifestErrors naming their line."""
-    data = fh.read()
+    mode; a leading UTF-8 byte-order mark is dropped, and text that is not
+    UTF-8 and rows the csv module refuses (a field over its size limit, say)
+    are ManifestErrors naming their line."""
     try:
-        text = data.decode("utf-8")
+        text = fh.read().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # the bad byte's line as csv numbers lines: the line breaks before it
-        # (\n, \r\n or \r), plus its own line, which the b"x" stands in for
+        # (\n, \r\n or \r), plus its own line, which the b"x" stands in for;
+        # exc.object is the text after any byte-order mark, as exc.start is
+        data = exc.object
         line = len((data[:exc.start] + b"x").splitlines())
         raise ManifestError(f"manifest is not UTF-8 text: {exc.reason} "
                             f"(byte 0x{data[exc.start]:02x})", line=line) from None

@@ -2,7 +2,8 @@
 
 All three protocols read model parameters without mutating them. The probe
 is the only trained object here and it is a plain (feature_dim x 5) linear
-layer optimized with momentum SGD on softmax cross-entropy.
+layer optimized with momentum SGD on softmax cross-entropy, in plain numpy
+with the gradient in closed form.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tape, Tensor, backward
-from .crops import bicubic_resize, resample_matrix
+from .autodiff import Tensor
+from .crops import bicubic_resize, resample, resample_matrix
 from .errors import ContractError, InputError, ParameterError
 from .vit import EVAL, ViTConfig, encoder_forward, last_layer_attention, patch_embed
 
@@ -137,13 +137,14 @@ def probe_eval_transform(images: np.ndarray, target_size: int) -> np.ndarray:
     """Test-time transform: resize to ceil(8/7 * s), center-crop to s.
 
     Only the kept rows and columns are resampled: the crop's rows of each
-    axis' resample matrix give the (n, 3, s, s) result directly.
+    axis' resample matrix give the (n, 3, s, s) result directly, a chunk of
+    images at a time (`crops.resample`).
     """
     big = int(np.ceil(target_size * 8.0 / 7.0))
     off = (big - target_size) // 2
     keep = slice(off, off + target_size)
     h, w = images.shape[-2:]
-    return resample_matrix(h, big)[keep] @ images @ resample_matrix(w, big)[keep].T
+    return resample(images, resample_matrix(h, big)[keep], resample_matrix(w, big)[keep])
 
 
 def probe_train_transform(images: np.ndarray, target_size: int,
@@ -151,8 +152,9 @@ def probe_train_transform(images: np.ndarray, target_size: int,
     """Train-time transform: resize to the model size + random horizontal flip."""
     out = bicubic_resize(images, target_size)
     if flip:
-        do = rng.random(len(out)) < 0.5
-        out[do] = out[do][:, :, :, ::-1]
+        # an image at a time, so no copy of the flipped half is made
+        for i in np.flatnonzero(rng.random(len(out)) < 0.5):
+            out[i] = out[i, ..., ::-1]
     return out
 
 
@@ -166,17 +168,32 @@ def probe_lr_at(step: int, total_steps: int, base_lr: float) -> float:
 
 def train_linear_probe(features: np.ndarray, labels: np.ndarray,
                        config: ProbeConfig | None = None) -> LinearProbe:
-    """Momentum SGD on softmax cross-entropy over frozen features."""
+    """Momentum SGD on softmax cross-entropy over frozen features.
+
+    Each step is plain numpy with the gradient in closed form, in the
+    operations and order of the taped chain linear -> log_softmax_rows ->
+    cross_entropy_rows -> mean, so the weights are those of the tape's
+    backward bit for bit. With t = onehot * (-1/bs), the gradient of the
+    mean cross entropy at log p, the logits' gradient is
+    t - exp(log p) * rowsum(t).
+    """
     config = config or ProbeConfig()
     n, d = features.shape if features.ndim == 2 else (0, 0)
     if n == 0:
         raise InputError("empty probe training set")
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise InputError(f"{labels.size} probe labels for {n} feature rows")
+    if not (np.issubdtype(labels.dtype, np.integer)
+            and np.all((labels >= 0) & (labels < N_CLASSES))):
+        raise InputError("probe labels must be integer grades in 0..4")
+    features = np.asarray(features, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x9806E]))
-    w = Tensor(np.zeros((d, N_CLASSES)), requires_grad=True)
-    b = Tensor(np.zeros(N_CLASSES), requires_grad=True)
-    vel = {id(w): np.zeros_like(w.data), id(b): np.zeros_like(b.data)}
-    onehot = np.eye(N_CLASSES)[labels]
+    w = np.zeros((d, N_CLASSES))
+    b = np.zeros(N_CLASSES)
+    vel_w, vel_b = np.zeros_like(w), np.zeros_like(b)
     bs = min(config.batch_size, n)
+    target_grad = np.eye(N_CLASSES)[labels] * (-1.0 / bs)
     steps_per_epoch = max(1, n // bs)
     total = config.epochs * steps_per_epoch
     step = 0
@@ -184,25 +201,25 @@ def train_linear_probe(features: np.ndarray, labels: np.ndarray,
         order = rng.permutation(n)
         for s in range(steps_per_epoch):
             idx = order[s * bs:(s + 1) * bs]
-            x, y = features[idx], onehot[idx]
-            with Tape() as tape:
-                logits = ad.linear(Tensor(x), w, b)
-                logp = ad.log_softmax_rows(logits, 1.0)
-                loss = ad.mean(ad.cross_entropy_rows(y, logp))
-            w.grad = None
-            b.grad = None
-            backward(loss, tape, leaves=(w, b))
+            x, t = features[idx], target_grad[idx]
+            log_p = x @ w
+            log_p += b
+            log_p -= log_p.max(axis=-1, keepdims=True)
+            log_p -= np.log(np.exp(log_p).sum(axis=-1, keepdims=True))
+            g = t - np.exp(log_p) * t.sum(axis=-1, keepdims=True)
             lr = probe_lr_at(step, total, config.lr)
-            for p in (w, b):
-                v = vel[id(p)]
+            for p, v, grad in ((w, vel_w, x.T @ g), (b, vel_b, g.sum(axis=0))):
                 v *= config.momentum
-                v += p.grad
-                p.data = p.data - lr * v
+                v += grad
+                p -= lr * v
             step += 1
-    return LinearProbe(weight=w.data.copy(), bias=b.data.copy())
+    return LinearProbe(weight=w, bias=b)
 
 
 def probe_predict(probe: LinearProbe, features: np.ndarray) -> np.ndarray:
+    if features.ndim != 2 or features.shape[1] != len(probe.weight):
+        raise InputError(f"probe features of shape {features.shape} do not match "
+                         f"the probe's width {len(probe.weight)}")
     logits = features @ probe.weight + probe.bias
     return np.argmax(logits, axis=1)
 

@@ -337,6 +337,40 @@ class TestTrain:
                     "--config", tiny_config, "--steps", "1"]) == 2
         assert "error: line 4: manifest is not UTF-8 text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("with_bom", ["manifest", "config"])
+    def test_byte_order_mark_is_accepted(self, tmp_path, tiny_config, synth_dir, with_bom):
+        # spreadsheet programs write "CSV UTF-8" with a leading byte-order mark
+        files = {"manifest": f"{synth_dir}/manifest.csv", "config": tiny_config}
+        with open(files[with_bom], "rb") as fh:
+            (tmp_path / "bom").write_bytes(b"\xef\xbb\xbf" + fh.read())
+        args = ["train", "--images", synth_dir, "--steps", "1"]
+        plain = args + ["--manifest", files["manifest"], "--config", tiny_config]
+        files[with_bom] = str(tmp_path / "bom")
+        bom = args + ["--manifest", files["manifest"], "--config", files["config"]]
+        assert run(plain + ["--out", str(tmp_path / "plain")]) == 0
+        assert run(bom + ["--out", str(tmp_path / "o")]) == 0
+        assert ((tmp_path / "o" / "metrics.log").read_bytes()
+                == (tmp_path / "plain" / "metrics.log").read_bytes())
+
+    def test_non_utf8_manifest_after_a_bom_names_its_line(self, tmp_path, tiny_config,
+                                                          capsys):
+        (tmp_path / "m.csv").write_bytes(b"\xef\xbb\xbfimage,level\na,0\n\xff\xfe,1\n")
+        assert run(["train", "--manifest", str(tmp_path / "m.csv"),
+                    "--images", str(tmp_path), "--out", str(tmp_path / "o"),
+                    "--config", tiny_config, "--steps", "1"]) == 2
+        assert ("error: line 3: manifest is not UTF-8 text: invalid start byte "
+                "(byte 0xff)" in capsys.readouterr().err)
+
+    def test_non_utf8_config_after_a_bom_names_its_line(self, tmp_path, synth_dir, capsys):
+        config = tmp_path / "bom.cfg"
+        config.write_bytes(b"\xef\xbb\xbf" + TINY_CFG.encode() + "# café\n".encode("latin-1"))
+        line = TINY_CFG.count("\n") + 1
+        assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
+                    "--images", synth_dir, "--out", str(tmp_path / "o"),
+                    "--config", str(config), "--steps", "1"]) == 2
+        assert (f"bom.cfg:{line}: config file is not UTF-8 text: invalid continuation "
+                "byte (byte 0xe9)" in capsys.readouterr().err)
+
     def test_overlong_manifest_field_exit_2(self, tmp_path, tiny_config, capsys):
         # past the csv module's default field limit of 131072 characters
         (tmp_path / "m.csv").write_text("image,level\n" + "a" * 140_000 + ",1\n")

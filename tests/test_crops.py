@@ -44,9 +44,26 @@ class TestBicubicResize:
 
     def test_same_size_is_an_unaliased_exact_copy(self):
         img = random_image(2, 16)
+        kept = img.copy()
         out = bicubic_resize(img, 16)
         assert np.array_equal(out, img)
         assert not np.shares_memory(out, img)
+        out[:] = -1.0  # writing to the result leaves the input as it was
+        assert np.array_equal(img, kept)
+
+    @pytest.mark.parametrize("in_hw, out_hw", [((48, 40), (48, 32)), ((40, 48), (32, 48))])
+    def test_one_same_size_axis_equals_the_two_products(self, in_hw, out_hw):
+        (h, w), (oh, ow) = in_hw, out_hw
+        images = np.random.default_rng(h).random((2, 3, h, w))
+        oracle = resample_matrix(h, oh) @ images @ resample_matrix(w, ow).T
+        assert np.array_equal(bicubic_resize(images, out_hw), oracle)
+
+    def test_a_same_size_axis_keeps_a_nan_in_place(self):
+        img = np.zeros((1, 6, 6))
+        img[0, 2, 3] = np.nan
+        out = bicubic_resize(img, (6, 9))  # rows are copied, columns resampled
+        assert np.isnan(out[0, 2]).any() and not np.isnan(np.delete(out[0], 2, 0)).any()
+        assert np.array_equal(np.isnan(bicubic_resize(img, 6)), np.isnan(img))
 
     def test_constant_preserved(self):
         img = np.full((3, 8, 8), 0.37)

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retinassl import evaluation
-from retinassl.crops import bicubic_resize
+from retinassl import autodiff as ad
+from retinassl import crops, evaluation
+from retinassl.crops import bicubic_resize, resample_matrix
 from retinassl.errors import ContractError, InputError, ParameterError
 from retinassl.evaluation import (EmbeddingIndex, KnnConfig, ProbeConfig,
                                   attention_heatmaps, build_index,
                                   compute_metrics, extract_features,
                                   knn_classify, probe_eval_transform,
                                   probe_lr_at, probe_predict,
-                                  train_linear_probe)
+                                  probe_train_transform, train_linear_probe)
 from retinassl.vit import ViTConfig, init_backbone_params
 
 
@@ -180,6 +181,133 @@ class TestLinearProbe:
         b = train_linear_probe(feats, labels, ProbeConfig(epochs=10))
         np.testing.assert_array_equal(a.weight, b.weight)
         np.testing.assert_array_equal(a.bias, b.bias)
+
+
+def taped_probe(features, labels, config):
+    """The probe's momentum-SGD loop run through the tape: linear,
+    log_softmax_rows, cross_entropy_rows and mean, then backward. The
+    oracle for the closed-form step of train_linear_probe."""
+    n, d = features.shape
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x9806E]))
+    w = ad.Tensor(np.zeros((d, 5)), requires_grad=True)
+    b = ad.Tensor(np.zeros(5), requires_grad=True)
+    vel = {id(w): np.zeros_like(w.data), id(b): np.zeros_like(b.data)}
+    onehot = np.eye(5)[labels]
+    bs = min(config.batch_size, n)
+    steps_per_epoch = max(1, n // bs)
+    total = config.epochs * steps_per_epoch
+    step = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for s in range(steps_per_epoch):
+            idx = order[s * bs:(s + 1) * bs]
+            with ad.Tape() as tape:
+                logits = ad.linear(ad.Tensor(features[idx]), w, b)
+                logp = ad.log_softmax_rows(logits, 1.0)
+                loss = ad.mean(ad.cross_entropy_rows(onehot[idx], logp))
+            w.grad = b.grad = None
+            ad.backward(loss, tape, leaves=(w, b))
+            lr = probe_lr_at(step, total, config.lr)
+            for p in (w, b):
+                v = vel[id(p)]
+                v *= config.momentum
+                v += p.grad
+                p.data = p.data - lr * v
+            step += 1
+    return w.data, b.data
+
+
+class TestProbeStep:
+    @pytest.mark.parametrize("n, batch", [
+        (24, 1), (45, 7), (96, 32),  # 45 is not a multiple of 7
+        (40, 40), (20, 50), (50, 32),  # a batch equal to n, larger than n
+    ])
+    def test_bit_equal_to_the_taped_loop(self, n, batch):
+        rng = np.random.default_rng(n * batch)
+        feats = rng.normal(scale=3.0, size=(n, 6))
+        labels = rng.integers(0, 5, n)
+        cfg = ProbeConfig(lr=0.05, epochs=4, batch_size=batch, seed=batch)
+        probe = train_linear_probe(feats, labels, cfg)
+        want_w, want_b = taped_probe(feats, labels, cfg)
+        assert np.array_equal(probe.weight, want_w)
+        assert np.array_equal(probe.bias, want_b)
+        assert np.abs(probe.weight).max() > 0.01  # the steps moved the weights
+
+    def test_never_enters_a_tape(self, monkeypatch):
+        entered = []
+        enter = ad.Tape.__enter__
+
+        def spy(tape):
+            entered.append(tape)
+            return enter(tape)
+
+        monkeypatch.setattr(ad.Tape, "__enter__", spy)
+        feats = np.random.default_rng(1).normal(size=(12, 3))
+        labels = np.arange(12) % 5
+        cfg = ProbeConfig(epochs=2, batch_size=4)
+        train_linear_probe(feats, labels, cfg)
+        assert entered == []
+        taped_probe(feats, labels, cfg)  # the spy sees a taped loop
+        assert len(entered) == 6
+
+    @pytest.mark.parametrize("labels", [
+        np.array([0, 1, 2, -1]), np.array([0, 1, 2, 5]),
+        np.array([0.0, 1.0, 2.0, 3.0]), np.array([0, 1, 2]),
+        np.array([0, 1, 2, 3, 4]), np.array([[0, 1], [2, 3]]),
+    ], ids=["negative", "above_4", "float", "short", "long", "2d"])
+    def test_bad_labels_rejected(self, labels):
+        with pytest.raises(InputError, match="probe labels"):
+            train_linear_probe(np.ones((4, 3)), labels)
+
+    def test_predict_on_features_of_another_width(self):
+        probe = train_linear_probe(np.ones((4, 3)), np.arange(4), ProbeConfig(epochs=1))
+        for feats in (np.ones((2, 4)), np.ones(3)):
+            with pytest.raises(InputError, match="probe's width 3"):
+                probe_predict(probe, feats)
+
+
+class TestChunkedTransforms:
+    """Both transforms against whole-array products M @ X @ N.T, with the
+    resampling chunk set to 4 images."""
+
+    @pytest.fixture(autouse=True)
+    def four_images_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(crops, "_CHUNK_VALUES", 4 * 3 * 20 * 26)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5])
+    def test_eval_transform(self, n):
+        imgs = np.random.default_rng(n).random((n, 3, 20, 26))
+        keep = slice(1, 15)  # 14 of the 16 rows of the ceil(8/7 * 14) resize
+        oracle = resample_matrix(20, 16)[keep] @ imgs @ resample_matrix(26, 16)[keep].T
+        assert np.array_equal(probe_eval_transform(imgs, 14), oracle)
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5])
+    def test_train_transform(self, n):
+        imgs = np.random.default_rng(n).random((n, 3, 20, 26))
+        oracle = resample_matrix(20, 14) @ imgs @ resample_matrix(26, 14).T
+        flip = np.random.default_rng(7).random(n) < 0.5
+        oracle[flip] = oracle[flip][..., ::-1]
+        got = probe_train_transform(imgs, 14, np.random.default_rng(7))
+        assert np.array_equal(got, oracle)
+
+    def test_memory_is_the_output_and_a_chunk(self):
+        imgs = np.random.default_rng(10).random((64, 3, 20, 26))
+        for transform in (lambda: probe_eval_transform(imgs, 14),
+                          lambda: probe_train_transform(imgs, 14, np.random.default_rng(0))):
+            tracemalloc.start()
+            try:
+                out = transform()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < out.nbytes + imgs[:8].nbytes
+
+    def test_same_size_train_transform_is_a_flipped_copy(self):
+        imgs = np.random.default_rng(8).random((9, 3, 16, 16))
+        flip = np.random.default_rng(9).random(9) < 0.5
+        got = probe_train_transform(imgs, 16, np.random.default_rng(9))
+        assert np.array_equal(got[~flip], imgs[~flip])
+        assert np.array_equal(got[flip], imgs[flip][..., ::-1])
 
 
 class TestEvalTransform:
