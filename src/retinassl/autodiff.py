@@ -185,9 +185,11 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    """Sum over `axis`. The gradient is a read-only broadcast view of the
+    incoming one, not an input-sized array of copies."""
     def grad_a(g):
         gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.data.shape).copy()
+        return np.broadcast_to(gg, a.data.shape)
 
     return _record(a.data.sum(axis=axis, keepdims=keepdims), (a,), grad_a)
 
@@ -265,8 +267,16 @@ def log_softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
     z = x.data / tau
     z = z - z.max(axis=-1, keepdims=True)
     log_p = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    return _record(log_p, (x,), lambda g: (
-        g - np.exp(log_p) * g.sum(axis=-1, keepdims=True)) / tau)
+
+    def grad_x(g):
+        # (g - exp(log_p) * rowsum(g)) / tau, written into one buffer
+        dx = np.exp(log_p)
+        dx *= g.sum(axis=-1, keepdims=True)
+        np.subtract(g, dx, out=dx)
+        dx /= tau
+        return dx
+
+    return _record(log_p, (x,), grad_x)
 
 
 def attention(qkv: Tensor, n_heads: int, scale: float,
@@ -420,6 +430,14 @@ def backward(loss: Tensor, tape: Tape, leaves: Iterable[Tensor] = ()) -> None:
     Only here are constant inputs skipped and gradients unbroadcast and
     accumulated. Leaves listed in `leaves` that are not on the loss's
     dependency cone get an explicit zero gradient.
+
+    The sweep consumes the tape: each entry is popped as it is reached, so
+    its gradient functions and the activations they saved are freed, and
+    each interior output's grad is reset to None once its parents have their
+    share. Afterwards `tape.nodes` is empty and only leaves hold gradients.
+    A leaf's grad can be a read-only view (`tensor_sum` broadcasts) or the
+    very array another leaf holds (`add` passes one on to both), so copy it
+    before writing into it.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -427,10 +445,13 @@ def backward(loss: Tensor, tape: Tape, leaves: Iterable[Tensor] = ()) -> None:
     # Interior tensors are created with requires_grad=True by _record, so the
     # per-tensor grad slots double as the sweep's accumulation buffers.
     loss.grad = np.ones((), dtype=DTYPE)
-    for out, parents, grad_fns in reversed(tape.nodes):
+    nodes = tape.nodes
+    while nodes:
+        out, parents, grad_fns = nodes.pop()
         if out.grad is None:
             continue
         g = np.asarray(out.grad, dtype=DTYPE)
+        out.grad = None
         for parent, grad_fn in zip(parents, grad_fns):
             if parent.requires_grad:
                 gp = _unbroadcast(grad_fn(g), parent.data.shape)

@@ -10,7 +10,7 @@ momentum update of the output center.
 
 from __future__ import annotations
 
-import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +32,9 @@ from .vit import (
 
 METRICS_HEADER = "step\tepoch\tloss\tlr\twd\tlambda\tteacher_entropy"
 
+# the largest temporary of an optimizer step, in values (see optimizer_step)
+_BLOCK_VALUES = 1 << 14
+
 
 @dataclass
 class DistillConfig:
@@ -52,8 +55,12 @@ class DistillConfig:
     freeze_last_steps: int = 0    # steps with the prototype layer held fixed
 
     def __post_init__(self):
-        if self.tau_s <= 0 or self.tau_t <= 0:
-            raise ParameterError("temperatures must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in (self.tau_s, self.tau_t)):
+            raise ParameterError(f"temperatures must be finite and positive, "
+                                 f"got {self.tau_s} and {self.tau_t}")
+        if not all(math.isfinite(r) and r >= 0 for r in (self.base_lr, self.lr_floor)):
+            raise ParameterError(f"base_lr and lr_floor must be finite and >= 0, "
+                                 f"got {self.base_lr} and {self.lr_floor}")
         if not (0.0 <= self.center_momentum < 1.0):
             raise ParameterError(f"center momentum must be in [0, 1), got {self.center_momentum}")
         if not (0.99 <= self.ema_start <= self.ema_end <= 1.0):
@@ -107,7 +114,8 @@ def init_train_state(vit_config: ViTConfig, head_config: ProjectionHeadConfig,
 # ---------------------------------------------------------------------------
 
 def ema_update(teacher: dict[str, Tensor], student: dict[str, Tensor], lam: float) -> None:
-    """w_t <- lam * w_t + (1 - lam) * w_s, elementwise, in place."""
+    """w_t <- lam * w_t + (1 - lam) * w_s, elementwise, written into the
+    teacher's arrays with one temporary per parameter."""
     if not (0.0 <= lam <= 1.0):
         raise ParameterError(f"lambda must be in [0, 1], got {lam}")
     if teacher.keys() != student.keys():
@@ -116,7 +124,8 @@ def ema_update(teacher: dict[str, Tensor], student: dict[str, Tensor], lam: floa
         ws = student[name]
         if wt.shape != ws.shape:
             raise ContractError(f"shape mismatch for {name}: {wt.shape} vs {ws.shape}")
-        wt.data = lam * wt.data + (1.0 - lam) * ws.data
+        wt.data *= lam
+        wt.data += (1.0 - lam) * ws.data
 
 
 def center_update(center: np.ndarray, teacher_logits: np.ndarray, momentum: float) -> np.ndarray:
@@ -173,14 +182,31 @@ def distillation_loss(teacher_probs: np.ndarray, student_log_probs: Tensor) -> T
 def clip_gradients(grads: dict[str, np.ndarray], threshold: float,
                    ) -> tuple[dict[str, np.ndarray], float]:
     """Global L2-norm clipping: if the joint norm exceeds the threshold, all
-    gradients are scaled by threshold / norm. Returns (grads, pre-clip norm)."""
+    gradients are scaled by threshold / norm, in place. Returns (grads,
+    pre-clip norm).
+
+    Two leaves' gradients can be one array (`add` hands its output gradient
+    to both parents unchanged), and one can be a read-only broadcast view
+    (`tensor_sum`'s gradient). So an entry that is read-only, or whose memory
+    belongs to an earlier entry's array, is first replaced by a copy, in
+    `grads` itself: every piece of memory is then scaled exactly once.
+    """
     if threshold <= 0:
         raise ParameterError(f"threshold must be positive, got {threshold}")
     sq = sum(float((g * g).sum()) for g in grads.values())
     norm = np.sqrt(sq)
     if norm > threshold:
         factor = threshold / norm
-        grads = {k: g * factor for k, g in grads.items()}
+        owners = set()
+        for name, g in grads.items():
+            owner = g
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            if id(owner) in owners or not g.flags.writeable:
+                grads[name] = g.copy()
+            owners.add(id(owner))
+        for g in grads.values():
+            g *= factor
     return grads, norm
 
 
@@ -221,29 +247,39 @@ def optimizer_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 
     Decay applies to weight matrices only (ndim >= 2), not to biases,
     normalization affine parameters, or the weight-norm magnitudes.
+
+    The parameters and both moments are updated in place. The update needs
+    two temporaries at once (m / bc1 and its denominator), so each parameter
+    goes a block of leading rows at a time and every temporary is at most
+    `_BLOCK_VALUES` values; the arithmetic is elementwise, so blocks do not
+    change the bits.
     """
     if lr < 0 or weight_decay < 0:
         raise ParameterError("lr and weight_decay must be nonnegative")
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
     for name, p in params.items():
-        g = grads[name]
-        m = opt_m[name] = beta1 * opt_m[name] + (1.0 - beta1) * g
-        v = opt_v[name] = beta2 * opt_v[name] + (1.0 - beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        g, m, v = grads[name], opt_m[name], opt_v[name]
         wd = weight_decay if p.data.ndim >= 2 else 0.0
-        p.data = p.data - lr * (update + wd * p.data)
+        for rows in _row_blocks(p.data.shape):
+            gb, mb, vb, pb = g[rows], m[rows], v[rows], p.data[rows]
+            mb *= beta1
+            mb += (1.0 - beta1) * gb
+            vb *= beta2
+            vb += (1.0 - beta2) * gb * gb
+            update = (mb / bc1) / (np.sqrt(vb / bc2) + eps)
+            update += wd * pb
+            update *= lr
+            pb -= update
 
 
-# ---------------------------------------------------------------------------
-# forward helpers
-# ---------------------------------------------------------------------------
-
-def _forward_logits(images: np.ndarray, vit_config: ViTConfig,
-                    head_config: ProjectionHeadConfig, params: dict[str, Tensor],
-                    mode: str, rng) -> Tensor:
-    out = backbone_forward(images, vit_config, params, mode=mode, rng=rng)
-    return projection_head_forward(out.cls_features, head_config, params)
+def _row_blocks(shape: tuple[int, ...]) -> list:
+    """Indices that cover an array of `shape` a block of about
+    `_BLOCK_VALUES` values, whole leading rows, at a time."""
+    if not shape:
+        return [...]
+    rows = max(1, _BLOCK_VALUES // max(1, math.prod(shape[1:])))
+    return [slice(lo, lo + rows) for lo in range(0, shape[0], rows)]
 
 
 def mean_entropy(probs: np.ndarray) -> float:
@@ -280,30 +316,38 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
     Order of effects: teacher forward (tape-free), student forward, loss,
     backward (student only), clip, optimizer step, EMA teacher update,
     center update from this step's teacher logits.
+
+    The step keeps only what it still needs: backward consumes the tape, the
+    crops and the student's logits are dropped before it, and the update
+    works in place. The gradients are taken off the student's leaves, so
+    they are freed when the step returns.
     """
     cfg = distill_config
     rng = state.rng
 
     batch = build_multicrop(images, crop_config, rng)
 
-    # Teacher path: tape-free, eval mode, current center, one call per crop.
-    teacher_logits = np.stack([
-        _forward_logits(crop, vit_config, head_config, state.teacher, EVAL, None).data
-        for crop in batch.teacher_global])
+    # Teacher path: tape-free, eval mode, current center, one call over every
+    # global crop; its rows are crop-major, (G, B) flattened.
+    views = batch.teacher_global
+    out = backbone_forward(views.reshape((-1,) + views.shape[2:]), vit_config,
+                           state.teacher, mode=EVAL)
+    teacher_logits = projection_head_forward(
+        out.cls_features, head_config, state.teacher).data.reshape(views.shape[:2] + (-1,))
     p_t = teacher_probs(teacher_logits, state.center, cfg.tau_t, cfg.center_sign)
 
-    # Student path: taped, train mode (stochastic depth active), one forward
-    # per crop size; rows stay view-major, globals first.
+    # Student path: taped, train mode (stochastic depth active). The backbone
+    # runs once per crop size, the head once over every view's CLS rows;
+    # rows stay view-major, globals first.
     leaves = list(state.student.values())
     with Tape() as tape:
-        log_p_s = []
-        for group in (batch.student_global, batch.student_local):
-            if len(group):
-                logits = _forward_logits(group.reshape((-1,) + group.shape[-3:]),
-                                         vit_config, head_config, state.student,
-                                         TRAIN, rng)
-                log_p_s.append(student_log_probs(logits, cfg.tau_s))
-        loss = distillation_loss(p_t, ad.concat(log_p_s, axis=0))
+        cls = [backbone_forward(group.reshape((-1,) + group.shape[-3:]), vit_config,
+                                state.student, mode=TRAIN, rng=rng).cls_features
+               for group in (batch.student_global, batch.student_local) if len(group)]
+        logits = projection_head_forward(ad.concat(cls, axis=0), head_config,
+                                         state.student)
+        loss = distillation_loss(p_t, student_log_probs(logits, cfg.tau_s))
+    del batch, views, out, cls, logits
 
     loss_val = loss.item()
     if not np.isfinite(loss_val):
@@ -313,7 +357,11 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
     for p in leaves:
         p.zero_grad()
     backward(loss, tape, leaves=leaves)
-    grads = {k: p.grad for k, p in state.student.items()}
+    del tape, loss
+    grads = {}
+    for k, p in state.student.items():
+        grads[k] = p.grad
+        p.zero_grad()
     if state.step < cfg.freeze_last_steps:
         # keep the prototype layer fixed early on; with few images and an
         # aggressive lr the prototypes otherwise align into one direction

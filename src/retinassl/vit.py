@@ -10,6 +10,7 @@ functions of (params, rng).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,12 @@ class ViTConfig:
         if self.image_size % self.patch_size != 0:
             raise ParameterError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
+        if self.embed_dim < 1 or self.depth < 1 or self.n_heads < 1:
+            raise ParameterError(
+                f"embed_dim, depth and n_heads must be >= 1, got "
+                f"{self.embed_dim}, {self.depth} and {self.n_heads}")
+        if not (math.isfinite(self.mlp_ratio) and self.mlp_ratio > 0):
+            raise ParameterError(f"mlp_ratio must be finite and > 0, got {self.mlp_ratio}")
         if self.embed_dim % self.n_heads != 0:
             raise ParameterError(
                 f"embed_dim {self.embed_dim} not divisible by n_heads {self.n_heads}")

@@ -267,6 +267,79 @@ class TestBackward:
         np.testing.assert_allclose(w.grad, numeric, atol=1e-7)
 
 
+def _whole_tape_backward(loss, tape, leaves=()):
+    """backward as it was before it consumed the tape: the same sweep, with
+    the tape left whole and every interior gradient kept."""
+    loss.grad = np.ones((), dtype=ad.DTYPE)
+    for out, parents, grad_fns in reversed(tape.nodes):
+        if out.grad is None:
+            continue
+        g = np.asarray(out.grad, dtype=ad.DTYPE)
+        for parent, grad_fn in zip(parents, grad_fns):
+            if parent.requires_grad:
+                gp = ad._unbroadcast(grad_fn(g), parent.data.shape)
+                parent.grad = gp if parent.grad is None else parent.grad + gp
+    for leaf in leaves:
+        if leaf.requires_grad and leaf.grad is None:
+            leaf.grad = np.zeros_like(leaf.data)
+
+
+def _rich_graph(leaves):
+    """A loss over most ops, with a leaf read twice and two leaves added."""
+    w, v, b, scale, shift, cls, qkv_w = leaves
+    x = Tensor(_x(2, 5, 4, seed=3))
+    h = ad.linear(x, w, b) + ad.broadcast_to(ad.reshape(v, (1, 1, 4)), (2, 5, 4))
+    h = ad.concat([ad.broadcast_to(cls, (2, 1, 4)), h[:, 1:, :]], axis=1)
+    h = layer_norm(gelu(h), scale, shift)
+    out, _ = ad.attention(ad.linear(h, qkv_w, Tensor(np.zeros(12))), 2, 0.5, rows=2)
+    z = ad.l2_normalize_rows(ad.reshape(out, (2, 8)))
+    logits = matmul(z, ad.transpose(ad.concat([w, w], axis=1), (1, 0)))
+    logits = logits + ad.reshape(shift + scale, (1, 4))
+    return cross_entropy_rows(np.full((2, 4), 0.25), log_softmax_rows(logits, 0.3)).sum()
+
+
+class TestBackwardConsumesTheTape:
+    def _leaves(self):
+        shapes = [(4, 4), (4,), (4,), (4,), (4,), (1, 1, 4), (4, 12)]
+        return [Tensor(_x(*shape, seed=i) + (1.0 if i == 3 else 0.0), requires_grad=True)
+                for i, shape in enumerate(shapes)]
+
+    def test_leaf_gradients_are_the_whole_tape_sweeps_bits(self):
+        got, want = self._leaves(), self._leaves()
+        with Tape() as tape:
+            loss = _rich_graph(got)
+        backward(loss, tape, leaves=got)
+        with Tape() as tape:
+            loss = _rich_graph(want)
+        _whole_tape_backward(loss, tape, leaves=want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.grad, w.grad)
+
+    def test_tape_is_emptied_and_interior_gradients_released(self):
+        w = Tensor(_x(3, 4), requires_grad=True)
+        with Tape() as tape:
+            hidden = gelu(w * 2.0)
+            loss = hidden.sum()
+        assert len(tape.nodes) == 3
+        backward(loss, tape)
+        assert tape.nodes == []
+        assert hidden.grad is None and loss.grad is None
+        assert w.grad is not None
+
+    def test_entries_are_freed_as_the_sweep_reaches_them(self):
+        # the first entry is popped last; by then every later entry's
+        # closures (and the activations they saved) are gone
+        w = Tensor(_x(3, 4), requires_grad=True)
+        with Tape() as tape:
+            loss = gelu(gelu(w * 2.0)).sum()
+        alive = []
+        first = tape.nodes[0][2][0]
+        tape.nodes[0] = (tape.nodes[0][0], tape.nodes[0][1],
+                         (lambda g: alive.append(len(tape.nodes)) or first(g),))
+        backward(loss, tape)
+        assert alive == [0]
+
+
 class TestFiniteDifferenceOracle:
     def test_quadratic_exact(self):
         p = Tensor(np.array([3.0]))

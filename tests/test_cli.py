@@ -194,6 +194,22 @@ class TestTrain:
                     "--images", synth_dir, "--out", str(tmp_path / "o"),
                     "--config", str(bad), "--steps", "1"]) == 2
 
+    @pytest.mark.parametrize("value", ["vit.n_heads=0", "vit.embed_dim=0", "vit.depth=0",
+                                       "vit.mlp_ratio=0", "distill.base_lr=-1",
+                                       "distill.lr_floor=1e999", "distill.tau_s=1e999"])
+    def test_out_of_range_set_exit_2(self, tmp_path, tiny_config, synth_dir, capsys,
+                                     value):
+        # refused where the config is built, before a step runs; n_heads=0
+        # used to divide by zero in ViTConfig and exit 1 with a traceback
+        assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
+                    "--images", synth_dir, "--out", str(tmp_path / "o"),
+                    "--config", tiny_config, "--steps", "1", "--set", value]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_zero_heads_refused_by_make_synth(self, tmp_path, tiny_config):
+        assert run(["make-synth", "--out", str(tmp_path / "d"), "--per-class", "1",
+                    "--config", tiny_config, "--set", "vit.n_heads=0"]) == 2
+
     @pytest.mark.parametrize("value", ["{[]: 1}", '"x"'], ids=["unhashable", "string"])
     def test_bad_set_value_exit_2(self, tmp_path, tiny_config, synth_dir, value):
         assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",

@@ -1,9 +1,15 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from retinassl import autodiff as ad
+from retinassl import distill as distill_module
+from retinassl.checkpoint import load_checkpoint, save_checkpoint
 from retinassl.autodiff import Tape, Tensor, backward
 from retinassl.crops import MultiCropConfig
+from retinassl.crops import build_multicrop
 from retinassl.distill import (
     DistillConfig,
     batch_schedule,
@@ -451,3 +457,228 @@ class TestMeanEntropy:
         p = np.zeros((2, 8))
         p[:, 3] = 1.0
         assert mean_entropy(p) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the update rules work in place
+# ---------------------------------------------------------------------------
+
+def _out_of_place_clip(grads, threshold):
+    """clip_gradients as it was before it scaled in place."""
+    norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if norm > threshold:
+        grads = {k: g * (threshold / norm) for k, g in grads.items()}
+    return grads, norm
+
+
+def _out_of_place_adamw(params, grads, opt_m, opt_v, t, lr, weight_decay,
+                        beta1=0.9, beta2=0.999, eps=1e-8):
+    """optimizer_step as it was before it updated in place."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        m = opt_m[name] = beta1 * opt_m[name] + (1.0 - beta1) * g
+        v = opt_v[name] = beta2 * opt_v[name] + (1.0 - beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        wd = weight_decay if p.data.ndim >= 2 else 0.0
+        p.data = p.data - lr * (update + wd * p.data)
+
+
+def _out_of_place_ema(teacher, student, lam):
+    for name, wt in teacher.items():
+        wt.data = lam * wt.data + (1.0 - lam) * student[name].data
+
+
+def _state_arrays(state):
+    return ([t.data for t in state.student.values()]
+            + [t.data for t in state.teacher.values()]
+            + list(state.opt_m.values()) + list(state.opt_v.values()))
+
+
+class TestInPlaceUpdates:
+    # (300, 130) and (40000,) span several blocks of optimizer_step
+    SHAPES = {"w": (300, 130), "b": (40000,), "s": (3, 5), "g": (7,)}
+
+    def _copies(self, seed):
+        rng = np.random.default_rng(seed)
+        params = {k: rng.normal(size=shape) for k, shape in self.SHAPES.items()}
+        moments = {k: np.zeros(shape) for k, shape in self.SHAPES.items()}
+        return [({k: Tensor(p.copy(), requires_grad=True) for k, p in params.items()},
+                 {k: Tensor(p + 0.5) for k, p in params.items()},
+                 {k: m.copy() for k, m in moments.items()},
+                 {k: m.copy() for k, m in moments.items()}) for _ in range(2)]
+
+    def test_rules_have_the_out_of_place_bits(self):
+        (ps, pt, pm, pv), (qs, qt, qm, qv) = self._copies(0)
+        rng = np.random.default_rng(1)
+        # unclipped, clipped and clipped again: the norm of these draws is
+        # about 280, so a threshold of 1e3 leaves step 1 alone
+        for t, threshold in enumerate((1e3, 3.0, 0.5), start=1):
+            grads = {k: rng.normal(size=shape) for k, shape in self.SHAPES.items()}
+            got, norm = clip_gradients({k: g.copy() for k, g in grads.items()}, threshold)
+            want, want_norm = _out_of_place_clip(grads, threshold)
+            assert norm == want_norm and (norm > threshold) == (t > 1)
+            optimizer_step(ps, got, pm, pv, t=t, lr=0.01, weight_decay=0.3)
+            _out_of_place_adamw(qs, want, qm, qv, t=t, lr=0.01, weight_decay=0.3)
+            ema_update(pt, ps, 0.9 + 0.03 * t)
+            _out_of_place_ema(qt, qs, 0.9 + 0.03 * t)
+            for k in self.SHAPES:
+                for a, b in ((got[k], want[k]), (ps[k].data, qs[k].data),
+                             (pt[k].data, qt[k].data), (pm[k], qm[k]), (pv[k], qv[k])):
+                    assert np.array_equal(a, b), k
+
+    def test_clipping_scales_shared_memory_once(self):
+        # `add` hands one gradient array to both of its parents
+        rng = np.random.default_rng(2)
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        with Tape() as tape:
+            loss = ((a + b) * Tensor(rng.normal(size=(3, 4)) * 10.0)).sum()
+        backward(loss, tape)
+        assert a.grad is b.grad
+        want, want_norm = _out_of_place_clip({"a": a.grad, "b": b.grad}, 1.0)
+        got, norm = clip_gradients({"a": a.grad, "b": b.grad}, 1.0)
+        assert norm == want_norm > 1.0
+        for k in "ab":
+            assert np.array_equal(got[k], want[k])
+
+    def test_clipping_copies_a_read_only_gradient(self):
+        # a summed leaf's gradient is tensor_sum's broadcast view, and `add`
+        # hands that one view to both leaves
+        a = Tensor(np.full((3, 4), 2.0), requires_grad=True)
+        b = Tensor(np.zeros((3, 4)), requires_grad=True)
+        with Tape() as tape:
+            loss = (a + b).sum()
+        backward(loss, tape)
+        assert a.grad is b.grad and not a.grad.flags.writeable
+        got, norm = clip_gradients({"a": a.grad, "b": b.grad}, 1.0)
+        assert norm == np.sqrt(24.0)
+        for k in "ab":
+            assert np.array_equal(got[k], np.full((3, 4), 1.0 / np.sqrt(24.0)))
+        assert np.array_equal(a.grad, np.ones((3, 4)))
+
+    def test_clipping_scales_an_overlapping_view_once(self):
+        whole = np.arange(1.0, 13.0).reshape(3, 4)
+        grads = {"whole": whole, "rows": whole[1:], "col": whole[:, 2]}
+        want, _ = _out_of_place_clip({k: g.copy() for k, g in grads.items()}, 1.0)
+        got, _ = clip_gradients(grads, 1.0)
+        for k in grads:
+            assert np.array_equal(got[k], want[k]), k
+
+    def test_no_state_arrays_share_memory(self, tmp_path):
+        vit, head, crops, distill, state = tiny_setup()
+        train_step(random_images(2), state, vit, head, crops, distill, steps_per_epoch=2)
+        save_checkpoint(state, tmp_path / "c.ckpt", vit, head, crops, distill)
+        loaded = load_checkpoint(tmp_path / "c.ckpt")[0]
+        for st in (init_train_state(vit, head, seed=0), state, loaded):
+            arrays = _state_arrays(st)
+            assert len(arrays) == 4 * len(st.student)
+            for x, y in itertools.combinations(arrays, 2):
+                assert not np.shares_memory(x, y)
+
+
+# ---------------------------------------------------------------------------
+# one teacher call and one student head call per step
+# ---------------------------------------------------------------------------
+
+class TestOneCallPaths:
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_teacher_logits_are_the_per_crop_calls_bits(self, monkeypatch, batch):
+        # with a batch of one, the per-crop head product is numpy's
+        # matrix-vector path, which rounds differently from the matrix
+        # product over G rows, so B = 1 is not compared bit for bit
+        vit, head, crops, distill, state = tiny_setup(batch_size=batch)
+        teacher = {k: Tensor(t.data.copy()) for k, t in state.teacher.items()}
+        seen = {}
+
+        def build(*args):
+            seen["batch"] = build_multicrop(*args)
+            return seen["batch"]
+
+        def probs(logits, *args):
+            seen["logits"] = logits.copy()
+            return teacher_probs(logits, *args)
+
+        monkeypatch.setattr(distill_module, "build_multicrop", build)
+        monkeypatch.setattr(distill_module, "teacher_probs", probs)
+        train_step(random_images(batch), state, vit, head, crops, distill,
+                   steps_per_epoch=2)
+        per_crop = np.stack([
+            projection_head_forward(backbone_forward(c, vit, teacher, mode=EVAL)
+                                    .cls_features, head, teacher).data
+            for c in seen["batch"].teacher_global])
+        assert seen["logits"].shape == (2, batch, head.output_dim)
+        assert np.array_equal(seen["logits"], per_crop)
+
+    def test_student_head_runs_once_over_every_view(self, monkeypatch):
+        vit, head, crops, distill, state = tiny_setup()
+        rows = []
+
+        def spy(cls_features, *args):
+            rows.append(cls_features.shape[0])
+            return projection_head_forward(cls_features, *args)
+
+        monkeypatch.setattr(distill_module, "projection_head_forward", spy)
+        train_step(random_images(2), state, vit, head, crops, distill, steps_per_epoch=2)
+        # the teacher's two globals, then every student view of both images
+        assert rows == [2 * 2, (crops.n_global + crops.n_local) * 2]
+
+
+# ---------------------------------------------------------------------------
+# a step's memory follows what it still needs
+# ---------------------------------------------------------------------------
+
+class TestStepMemory:
+    SLACK = 64 * 1024  # Python objects: dicts, tuples, Tensor shells
+
+    def test_backward_and_update_peaks(self, monkeypatch):
+        vit = ViTConfig(image_size=32, patch_size=8, depth=2, embed_dim=32, n_heads=4)
+        head = ProjectionHeadConfig(hidden_dim=64, bottleneck_dim=32, output_dim=4096)
+        crop = MultiCropConfig(global_out_size=32, local_out_size=16, n_local=4)
+        # a tiny threshold, so that every step clips
+        cfg = DistillConfig(batch_size=4, total_epochs=2, clip_threshold=1e-3)
+        state = init_train_state(vit, head, seed=0)
+        images = np.random.default_rng(0).random((4, 3, 40, 40))
+        marks = {}
+
+        def around(name, before=None, after=None):
+            original = getattr(distill_module, name)
+
+            def wrapper(*args, **kwargs):
+                if before:
+                    before(*args)
+                out = original(*args, **kwargs)
+                if after:
+                    after()
+                return out
+            monkeypatch.setattr(distill_module, name, wrapper)
+
+        def mark(key, reset=False):
+            marks[key] = tracemalloc.get_traced_memory()[1 if key.endswith("peak") else 0]
+            if reset:
+                tracemalloc.reset_peak()
+
+        def backward_starts(loss, tape, *_):
+            marks["activation"] = max(out.data.nbytes for out, _, _ in tape.nodes)
+            mark("forward_end", reset=True)
+
+        around("backward", backward_starts, lambda: mark("backward_peak"))
+        around("clip_gradients", lambda *_: mark("update_start", reset=True))
+        around("center_update", lambda *_: mark("update_peak"))
+
+        train_step(images, state, vit, head, crop, cfg, 1)  # warm caches
+        tracemalloc.start()
+        try:
+            train_step(images, state, vit, head, crop, cfg, 1)
+        finally:
+            tracemalloc.stop()
+        param = max(p.data.nbytes for p in state.student.values())
+        # the sweep frees what it has passed, so it adds at most one buffer
+        # of the largest activation; keeping every interior gradient and the
+        # whole tape added about 11 of them
+        assert (marks["backward_peak"] - marks["forward_end"]
+                <= marks["activation"] + self.SLACK)
+        # one temporary of the largest parameter: EMA's (1 - lam) * w_s
+        assert marks["update_peak"] - marks["update_start"] <= param + self.SLACK
+        assert all(p.grad is None for p in state.student.values())

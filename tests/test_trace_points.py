@@ -37,7 +37,8 @@ def test_every_trace_point_resolves():
 def test_forward_calls_name_their_mode(monkeypatch, n_global, n_local):
     # the tracer files a backbone call under the student or the teacher by
     # its `mode` keyword; a positional mode would file the student's time
-    # under the teacher's
+    # under the teacher's. The teacher runs once over every global crop and
+    # the student once per crop size.
     vit = ViTConfig(image_size=16, patch_size=8, depth=1, embed_dim=8, n_heads=2)
     head = ProjectionHeadConfig(hidden_dim=16, bottleneck_dim=8, output_dim=24)
     crop = MultiCropConfig(n_global=n_global, n_local=n_local,
@@ -57,5 +58,5 @@ def test_forward_calls_name_their_mode(monkeypatch, n_global, n_local):
                        distill.DistillConfig(total_epochs=2, batch_size=2), 1)
     student_groups = 1 + (n_local > 0)
     assert modes.count(TRAIN) == student_groups
-    assert modes.count(EVAL) == n_global
-    assert len(modes) == student_groups + n_global
+    assert modes.count(EVAL) == 1
+    assert len(modes) == student_groups + 1
