@@ -77,10 +77,6 @@ def _unpack_array(payload: bytes) -> np.ndarray:
         raise CheckpointError(f"array shape {shape} is not representable: {exc}") from exc
 
 
-def _config_dict(cfg) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def save_checkpoint(state: TrainState, path, vit_config: ViTConfig,
                     head_config: ProjectionHeadConfig, crop_config: MultiCropConfig,
                     distill_config: DistillConfig) -> None:
@@ -88,9 +84,9 @@ def save_checkpoint(state: TrainState, path, vit_config: ViTConfig,
 
     meta = {"step": state.step, "rng_state": state.rng.bit_generator.state}
     sections.append(_pack_section("meta", json.dumps(meta).encode()))
-    configs = {"vit": _config_dict(vit_config), "head": _config_dict(head_config),
-               "crop": _config_dict(crop_config),
-               "distill": _config_dict(distill_config)}
+    configs = {name: dataclasses.asdict(cfg) for name, cfg in (
+        ("vit", vit_config), ("head", head_config), ("crop", crop_config),
+        ("distill", distill_config))}
     sections.append(_pack_section("configs", json.dumps(configs).encode()))
     sections.append(_pack_section("center", _pack_array(state.center)))
     for group, params in (("student", state.student), ("teacher", state.teacher)):

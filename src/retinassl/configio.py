@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import io
+import math
 from dataclasses import dataclass, field
 
 from .crops import MultiCropConfig
@@ -66,8 +67,9 @@ def parse_assignments(lines, source: str = "<config>") -> dict[str, object]:
 def _same_kind(value, default) -> bool:
     """Whether `value` may stand where the field default `default` does.
 
-    An int stands for a float, a bool is not a number, a tuple has the
-    default's length, and tuples and dicts are checked element by element.
+    An int stands for a float if it converts to a finite one, as a float
+    must be finite; a bool is not a number, a tuple has the default's length,
+    and tuples and dicts are checked element by element.
     """
     if isinstance(default, tuple):
         return (isinstance(value, tuple) and len(value) == len(default)
@@ -78,7 +80,10 @@ def _same_kind(value, default) -> bool:
     if isinstance(value, bool) != isinstance(default, bool):
         return False
     if isinstance(default, float):
-        return isinstance(value, (int, float))
+        try:  # an int too large for a float overflows
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:
+            return False
     return isinstance(value, type(default))
 
 

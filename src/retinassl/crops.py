@@ -63,6 +63,14 @@ class MultiCropConfig:
                                  f">= 2, got {self.n_global} and {self.n_local}")
         if self.global_out_size < 1 or self.local_out_size < 1:
             raise ParameterError("output sizes must be positive")
+        probs = (self.flip_p, self.jitter_p, self.grayscale_p, *self.blur_p.values(),
+                 self.solarize_p)
+        if not all(0.0 <= p <= 1.0 for p in probs):
+            raise ParameterError(f"augmentation probabilities must lie in [0, 1], got "
+                                 f"{probs}")
+        if not 0 < self.aspect_range[0] <= self.aspect_range[1]:
+            raise ParameterError(f"aspect_range must satisfy 0 < min <= max, "
+                                 f"got {self.aspect_range}")
         # a plan maps its uniforms onto these ranges, which must not be reversed
         if min(self.jitter_strength) < 0 or not 0 < self.blur_sigma[0] <= self.blur_sigma[1]:
             raise ParameterError(f"need jitter strengths >= 0 and 0 < blur sigma min <= max, "
@@ -184,8 +192,7 @@ def resample(images: np.ndarray, rows: np.ndarray | None,
 # ---------------------------------------------------------------------------
 
 def sample_crop(image: np.ndarray, scale_range: tuple[float, float], out_size: int,
-                rng: np.random.Generator,
-                aspect_range: tuple[float, float] = (0.75, 4.0 / 3.0),
+                rng: np.random.Generator, aspect_range: tuple[float, float],
                 ) -> tuple[np.ndarray, tuple[int, int, int, int]]:
     """Random resized crop: sample an area fraction and aspect ratio, cut the
     sub-rectangle, bicubically resize to (out_size, out_size).

@@ -35,6 +35,9 @@ METRICS_HEADER = "step\tepoch\tloss\tlr\twd\tlambda\tteacher_entropy"
 # the largest temporary of an optimizer step, in values (see optimizer_step)
 _BLOCK_VALUES = 1 << 14
 
+# AdamW's moment decay rates and denominator offset
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class DistillConfig:
@@ -51,7 +54,6 @@ class DistillConfig:
     warmup_epochs: int = 10
     total_epochs: int = 100
     batch_size: int = 8
-    center_sign: float = -1.0     # -1: subtract the center from teacher logits
     freeze_last_steps: int = 0    # steps with the prototype layer held fixed
 
     def __post_init__(self):
@@ -137,46 +139,41 @@ def center_update(center: np.ndarray, teacher_logits: np.ndarray, momentum: floa
     return momentum * center + (1.0 - momentum) * teacher_logits.mean(axis=0)
 
 
-def teacher_probs(teacher_logits: np.ndarray, center: np.ndarray, tau_t: float,
-                  center_sign: float = -1.0) -> np.ndarray:
-    """Centered, sharpened teacher targets: softmax((O_t + sign*C) / tau_t).
+def teacher_probs(teacher_logits: np.ndarray, center: np.ndarray, tau_t: float) -> np.ndarray:
+    """Centered, sharpened teacher targets: softmax((O_t - C) / tau_t).
 
     Returns a plain array; no gradient ever flows through the teacher path.
     """
-    return ad.softmax_rows(Tensor(teacher_logits + center_sign * center), tau_t).data
+    return ad.softmax_rows(Tensor(teacher_logits - center), tau_t).data
 
 
-def student_log_probs(student_logits: Tensor, tau_s: float) -> Tensor:
-    """Numerically stable log-softmax of O_s / tau_s; differentiable."""
-    return ad.log_softmax_rows(student_logits, tau_s)
-
-
-def distillation_loss(teacher_probs: np.ndarray, student_log_probs: Tensor) -> Tensor:
+def distillation_loss(teacher_probs: np.ndarray, log_p: Tensor) -> Tensor:
     """Summed multi-view cross entropy, with views matched by position.
 
     teacher_probs is (G, B, K): G teacher global crops of B images.
-    student_log_probs is (V*B, K), view-major with the G student globals
-    first, so student view s < G is teacher crop s's geometry. Every (teacher
-    crop t, student view s) pair with s != t contributes one cross-entropy
-    term; terms are summed over pairs and averaged over the image batch. With
-    2 teacher globals and 8 student views that is 2 * 7 = 14 terms, computed
-    as one product: view s is scored against targets[s] = sum_{t != s} p_t.
+    log_p is the student's (V*B, K) log-probabilities, view-major with the G
+    student globals first, so student view s < G is teacher crop s's
+    geometry. Every (teacher crop t, student view s) pair with s != t
+    contributes one cross-entropy term; terms are summed over pairs and
+    averaged over the image batch. With 2 teacher globals and 8 student views
+    that is 2 * 7 = 14 terms, computed as one product: view s is scored
+    against targets[s] = sum_{t != s} p_t.
     """
     p = np.asarray(teacher_probs, dtype=float)
-    if p.ndim != 3 or 0 in p.shape or student_log_probs.ndim != 2:
+    if p.ndim != 3 or 0 in p.shape or log_p.ndim != 2:
         raise ContractError(f"distillation_loss needs (G, B, K) teacher and (V*B, K) "
-                            f"student rows, got {p.shape} and {student_log_probs.shape}")
+                            f"student rows, got {p.shape} and {log_p.shape}")
     g, b, k = p.shape
-    v, rest = divmod(student_log_probs.shape[0], b)
-    if rest or student_log_probs.shape[1] != k or v < max(g, 2):
-        raise ContractError(f"student rows {student_log_probs.shape} are not V >= "
+    v, rest = divmod(log_p.shape[0], b)
+    if rest or log_p.shape[1] != k or v < max(g, 2):
+        raise ContractError(f"student rows {log_p.shape} are not V >= "
                             f"{max(g, 2)} views of the teacher's {b} x {k}")
     if not np.allclose(p.sum(axis=-1), 1.0, atol=1e-6):
         raise ContractError("teacher probability rows must sum to 1 within 1e-6")
     # (V, G) 0/1 mask times the teacher rows: exact sums of the chosen p_t
     targets = (1.0 - np.eye(v, g)) @ p.reshape(g, b * k)
     targets *= -1.0 / b
-    return ad.tensor_sum(ad.mul(Tensor(targets.reshape(v * b, k)), student_log_probs))
+    return ad.tensor_sum(ad.mul(Tensor(targets.reshape(v * b, k)), log_p))
 
 
 def clip_gradients(grads: dict[str, np.ndarray], threshold: float,
@@ -241,8 +238,7 @@ def schedule_value(kind: str, step: int, steps_per_epoch: int, config: DistillCo
 
 def optimizer_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
                    opt_m: dict[str, np.ndarray], opt_v: dict[str, np.ndarray],
-                   t: int, lr: float, weight_decay: float,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+                   t: int, lr: float, weight_decay: float) -> None:
     """Bias-corrected adaptive-moment update with decoupled weight decay.
 
     Decay applies to weight matrices only (ndim >= 2), not to biases,
@@ -256,18 +252,18 @@ def optimizer_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     """
     if lr < 0 or weight_decay < 0:
         raise ParameterError("lr and weight_decay must be nonnegative")
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - _BETA1 ** t
+    bc2 = 1.0 - _BETA2 ** t
     for name, p in params.items():
         g, m, v = grads[name], opt_m[name], opt_v[name]
         wd = weight_decay if p.data.ndim >= 2 else 0.0
         for rows in _row_blocks(p.data.shape):
             gb, mb, vb, pb = g[rows], m[rows], v[rows], p.data[rows]
-            mb *= beta1
-            mb += (1.0 - beta1) * gb
-            vb *= beta2
-            vb += (1.0 - beta2) * gb * gb
-            update = (mb / bc1) / (np.sqrt(vb / bc2) + eps)
+            mb *= _BETA1
+            mb += (1.0 - _BETA1) * gb
+            vb *= _BETA2
+            vb += (1.0 - _BETA2) * gb * gb
+            update = (mb / bc1) / (np.sqrt(vb / bc2) + _EPS)
             update += wd * pb
             update *= lr
             pb -= update
@@ -309,8 +305,7 @@ class StepMetrics:
 
 def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
                head_config: ProjectionHeadConfig, crop_config: MultiCropConfig,
-               distill_config: DistillConfig, steps_per_epoch: int,
-               update_center: bool = True) -> StepMetrics:
+               distill_config: DistillConfig, steps_per_epoch: int) -> StepMetrics:
     """Run one optimization step on a batch of source images (B, 3, H, W).
 
     Order of effects: teacher forward (tape-free), student forward, loss,
@@ -334,7 +329,7 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
                            state.teacher, mode=EVAL)
     teacher_logits = projection_head_forward(
         out.cls_features, head_config, state.teacher).data.reshape(views.shape[:2] + (-1,))
-    p_t = teacher_probs(teacher_logits, state.center, cfg.tau_t, cfg.center_sign)
+    p_t = teacher_probs(teacher_logits, state.center, cfg.tau_t)
 
     # Student path: taped, train mode (stochastic depth active). The backbone
     # runs once per crop size, the head once over every view's CLS rows;
@@ -346,7 +341,7 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
                for group in (batch.student_global, batch.student_local) if len(group)]
         logits = projection_head_forward(ad.concat(cls, axis=0), head_config,
                                          state.student)
-        loss = distillation_loss(p_t, student_log_probs(logits, cfg.tau_s))
+        loss = distillation_loss(p_t, ad.log_softmax_rows(logits, cfg.tau_s))
     del batch, views, out, cls, logits
 
     loss_val = loss.item()
@@ -379,9 +374,8 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
     ema_update(state.teacher, state.student, lam)
 
     k = teacher_logits.shape[-1]
-    if update_center:
-        state.center = center_update(state.center, teacher_logits.reshape(-1, k),
-                                     cfg.center_momentum)
+    state.center = center_update(state.center, teacher_logits.reshape(-1, k),
+                                 cfg.center_momentum)
 
     entropy = mean_entropy(p_t.reshape(-1, k))
     state.step += 1
@@ -400,7 +394,7 @@ def train_loop(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
                head_config: ProjectionHeadConfig, crop_config: MultiCropConfig,
                distill_config: DistillConfig, n_steps: int,
                log_lines: list | None = None,
-               step_callback=None, update_center: bool = True) -> None:
+               step_callback=None) -> None:
     """Run n_steps of training over a fixed image array (N, 3, H, W).
 
     Batches are drawn by sampling indices from the state rng, so a resumed
@@ -411,8 +405,7 @@ def train_loop(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
     for _ in range(n_steps):
         idx = state.rng.choice(n, size=b, replace=False)
         metrics = train_step(images[idx], state, vit_config, head_config,
-                             crop_config, distill_config, steps_per_epoch,
-                             update_center=update_center)
+                             crop_config, distill_config, steps_per_epoch)
         if log_lines is not None:
             log_lines.append(metrics.format_line())
         if step_callback is not None:

@@ -8,6 +8,7 @@ with the gradient in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,9 @@ class ProbeConfig:
             raise ParameterError(f"probe batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.momentum < 1.0:
             raise ParameterError(f"probe momentum must lie in [0, 1), got {self.momentum}")
+        if self.epochs < 1 or not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ParameterError(f"probe epochs must be >= 1 and lr finite and >= 0, "
+                                 f"got {self.epochs} and {self.lr}")
 
 
 @dataclass
@@ -123,13 +127,11 @@ def extract_features(backbone_params: dict[str, Tensor], images: np.ndarray,
     t = (images.shape[-1] // config.patch_size) ** 2 + nc
     widest = max(config.n_heads * t * t, t * int(config.embed_dim * config.mlp_ratio))
     step = max(1, _CHUNK_VALUES // widest)
-    feats = np.empty((len(images), n_last_blocks, nc, config.embed_dim))
+    feats = np.empty((len(images), n_last_blocks * nc, config.embed_dim))
     for lo in range(0, len(images), step):
         tokens = patch_embed(images[lo:lo + step], config, backbone_params)
-        out = encoder_forward(tokens, config, backbone_params, mode=EVAL,
-                              collect_block_cls=n_last_blocks)
-        for j, blk in enumerate(out.block_cls):  # each (chunk, n_cls, d)
-            feats[lo:lo + step, j] = blk.data
+        feats[lo:lo + step] = encoder_forward(tokens, config, backbone_params, mode=EVAL,
+                                              n_last_blocks=n_last_blocks).cls_features.data
     return feats.reshape(len(images), n_last_blocks * nc * config.embed_dim)
 
 

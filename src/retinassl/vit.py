@@ -11,7 +11,7 @@ functions of (params, rng).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,25 +87,24 @@ class ProjectionHeadConfig:
 
 @dataclass
 class BackboneOutput:
-    cls_features: Tensor        # (batch, n_cls_tokens, embed_dim)
-    # per layer: Tensor (batch, heads, tokens, tokens); the last layer's is
+    # (batch, n_last_blocks * n_cls_tokens, embed_dim), block-major
+    cls_features: Tensor
+    # per layer: array (batch, heads, tokens, tokens); the last layer's is
     # (batch, heads, rows, tokens), its leading query rows only (see encoder_forward)
     attention: list | None
-    block_cls: list = field(default_factory=list)  # normalized CLS per collected block
 
 
 # ---------------------------------------------------------------------------
 # initialization
 # ---------------------------------------------------------------------------
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02,
-                 bound_sigmas: float = 2.0) -> np.ndarray:
-    """Truncated normal draw: resample anything beyond bound_sigmas * std."""
+def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
+    """Truncated normal draw: resample anything beyond 2 * std."""
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > bound_sigmas * std
+    bad = np.abs(out) > 2.0 * std
     while bad.any():
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > bound_sigmas * std
+        bad = np.abs(out) > 2.0 * std
     return out
 
 
@@ -253,7 +252,7 @@ def _drop_path(branch: Tensor, rate: float, mode: str,
 def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor],
                     mode: str = EVAL, rng: np.random.Generator | None = None,
                     want_attention: bool = False,
-                    collect_block_cls: int = 0) -> BackboneOutput:
+                    n_last_blocks: int = 1) -> BackboneOutput:
     """Run the pre-norm transformer stack over an embedded token sequence.
 
     Only CLS rows are read after the stack, so the last block computes only
@@ -265,11 +264,14 @@ def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor]
     matrix-vector path, which rounds differently from the matrix product;
     with two or more rows each row has the bits of the full-row forward.
 
-    collect_block_cls=n gathers the final-norm CLS features of the last n
-    blocks (feature extraction without pooling); 0 skips the bookkeeping.
+    The CLS features are the final-norm CLS rows of the last n_last_blocks
+    blocks, block-major (feature extraction without pooling); with the
+    default 1 they are the final block's alone.
     """
     if mode not in (TRAIN, EVAL):
         raise ParameterError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if not 1 <= n_last_blocks <= config.depth:
+        raise ParameterError(f"n_last_blocks must be in 1..{config.depth}")
     _, t, d = tokens.shape
     if d != config.embed_dim:
         raise ContractError(f"token width {d} != embed_dim {config.embed_dim}")
@@ -277,7 +279,7 @@ def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor]
 
     attention = [] if want_attention else None
     nc = config.n_cls_tokens
-    block_cls: list = []
+    cls = []
     x = tokens
     for i in range(config.depth):
         pre = f"blocks.{i}."
@@ -286,7 +288,7 @@ def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor]
         qkv = ad.linear(h, params[pre + "attn.qkv.w"], params[pre + "attn.qkv.b"])
         out, att = ad.attention(qkv, config.n_heads, scale, rows)
         if want_attention:
-            attention.append(Tensor(att))
+            attention.append(att)
         out = ad.linear(out, params[pre + "attn.proj.w"], params[pre + "attn.proj.b"])
         if rows < t:
             x = x[:, :rows, :]
@@ -297,13 +299,13 @@ def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor]
         m = ad.linear(m, params[pre + "mlp.fc2.w"], params[pre + "mlp.fc2.b"])
         x = x + _drop_path(m, config.drop_path_rate, mode, rng)
 
-        if collect_block_cls > 0 and i >= config.depth - collect_block_cls:
-            block_cls.append(ad.layer_norm(x[:, :nc, :], params["ln_f.scale"],
-                                           params["ln_f.shift"]))
+        if i >= config.depth - n_last_blocks:
+            # the final norm is per token, and only the CLS rows are read
+            cls.append(ad.layer_norm(x[:, :nc, :], params["ln_f.scale"],
+                                     params["ln_f.shift"]))
 
-    # the final norm is per token, and only the CLS rows are read
-    cls = ad.layer_norm(x[:, :nc, :], params["ln_f.scale"], params["ln_f.shift"])
-    return BackboneOutput(cls_features=cls, attention=attention, block_cls=block_cls)
+    return BackboneOutput(cls_features=cls[0] if len(cls) == 1 else ad.concat(cls, axis=1),
+                          attention=attention)
 
 
 def backbone_forward(images: np.ndarray, config: ViTConfig, params: dict[str, Tensor],
@@ -346,7 +348,7 @@ def last_layer_attention(image: np.ndarray, config: ViTConfig,
     """
     out = backbone_forward(image[None] if image.ndim == 3 else image,
                            config, params, mode=EVAL, want_attention=True)
-    att = out.attention[-1].data[0]            # (heads, rows, tokens), rows >= nc
+    att = out.attention[-1][0]                 # (heads, rows, tokens), rows >= nc
     nc = config.n_cls_tokens
     rows = att[:, :nc, nc:]                    # CLS queries -> patch keys
     return rows / rows.sum(axis=-1, keepdims=True)

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -68,3 +69,15 @@ def test_pairs_alternate_and_step_the_seed(monkeypatch, capsys):
     assert calls == [("base", 41), ("new", 41), ("new", 42), ("base", 42)]
     assert "new better in 2 of 2 pairs" in capsys.readouterr().out
     assert bench_pairs.main(args + ["--pairs", "3"]) == 1
+
+
+@pytest.mark.parametrize("stdout", ["", "Traceback (most recent call last):\n  oops\n",
+                                    "[1, 2]\n"], ids=["empty", "not_json", "not_an_object"])
+def test_a_run_without_a_result_line_names_its_checkout(monkeypatch, stdout):
+    def fake_run(args, **kwargs):
+        return subprocess.CompletedProcess(args, 3, stdout=stdout, stderr="it broke")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.run_once("base-checkout", "train-desk", 1, 1.0)
+    assert exc.value.code == "base-checkout: no result (exit 3)\nit broke"

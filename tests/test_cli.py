@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import struct
 import zlib
 
@@ -194,13 +195,20 @@ class TestTrain:
                     "--images", synth_dir, "--out", str(tmp_path / "o"),
                     "--config", str(bad), "--steps", "1"]) == 2
 
-    @pytest.mark.parametrize("value", ["vit.n_heads=0", "vit.embed_dim=0", "vit.depth=0",
-                                       "vit.mlp_ratio=0", "distill.base_lr=-1",
-                                       "distill.lr_floor=1e999", "distill.tau_s=1e999"])
+    @pytest.mark.parametrize("value", [
+        "vit.n_heads=0", "vit.embed_dim=0", "vit.depth=0", "vit.mlp_ratio=0",
+        "distill.base_lr=-1", "distill.lr_floor=1e999", "distill.tau_s=1e999",
+        "crop.blur_sigma=(0.1, 1e999)", "crop.jitter_strength=(1e999, 0.1, 0.1, 0.1)",
+        pytest.param("distill.base_lr=1" + "0" * 400, id="distill.base_lr=10**400"),
+        "probe.lr=1e999", "distill.clip_threshold=1e999", "crop.solarize_threshold=1e999",
+        "crop.solarize_p=2", "crop.flip_p=-1", "crop.aspect_range=(2.0, 1.0)",
+        "crop.aspect_range=(0.0, 1.0)", "probe.epochs=-1", "probe.lr=-1"])
     def test_out_of_range_set_exit_2(self, tmp_path, tiny_config, synth_dir, capsys,
                                      value):
         # refused where the config is built, before a step runs; n_heads=0
-        # used to divide by zero in ViTConfig and exit 1 with a traceback
+        # used to divide by zero in ViTConfig and exit 1 with a traceback, an
+        # infinite blur sigma ended in a numpy ValueError (exit 1), and a
+        # probability of 2 or a negative probe epoch count ran (exit 0)
         assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
                     "--images", synth_dir, "--out", str(tmp_path / "o"),
                     "--config", tiny_config, "--steps", "1", "--set", value]) == 2
@@ -261,6 +269,8 @@ class TestTrain:
         # a deleted key must fail loudly rather than be silently ignored
         assert run(["make-synth", "--out", str(tmp_path / "o"),
                     "--set", "data.image_size=64"]) == 2
+        assert run(["make-synth", "--out", str(tmp_path / "o"),
+                    "--set", "distill.center_sign=-1"]) == 2
 
     def test_non_numeric_pnm_header_exit_2(self, tmp_path, tiny_config):
         (tmp_path / "m.csv").write_text("image,level\n1_left,0\n")
@@ -483,6 +493,9 @@ MALFORMED_CHECKPOINTS = {
     "vit_depth_a_string": lambda secs: [
         (n, _with_config(p, "vit", "depth", "x") if n == b"configs" else p)
         for n, p in secs],
+    "blur_sigma_infinite": lambda secs: [
+        (n, _with_config(p, "crop", "blur_sigma", [0.1, float("inf")]) if n == b"configs"
+         else p) for n, p in secs],
     "aspect_range_of_one_element": lambda secs: [
         (n, _with_config(p, "crop", "aspect_range", [0.75]) if n == b"configs" else p)
         for n, p in secs],
@@ -539,7 +552,9 @@ class TestProbeKnn:
     @pytest.mark.parametrize("cmd, extra", [
         ("probe", ["--set", "probe.batch_size=0"]),
         ("knn", ["--k", "3", "--set", "knn.temperature=0"]),
-    ], ids=["probe.batch_size=0", "knn.temperature=0"])
+        ("probe", ["--set", "probe.epochs=-1"]),
+        ("probe", ["--set", "probe.lr=-1"]),
+    ], ids=["probe.batch_size=0", "knn.temperature=0", "probe.epochs=-1", "probe.lr=-1"])
     def test_bad_eval_config_exit_2(self, tmp_path, tiny_config, synth_dir,
                                     trained, cmd, extra):
         assert run(self._eval_args(cmd, trained, synth_dir, tmp_path / "o",
@@ -570,6 +585,27 @@ class TestProbeKnn:
                     "--config", tiny_config, "--steps", "1",
                     "--resume", trained]) == 2
         assert "step -5 is negative" in capsys.readouterr().err
+
+    def test_checkpoint_with_a_removed_key_resumes_as_before(self, tmp_path, tiny_config,
+                                                            synth_dir, trained):
+        # checkpoints written while DistillConfig had a center_sign field store
+        # "center_sign": -1.0; loading ignores names that are not fields
+        old = tmp_path / "old.ckpt"
+        shutil.copyfile(trained, old)
+        _rewrite_checkpoint(old, lambda secs: [
+            (n, _with_config(p, "distill", "center_sign", -1.0) if n == b"configs" else p)
+            for n, p in secs])
+        assert b'"center_sign": -1.0' in old.read_bytes()
+        assert load_checkpoint(old)[1:] == load_checkpoint(trained)[1:]
+        logs = []
+        for name, ckpt in (("new", trained), ("old", old)):
+            out = tmp_path / name
+            assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
+                        "--images", synth_dir, "--out", str(out),
+                        "--config", tiny_config, "--steps", "2",
+                        "--resume", str(ckpt)]) == 0
+            logs.append((out / "metrics.log").read_bytes())
+        assert logs[0] == logs[1] and logs[0].count(b"\n") == 3
 
     def test_config_of_another_kind_is_a_checkpoint_error(self, trained):
         _rewrite_checkpoint(trained, MALFORMED_CHECKPOINTS["vit_depth_a_string"])

@@ -24,6 +24,9 @@ from retinassl.crops import (
 )
 from retinassl.errors import InputError, ParameterError
 
+# the aspect ratios of the library's crops
+ASPECT = MultiCropConfig().aspect_range
+
 
 def tiny_config(**kw) -> MultiCropConfig:
     defaults = dict(global_out_size=16, local_out_size=8)
@@ -152,7 +155,7 @@ class TestSampleCrop:
         img = random_image(3, 32)
         rng = np.random.default_rng(42)
         for _ in range(10_000):
-            _, (_, _, h, w) = sample_crop(img, (0.40, 1.00), 8, rng)
+            _, (_, _, h, w) = sample_crop(img, (0.40, 1.00), 8, rng, ASPECT)
             frac = h * w / (32 * 32)
             assert 0.40 <= frac <= 1.00
 
@@ -160,20 +163,20 @@ class TestSampleCrop:
         img = random_image(4, 32)
         rng = np.random.default_rng(7)
         for _ in range(2_000):
-            _, (_, _, h, w) = sample_crop(img, (0.05, 0.40), 8, rng)
+            _, (_, _, h, w) = sample_crop(img, (0.05, 0.40), 8, rng, ASPECT)
             frac = h * w / (32 * 32)
             assert 0.05 <= frac <= 0.40
 
     def test_deterministic_given_seed(self):
         img = random_image(5, 32)
-        v1, g1 = sample_crop(img, (0.4, 1.0), 16, np.random.default_rng(9))
-        v2, g2 = sample_crop(img, (0.4, 1.0), 16, np.random.default_rng(9))
+        v1, g1 = sample_crop(img, (0.4, 1.0), 16, np.random.default_rng(9), ASPECT)
+        v2, g2 = sample_crop(img, (0.4, 1.0), 16, np.random.default_rng(9), ASPECT)
         assert g1 == g2
         assert np.array_equal(v1, v2)
 
     def test_degenerate_image_rejected(self):
         with pytest.raises(InputError):
-            sample_crop(np.zeros((3, 1, 1)), (0.4, 1.0), 8, np.random.default_rng(0))
+            sample_crop(np.zeros((3, 1, 1)), (0.4, 1.0), 8, np.random.default_rng(0), ASPECT)
 
 
 class TestAugmentView:
@@ -442,5 +445,5 @@ class TestCropAt:
     def test_matches_sample_crop_geometry(self):
         img = random_image(15)
         rng = np.random.default_rng(8)
-        view, (t, l, h, w) = sample_crop(img, (0.4, 1.0), 16, rng)
+        view, (t, l, h, w) = sample_crop(img, (0.4, 1.0), 16, rng, ASPECT)
         np.testing.assert_array_equal(bicubic_resize(img[..., t:t + h, l:l + w], 16), view)

@@ -212,7 +212,7 @@ class TestEncoderForward:
         img = np.random.default_rng(15).random((2, 3, 32, 32))
         out = backbone_forward(img, cfg, params, mode=EVAL, want_attention=True)
         for att in out.attention:
-            np.testing.assert_allclose(att.data.sum(axis=-1), 1.0, atol=1e-5)
+            np.testing.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-5)
 
 
 class TestProjectionHead:
@@ -383,32 +383,30 @@ class TestTapeEntries:
 # ---------------------------------------------------------------------------
 
 def _full_row_encoder(tokens, config, params, mode=EVAL, rng=None,
-                      want_attention=False, collect_block_cls=0):
+                      want_attention=False, n_last_blocks=1):
     """Reference for encoder_forward: every block computes every token row,
     from the same ops in the same order."""
     scale = 1.0 / np.sqrt(config.head_dim)
     nc = config.n_cls_tokens
-    attention, block_cls = [], []
+    attention, cls = [], []
     x = tokens
     for i in range(config.depth):
         pre = f"blocks.{i}."
         h = ad.layer_norm(x, params[pre + "ln1.scale"], params[pre + "ln1.shift"])
         qkv = ad.linear(h, params[pre + "attn.qkv.w"], params[pre + "attn.qkv.b"])
         out, att = ad.attention(qkv, config.n_heads, scale)
-        attention.append(Tensor(att))
+        attention.append(att)
         out = ad.linear(out, params[pre + "attn.proj.w"], params[pre + "attn.proj.b"])
         x = x + vit_module._drop_path(out, config.drop_path_rate, mode, rng)
         h = ad.layer_norm(x, params[pre + "ln2.scale"], params[pre + "ln2.shift"])
         m = ad.gelu(ad.linear(h, params[pre + "mlp.fc1.w"], params[pre + "mlp.fc1.b"]))
         m = ad.linear(m, params[pre + "mlp.fc2.w"], params[pre + "mlp.fc2.b"])
         x = x + vit_module._drop_path(m, config.drop_path_rate, mode, rng)
-        if collect_block_cls > 0 and i >= config.depth - collect_block_cls:
-            block_cls.append(ad.layer_norm(x[:, :nc, :], params["ln_f.scale"],
-                                           params["ln_f.shift"]))
-    cls = ad.layer_norm(x[:, :nc, :], params["ln_f.scale"], params["ln_f.shift"])
-    return BackboneOutput(cls_features=cls,
-                          attention=attention if want_attention else None,
-                          block_cls=block_cls)
+        if i >= config.depth - n_last_blocks:
+            cls.append(ad.layer_norm(x[:, :nc, :], params["ln_f.scale"],
+                                     params["ln_f.shift"]))
+    return BackboneOutput(cls_features=ad.concat(cls, axis=1),
+                          attention=attention if want_attention else None)
 
 
 class TestLastBlockRows:
@@ -421,10 +419,18 @@ class TestLastBlockRows:
         images = np.random.default_rng(41).random((n_images, 3, 48, 48))
         for n_last in (1, 2):
             want = _full_row_encoder(patch_embed(images, cfg, params), cfg, params,
-                                     collect_block_cls=n_last).block_cls
-            want = np.stack([b.data for b in want], axis=1).reshape(n_images, -1)
+                                     n_last_blocks=n_last).cls_features
+            want = want.data.reshape(n_images, -1)
             got = extract_features(params, images, cfg, n_last_blocks=n_last)
             assert np.array_equal(got, want)
+
+    def test_n_last_blocks_outside_the_depth_is_refused(self):
+        cfg = desk_vit()
+        params = init_backbone_params(cfg, np.random.default_rng(40))
+        tokens = patch_embed(np.zeros((1, 3, 48, 48)), cfg, params)
+        for n in (0, cfg.depth + 1):
+            with pytest.raises(ParameterError):
+                encoder_forward(tokens, cfg, params, n_last_blocks=n)
 
     @pytest.mark.parametrize("n_cls", [1, 2, 3])
     def test_attention_has_the_full_row_bits(self, n_cls):
@@ -436,9 +442,9 @@ class TestLastBlockRows:
         got = encoder_forward(tokens, cfg, params, want_attention=True).attention
         rows = max(n_cls, 2)
         assert got[-1].shape == (1, cfg.n_heads, rows, cfg.n_tokens)
-        assert np.array_equal(got[0].data, want[0].data)
-        assert np.array_equal(got[-1].data, want[-1].data[:, :, :rows])
-        ref = want[-1].data[0, :, :n_cls, n_cls:]
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[-1], want[-1][:, :, :rows])
+        ref = want[-1][0, :, :n_cls, n_cls:]
         assert np.array_equal(last_layer_attention(image, cfg, params),
                               ref / ref.sum(axis=-1, keepdims=True))
 

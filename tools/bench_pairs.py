@@ -5,10 +5,11 @@
 
 Pair i runs `perfbench/run.py --trace 0` on seed + i in BASE and in NEW,
 BASE first in odd pairs and NEW first in even ones, and reads the last
-stdout line of each run. For each end-to-end metric of BENCHMARK.json it
-prints the median [q1, q3] of each side and the pairs in which NEW is
-better. Exits 1 if a run is not correct or has failed operations. Uses
-the standard library only.
+stdout line of each run, a JSON object; a run without one stops the script
+with its checkout, exit code and stderr. For each end-to-end metric of
+BENCHMARK.json it prints the median [q1, q3] of each side and the pairs in
+which NEW is better. Exits 1 if a run is not correct or has failed
+operations. Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -29,9 +30,13 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
          str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if not lines:
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    if not isinstance(result, dict):
         sys.exit(f"{checkout}: no result (exit {proc.returncode})\n{proc.stderr}")
-    return json.loads(lines[-1])
+    return result
 
 
 def spread(values: list[float]) -> str:
