@@ -75,6 +75,15 @@ class MultiCropConfig:
         if min(self.jitter_strength) < 0 or not 0 < self.blur_sigma[0] <= self.blur_sigma[1]:
             raise ParameterError(f"need jitter strengths >= 0 and 0 < blur sigma min <= max, "
                                  f"got {self.jitter_strength} and {self.blur_sigma}")
+        # a hue shift is a fraction of the colour circle either way, as in
+        # torchvision's ColorJitter
+        if self.jitter_strength[3] > 0.5:
+            raise ParameterError(f"hue jitter strength must be <= 0.5, "
+                                 f"got {self.jitter_strength[3]}")
+        # pixel values lie in [0, 1]; a threshold outside never solarizes
+        if not 0.0 <= self.solarize_threshold <= 1.0:
+            raise ParameterError(f"solarize_threshold must lie in [0, 1], "
+                                 f"got {self.solarize_threshold}")
 
 
 @dataclass

@@ -63,6 +63,11 @@ class DistillConfig:
         if not all(math.isfinite(r) and r >= 0 for r in (self.base_lr, self.lr_floor)):
             raise ParameterError(f"base_lr and lr_floor must be finite and >= 0, "
                                  f"got {self.base_lr} and {self.lr_floor}")
+        if not all(math.isfinite(w) and w >= 0 for w in (self.wd_start, self.wd_end)):
+            raise ParameterError(f"wd_start and wd_end must be finite and >= 0, "
+                                 f"got {self.wd_start} and {self.wd_end}")
+        if self.freeze_last_steps < 0:
+            raise ParameterError(f"freeze_last_steps must be >= 0, got {self.freeze_last_steps}")
         if not (0.0 <= self.center_momentum < 1.0):
             raise ParameterError(f"center momentum must be in [0, 1), got {self.center_momentum}")
         if not (0.99 <= self.ema_start <= self.ema_end <= 1.0):

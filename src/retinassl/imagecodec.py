@@ -17,11 +17,11 @@ import numpy as np
 from .errors import DataFormatError, DecodeError, InputError
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
-# A lockstep block of files holds at most this many filtered bytes (or one
-# file, if a single image is larger): enough files for the per-pass cost of
-# unfiltering to be shared, few enough that a block's working memory stays
-# small beside the float64 result.
-_BLOCK_VALUES = 1 << 18
+# A block of files holds at most this many filtered bytes (or one file, if a
+# single image is larger): enough files for the per-pass cost of unfiltering
+# to be shared (301 files of 48 px RGB), few enough that a block's
+# working memory stays small beside the float64 result.
+_BLOCK_VALUES = 1 << 21
 # deflate expands at most 258 bytes from every 2 bits: 1032 to 1
 _MAX_INFLATE_RATIO = 1032
 
@@ -62,60 +62,93 @@ def encode_png(pixels: np.ndarray) -> bytes:
             + _chunk(b"IEND", b""))
 
 
-def _unfilter(streams: np.ndarray, channels: int) -> np.ndarray:
-    """Undo the PNG scanline filters of N pixel streams of one header at once.
+# Per filter type 0..4 (None, Sub, Up, Average, Paeth): the offsets added to
+# Paeth's distances pa and pb, and the weights of the Average term and of c
+# in the predictor (see _add_predictors). -_FAR makes a distance the smallest and
+# +_FAR makes it lose to every other, so Sub and Up rows are Paeth rows whose
+# choice is fixed (a, or b), and None and Average rows choose neither a nor
+# b. _FAR exceeds every distance, the largest being pc = |a + b - 2c| <= 510.
+_FAR = 1024
+_ROW_COEFFICIENTS = np.array([[_FAR, -_FAR, _FAR, _FAR, 0],   # added to pa
+                              [_FAR, _FAR, -_FAR, _FAR, 0],   # added to pb
+                              [0, 0, 0, 1, 0],                # Average term
+                              [0, 1, 1, 1, 1]],               # c
+                             dtype=np.int16)
 
-    streams: (N, h, w * channels + 1) uint8, each row led by its filter type,
-    already checked to be 0..4. Returns (N, h, w, channels) uint8, a view into
-    `streams` or into the working buffer.
 
-    Under every filter type pixel (y, x) depends only on (y, x - 1),
-    (y - 1, x) and (y - 1, x - 1), so the pixels of one anti-diagonal
+def _unfilter(buf: np.ndarray, types: np.ndarray) -> None:
+    """Undo the PNG scanline filters of N pixel streams of one header, in place.
+
+    buf: ((h + 1) * (w + 1), N, channels) uint8, the images pixel-major with
+    the files and channels innermost, below a zero pad row and right of a
+    zero pad column: pixel (y, x) of file i is buf[(y + 1) * (w + 1) + x + 1, i],
+    holding its filtered byte. types: (h, N), the filter type of every row,
+    already checked to be 0..4.
+
+    Under every filter type pixel (y, x) depends only on its left (a), upper
+    (b) and upper-left (c) neighbours, so the pixels of one anti-diagonal
     y + x = d are independent of each other: h + w - 1 passes, each over
-    diagonal d of every file, decode the block. A block whose rows all use
-    filter 0 (what encode_png writes) already holds its pixels.
+    diagonal d of every file, decode the block. Pixel (y, x) is entry
+    y * w + d + w + 2, so diagonal d is every w-th entry from its first row
+    to its last, and a, b and c are that slice moved back by 1, w + 1 and
+    w + 2 entries. b and a are consecutive entries of diagonal d - 1, read
+    once a pass, and c is the previous pass's read of diagonal d - 2.
     """
-    n, h, row = streams.shape
-    w = (row - 1) // channels
-    types = streams[:, :, 0]
-    pixels = streams[:, :, 1:].reshape(n, h, w, channels)
-    if not types.any():
-        return pixels
-    # The image below a zero pad row and right of a zero pad column,
-    # pixel-major with the files and channels innermost. Pixel (y, x) is
-    # entry (y + 1)(w + 1) + x + 1 = y * w + d + w + 2 with d = y + x, so
-    # diagonal d is every w-th entry from its first row to its last, and its
-    # left, upper and upper-left neighbours are that slice moved back by 1,
-    # w + 1 and w + 2 entries. Pixels are unfiltered in place.
-    buf = np.zeros(((h + 1) * (w + 1), n, channels), dtype=np.uint8)
-    grid = buf.reshape(h + 1, w + 1, n, channels)
-    grid[1:, 1:] = pixels.transpose(1, 2, 0, 3)
-    # row masks spelled out over the channels too, in the pass order, so that
-    # no operand of a pass broadcasts along its innermost axis
-    kind = np.repeat(types.T[:, :, None], channels, axis=2)
-    is_none, is_sub, is_up, is_avg = (kind == t for t in range(4))
+    h, n = types.shape
+    w = len(buf) // (h + 1) - 1
+    # the row coefficients spelled out over the channels too, so that no
+    # operand of a pass broadcasts along its innermost axis; int16 like the
+    # pass's arrays, because on a small image a bool x int16 product costs
+    # about a microsecond more per call
+    off_a, off_b, is_avg, keep_c = _ROW_COEFFICIENTS[:, np.broadcast_to(
+        types[:, :, None], types.shape + buf.shape[2:])]
+    prev, prev_lo = np.zeros((1,) + buf.shape[1:], dtype=np.int16), 0
     for d in range(h + w - 1):
         lo, hi = max(0, d - w + 1), min(h, d + 1)  # the rows diagonal d crosses
         start, stop = lo * w + d + w + 2, (hi - 1) * w + d + w + 3
         cur = buf[start:stop:w]
-        a = buf[start - 1:stop - 1:w].astype(np.int16)
-        b = buf[start - w - 1:stop - w - 1:w].astype(np.int16)
-        c = buf[start - w - 2:stop - w - 2:w].astype(np.int16)
-        # Paeth predicts whichever of a, b, c is nearest a + b - c, ties
-        # going to a, then b
-        pa, pb = b - c, a - c
-        pc = np.abs(pa + pb)
-        np.abs(pa, out=pa)
-        np.abs(pb, out=pb)
-        pred = c
-        np.copyto(pred, b, where=pb <= pc)
-        np.copyto(pred, a, where=pa <= np.minimum(pb, pc))
-        np.copyto(pred, (a + b) >> 1, where=is_avg[lo:hi])
-        np.copyto(pred, b, where=is_up[lo:hi])
-        np.copyto(pred, a, where=is_sub[lo:hi])
-        np.copyto(pred, 0, where=is_none[lo:hi])
-        np.add(cur, pred, out=cur, casting="unsafe")  # modulo 256
-    return grid[1:, 1:].transpose(2, 0, 1, 3)
+        # diagonal d - 1 over rows lo - 1 .. hi - 1: b of each pixel, then its a
+        ab = buf[start - w - 1:stop - 1:w].astype(np.int16)
+        c = prev[lo - prev_lo:hi - prev_lo]  # diagonal d - 2 over rows lo - 1 .. hi - 2
+        prev, prev_lo = ab, lo
+        _add_predictors(cur, ab[1:], ab[:-1], c, off_a[lo:hi], off_b[lo:hi],
+                        is_avg[lo:hi], keep_c[lo:hi])
+
+
+def _add_predictors(cur, a, b, c, off_a, off_b, is_avg, keep_c) -> None:
+    """Add the PNG predictor of each pixel of one diagonal into its filtered
+    byte, modulo 256. cur: the filtered bytes, uint8; a, b, c: the pixels'
+    left, upper and upper-left neighbours, int16 (c is overwritten); the rest:
+    their rows' coefficients from _ROW_COEFFICIENTS.
+
+    The predictor is c [not None] + (s >> 1) [Average] + u [a wins]
+    + v [b wins], with u = a - c, v = b - c and s = u + v: Sub is c + u, Up
+    is c + v, Average's (a + b) >> 1 is c + (s >> 1), and Paeth, which
+    predicts whichever of a, b, c is nearest a + b - c with ties going to a,
+    then b, is c + u [a wins] + v [b wins], from its distances pa = |v|,
+    pb = |u| and pc = |u + v|. Temporaries are reused, and the last sums go
+    to spent arrays rather than in place, which numpy serves faster on a
+    diagonal of a few pixels; the temporaries die with the call.
+    """
+    u = a - c
+    v = b - c
+    s = u + v
+    pc = np.abs(s)
+    s >>= 1
+    s *= is_avg
+    c *= keep_c
+    c += s
+    pb = np.abs(u, out=s)
+    pb += off_b
+    b_wins = pb <= pc
+    m = np.minimum(pb, pc, out=pc)
+    pa = np.abs(v, out=pb)  # pb is spent
+    pa += off_a
+    a_wins = pa <= m
+    np.greater(b_wins, a_wins, out=b_wins)
+    # pa and m are spent
+    paeth = np.add(np.multiply(u, a_wins, out=pa), np.multiply(v, b_wins, out=m), out=u)
+    np.add(cur, np.add(c, paeth, out=v), out=cur, casting="unsafe")
 
 
 def inflate_png(blob: bytes) -> tuple[np.ndarray, int]:
@@ -188,10 +221,63 @@ def inflate_png(blob: bytes) -> tuple[np.ndarray, int]:
     return rows, channels
 
 
+class _Block:
+    """Files of one channel count, read in order straight into the array
+    that decodes them. A block that a file with a filtered row opens is the
+    zero-padded wavefront buffer of _unfilter, with the filter type of every
+    row beside it. A block that a file whose rows all use filter 0 opens
+    needs no decoding: the scanlines go to a file-major array whole."""
+
+    def __init__(self, files: int, shape: tuple[int, int], kind: tuple[int, bool]):
+        self.kind, self.files, self.count = kind, files, 0
+        channels, filtered = kind
+        h, w = shape[0], (shape[1] - 1) // channels
+        self.size = h, w, channels
+        if filtered:
+            self.buf = np.zeros(((h + 1) * (w + 1), files, channels), dtype=np.uint8)
+            self.types = np.empty((h, files), dtype=np.uint8)
+            grid = self.buf.reshape(h + 1, w + 1, files, channels)
+            self.pixels = grid[1:, 1:].transpose(2, 0, 1, 3)
+        else:
+            self.rows = np.empty((files,) + shape, dtype=np.uint8)
+
+    def takes(self, kind: tuple[int, bool]) -> bool:
+        """Whether the block has room for a file of this kind: of its channel
+        count, and filtered only if the block is a wavefront buffer (a
+        filter-0 file costs that nothing, and interleaved files of both
+        kinds keep sharing one block)."""
+        return (self.count < self.files and kind[0] == self.kind[0]
+                and kind[1] <= self.kind[1])
+
+    def add(self, rows: np.ndarray) -> None:
+        """Read one file's scanlines, of the block's size, into the block."""
+        if self.kind[1]:
+            self.pixels[self.count] = rows[:, 1:].reshape(self.size)
+            self.types[:, self.count] = rows[:, 0]
+        else:
+            self.rows[self.count] = rows
+        self.count += 1
+
+    def decode(self) -> np.ndarray:
+        """The block's files decoded, (count, h, w, channels) uint8."""
+        n = self.count
+        if not self.kind[1]:
+            return self.rows[:n, :, 1:].reshape((n,) + self.size)
+        _unfilter(self.buf[:, :n], self.types[:, :n])
+        return self.pixels[:n]
+
+
+def _kind(rows: np.ndarray, channels: int) -> tuple[int, bool]:
+    """The channel count of a file's scanlines, and whether any row is filtered."""
+    return channels, bool(np.count_nonzero(rows[:, 0]))
+
+
 def decode_png(blob: bytes) -> np.ndarray:
     """Decode an 8-bit non-interlaced grayscale or RGB PNG to uint8 pixels."""
     rows, channels = inflate_png(blob)
-    pixels = _unfilter(rows[None], channels)[0]
+    block = _Block(1, rows.shape, _kind(rows, channels))
+    block.add(rows)
+    pixels = block.decode()[0]
     return pixels[:, :, 0] if channels == 1 else pixels
 
 
@@ -261,19 +347,17 @@ def _read_rows(path) -> tuple[np.ndarray, int]:
 def decode_images(paths) -> np.ndarray:
     """Read a list of image files of one size into one (n, 3, H, W) array in
     [0, 1], gray replicated across the channels. Files are read one at a
-    time; runs of files of one row layout are unfiltered in blocks of at most
-    _BLOCK_VALUES filtered bytes and written straight into the result, so
+    time into blocks (see _Block) of at most _BLOCK_VALUES filtered bytes;
+    each block is decoded at once and written straight into the result, so
     the working memory is one block. An error names the file."""
     if not paths:
         return np.zeros((0, 3, 0, 0))
-    out = None
-    start = count = 0  # the block's first file, and its files so far
+    out = block = None
+    start = 0  # the block's first file
 
     def write_block():
-        if count:
-            pixels = _unfilter(block[:count], channels)
-            np.divide(pixels.transpose(0, 3, 1, 2), 255.0,
-                      out=out[start:start + count])
+        np.divide(block.decode().transpose(0, 3, 1, 2), 255.0,
+                  out=out[start:start + block.count])
 
     for i, path in enumerate(paths):
         rows, ch = _read_rows(path)
@@ -283,15 +367,15 @@ def decode_images(paths) -> np.ndarray:
         elif size != out.shape[2:]:
             raise InputError(f"{path} is {size[0]}x{size[1]}, unlike "
                              f"{paths[0]}; images must share one size")
-        if count and (count == len(block) or rows.shape != block.shape[1:]):
+        kind = _kind(rows, ch)
+        if block is not None and not block.takes(kind):
             write_block()
-            count = 0
-        if not count:
-            start, channels = i, ch
+            block = None
+        if block is None:
+            start = i
             files = min(len(paths) - i, max(1, _BLOCK_VALUES // rows.size))
-            block = np.empty((files,) + rows.shape, dtype=np.uint8)
-        block[count] = rows
-        count += 1
+            block = _Block(files, rows.shape, kind)
+        block.add(rows)
     write_block()
     return out
 

@@ -38,6 +38,9 @@ class ViTConfig:
     def __post_init__(self):
         if self.patch_size not in (8, 16):
             raise ParameterError(f"patch_size must be 8 or 16, got {self.patch_size}")
+        if self.image_size < self.patch_size:
+            raise ParameterError(f"image_size must be >= patch_size {self.patch_size}, "
+                                 f"got {self.image_size}")
         if self.image_size % self.patch_size != 0:
             raise ParameterError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")

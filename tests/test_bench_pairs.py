@@ -81,3 +81,34 @@ def test_a_run_without_a_result_line_names_its_checkout(monkeypatch, stdout):
     with pytest.raises(SystemExit) as exc:
         bench_pairs.run_once("base-checkout", "train-desk", 1, 1.0)
     assert exc.value.code == "base-checkout: no result (exit 3)\nit broke"
+
+
+def test_record_round_trips_and_names_its_environment(monkeypatch, tmp_path):
+    rates = iter([1.0, 2.0, 2.5, 1.5, 1.2, 2.2])  # base, new; new, base; base, new
+
+    def fake_run(args, cwd=None, **kwargs):
+        if args[0] == "git":
+            out = {"rev-parse": f"{cwd}-sha\n",
+                   "status": " M src/x.py\n" if cwd == "new" else ""}[args[1]]
+            return subprocess.CompletedProcess(args, 0, stdout=out, stderr="")
+        return subprocess.CompletedProcess(args, 0, stdout="log\n" + result_line(next(rates)),
+                                           stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    path = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["base", "new", "--workload", "ingest-png", "--pairs", "3",
+                             "--seed", "7", "--seconds", "2", "--record", str(path)]) == 0
+    with open(path) as fh:
+        rec = json.load(fh)
+    assert (rec["workload"], rec["seeds"], rec["seconds"]) == ("ingest-png", [7, 8, 9], 2.0)
+    assert rec["commits"] == {"base": "base-sha", "new": "new-sha (dirty)"}
+    env = rec["environment"]
+    assert env["blas_threads"]["OMP_NUM_THREADS"] == "1"
+    assert set(env["blas_threads"]) == set(bench_pairs.BLAS_ENV)
+    assert env["python"].count(".") == 2
+    assert all(env[key] for key in ("numpy", "scipy", "cpu"))
+    rate = rec["metrics"]["new"]["images_per_s"]
+    assert rate == {"median": 2.2, "q1": 2.1, "q3": 2.35, "pairs": [2.0, 2.5, 2.2]}
+    assert rec["metrics"]["base"]["images_per_s"]["pairs"] == [1.0, 1.5, 1.2]
+    assert set(rec["metrics"]["base"]) == {"setup_s", "peak_rss_mb", "images_per_s"}

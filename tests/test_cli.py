@@ -202,17 +202,23 @@ class TestTrain:
         pytest.param("distill.base_lr=1" + "0" * 400, id="distill.base_lr=10**400"),
         "probe.lr=1e999", "distill.clip_threshold=1e999", "crop.solarize_threshold=1e999",
         "crop.solarize_p=2", "crop.flip_p=-1", "crop.aspect_range=(2.0, 1.0)",
-        "crop.aspect_range=(0.0, 1.0)", "probe.epochs=-1", "probe.lr=-1"])
+        "crop.aspect_range=(0.0, 1.0)", "probe.epochs=-1", "probe.lr=-1",
+        "vit.image_size=0", "distill.wd_start=-1", "distill.wd_end=-1",
+        "distill.freeze_last_steps=-5", "crop.solarize_threshold=5",
+        "crop.jitter_strength=(0.4, 0.4, 0.4, 3.0)"])
     def test_out_of_range_set_exit_2(self, tmp_path, tiny_config, synth_dir, capsys,
                                      value):
-        # refused where the config is built, before a step runs; n_heads=0
-        # used to divide by zero in ViTConfig and exit 1 with a traceback, an
-        # infinite blur sigma ended in a numpy ValueError (exit 1), and a
-        # probability of 2 or a negative probe epoch count ran (exit 0)
+        # refused where the config is built, before a step runs and before
+        # --out is made; n_heads=0 used to divide by zero in ViTConfig and
+        # exit 1 with a traceback, an infinite blur sigma ended in a numpy
+        # ValueError (exit 1), a probability of 2, a negative probe epoch
+        # count or a negative wd_end ran (exit 0), and image_size=0 was
+        # refused only by the first resample
         assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
                     "--images", synth_dir, "--out", str(tmp_path / "o"),
                     "--config", tiny_config, "--steps", "1", "--set", value]) == 2
         assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_zero_heads_refused_by_make_synth(self, tmp_path, tiny_config):
         assert run(["make-synth", "--out", str(tmp_path / "d"), "--per-class", "1",

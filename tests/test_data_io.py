@@ -248,21 +248,31 @@ class TestPng:
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 5), h=st.integers(1, 9), w=st.integers(1, 9),
-           gray=st.booleans(), levels=st.sampled_from([2, 256]),
+           gray=st.booleans(), levels=st.sampled_from([2, 256, "0/255"]),
            seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_lockstep_unfilter_inverts_the_per_byte_encoder(self, n, h, w, gray,
                                                             levels, seed, data):
-        # few levels make Paeth's three-way ties common
-        shape = (h, w) if gray else (h, w, 3)
-        pixels = np.random.default_rng(seed).integers(0, levels, size=(n,) + shape,
-                                                      dtype=np.uint8)
+        # few levels make Paeth's three-way ties common; pixels of only 0 and
+        # 255 take Average sums and |u + v| to 510 and make most adds wrap
+        ch = 1 if gray else 3
+        rng = np.random.default_rng(seed)
+        if levels == "0/255":
+            pixels = rng.integers(0, 2, size=(n, h, w, ch), dtype=np.uint8) * np.uint8(255)
+        else:
+            pixels = rng.integers(0, levels, size=(n, h, w, ch), dtype=np.uint8)
         types = data.draw(st.lists(st.lists(st.integers(0, 4), min_size=h, max_size=h),
                                    min_size=n, max_size=n))
-        blobs = [_filtered_png(px, t) for px, t in zip(pixels, types)]
+        blobs = [_filtered_png(px[:, :, 0] if gray else px, t)
+                 for px, t in zip(pixels, types)]
         streams = np.stack([inflate_png(blob)[0] for blob in blobs])
-        out = _unfilter(streams, 1 if gray else 3)
-        np.testing.assert_array_equal(out, pixels.reshape(out.shape))
-        np.testing.assert_array_equal(decode_png(blobs[-1]), pixels[-1])
+        # the wavefront buffer: the files' pixels below a zero pad row and
+        # right of a zero pad column, pixel-major, files and channels innermost
+        buf = np.zeros(((h + 1) * (w + 1), n, ch), dtype=np.uint8)
+        grid = buf.reshape(h + 1, w + 1, n, ch)
+        grid[1:, 1:] = streams[:, :, 1:].reshape(n, h, w, ch).transpose(1, 2, 0, 3)
+        _unfilter(buf, streams[:, :, 0].T)
+        np.testing.assert_array_equal(grid[1:, 1:].transpose(2, 0, 1, 3), pixels)
+        np.testing.assert_array_equal(decode_png(blobs[-1]).reshape(h, w, ch), pixels[-1])
 
     @pytest.mark.parametrize("ftype", [5, 255])
     def test_unknown_filter_type(self, ftype):
@@ -395,18 +405,24 @@ class TestManifest:
     @pytest.mark.parametrize("block_files", [1, 2, 8])
     def test_gray_rgb_and_pnm_of_one_size_load_together(self, tmp_path, monkeypatch,
                                                         block_files):
+        # an adaptive-filter PNG opens a wavefront block and closes a
+        # file-major one, a filter-0 PNG (png0: encode_png's) or pixmap opens
+        # a file-major block or joins a wavefront one, and a change of channel
+        # count closes either
         rng = np.random.default_rng(8)
         names, pixels = [], []
-        for i, kind in enumerate(["rgb", "rgb", "gray", "pnm", "gray", "rgb", "pnm", "rgb",
-                                  "pgm"]):
+        for i, kind in enumerate(["rgb", "rgb", "gray", "pnm", "png0", "gray", "rgb", "pnm",
+                                  "png0gray", "png0", "rgb", "pgm", "png0", "gray"]):
             names.append(f"{kind}{i}")
-            shape = (6, 5) if kind in ("gray", "pgm") else (6, 5, 3)
+            shape = (6, 5) if kind in ("gray", "pgm", "png0gray") else (6, 5, 3)
             px = rng.integers(0, 256, size=shape, dtype=np.uint8)
             pixels.append(np.repeat(px[:, :, None], 3, axis=2) if px.ndim == 2 else px)
             if kind == "pnm":
                 (tmp_path / f"{kind}{i}.ppm").write_bytes(encode_pnm(px))
             elif kind == "pgm":
                 (tmp_path / f"{kind}{i}.pgm").write_bytes(encode_pnm(px))
+            elif kind.startswith("png0"):
+                (tmp_path / f"{kind}{i}.png").write_bytes(encode_png(px))
             else:
                 types = rng.integers(0, 5, size=6).tolist()
                 (tmp_path / f"{kind}{i}.png").write_bytes(_filtered_png(px, types))
@@ -417,6 +433,29 @@ class TestManifest:
         np.testing.assert_array_equal(images, np.stack(pixels).transpose(0, 3, 1, 2) / 255.0)
         for i, record in enumerate(m.records):
             np.testing.assert_array_equal(images[i], decode_image(record.path))
+            blob = Path(record.path).read_bytes()
+            px = decode_png(blob) if record.path.endswith(".png") else decode_pnm(blob)
+            if px.ndim == 2:
+                px = np.repeat(px[:, :, None], 3, axis=2)
+            assert np.array_equal(images[i], px.transpose(2, 0, 1) / 255.0)
+
+    def test_interleaved_filter_kinds_share_blocks(self, tmp_path, monkeypatch):
+        # a filter-0 file joins an open wavefront block, so a manifest that
+        # alternates the kinds is not unfiltered one file at a time
+        from retinassl import imagecodec
+        rng = np.random.default_rng(10)
+        pixels = rng.integers(0, 256, size=(12, 6, 5, 3), dtype=np.uint8)
+        for i, px in enumerate(pixels):
+            blob = encode_png(px) if i % 2 else _filtered_png(px, [4] * 6)
+            (tmp_path / f"f{i}.png").write_bytes(blob)
+        path = self._write(tmp_path, [f"f{i},0" for i in range(12)])
+        monkeypatch.setattr(imagecodec, "_BLOCK_VALUES", 8 * 6 * 16)
+        blocks, unfilter = [], imagecodec._unfilter
+        monkeypatch.setattr(imagecodec, "_unfilter",
+                            lambda buf, types: blocks.append(types.shape[1]) or unfilter(buf, types))
+        images = load_manifest(path, tmp_path).load_images()
+        np.testing.assert_array_equal(images, pixels.transpose(0, 3, 1, 2) / 255.0)
+        assert blocks == [8, 4]
 
     def test_every_file_is_opened_once(self, tmp_path, monkeypatch):
         names = ["a", "b", "c", "d"]

@@ -10,18 +10,28 @@ with its checkout, exit code and stderr. For each end-to-end metric of
 BENCHMARK.json it prints the median [q1, q3] of each side and the pairs in
 which NEW is better. Exits 1 if a run is not correct or has failed
 operations. Uses the standard library only.
+
+With --record PATH it also writes the pairs as JSON: the workload, seeds
+and seconds; each checkout's commit, marked dirty when it has uncommitted
+changes; the BLAS thread variables of the environment the runs start in
+(perfbench/run.py pins them to 1 itself), the Python, numpy and scipy
+versions and the CPU model; and per side and end-to-end metric the median,
+q1, q3 and the value of each pair.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -39,10 +49,15 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """[q1, median, q3], interpolated as numpy's default does."""
+    return (statistics.quantiles(values, n=4, method="inclusive")
+            if len(values) > 1 else values * 3)
+
+
 def spread(values: list[float]) -> str:
-    """median [q1, q3], with quartiles interpolated as numpy's default does."""
-    q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                   if len(values) > 1 else values * 3)
+    """median [q1, q3]."""
+    q1, med, q3 = quartiles(values)
     return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
@@ -64,6 +79,62 @@ def summarize(base: list[dict], new: list[dict], better: dict[str, str]
     return lines, ok
 
 
+def commit(checkout: str) -> str | None:
+    """The checkout's HEAD, with " (dirty)" when it has uncommitted changes;
+    None outside a git work tree."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
+                              text=True)
+    head = git("rev-parse", "HEAD")
+    if head.returncode:
+        return None
+    dirty = git("status", "--porcelain").stdout.strip()
+    return head.stdout.strip() + (" (dirty)" if dirty else "")
+
+
+def version(package: str) -> str | None:
+    try:
+        return importlib.metadata.version(package)
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
+def cpu_model() -> str | None:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
+def record(args, base: list[dict], new: list[dict], better: dict[str, str]) -> dict:
+    """The JSON object that --record writes."""
+    sides = {}
+    for side, results in (("base", base), ("new", new)):
+        sides[side] = {}
+        for name in better:
+            values = [r["metrics"][name]["value"] for r in results]
+            q1, med, q3 = quartiles(values)
+            sides[side][name] = {"median": med, "q1": q1, "q3": q3, "pairs": values}
+    return {
+        "workload": args.workload,
+        "seeds": [args.seed + i for i in range(args.pairs)],
+        "seconds": args.seconds,
+        "commits": {"base": commit(args.base), "new": commit(args.new)},
+        "environment": {
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_ENV},
+            "python": platform.python_version(),
+            "numpy": version("numpy"),
+            "scipy": version("scipy"),
+            "cpu": cpu_model(),
+        },
+        "metrics": sides,
+    }
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("base")
@@ -72,6 +143,7 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=5)
     p.add_argument("--seconds", type=float, default=15.0)
     p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--record", metavar="PATH", help="also write the pairs as JSON")
     args = p.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
@@ -83,6 +155,10 @@ def main(argv=None) -> int:
             print(f"pair {i + 1} {checkout}: {json.dumps(results[-1])}", flush=True)
     lines, ok = summarize(base, new, better)
     print("\n".join(lines))
+    if args.record:
+        with open(args.record, "w") as fh:
+            json.dump(record(args, base, new, better), fh, indent=1)
+            fh.write("\n")
     return 0 if ok else 1
 
 
