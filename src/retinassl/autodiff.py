@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import ContractError, ParameterError, ShapeMismatchError
+from .errors import ContractError, ParameterError
 
 DTYPE = np.float64
 
@@ -205,11 +205,10 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
-        raise ShapeMismatchError(
+        raise ContractError(
             f"matmul requires ndim >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatchError(
-            f"matmul inner extents differ: {a.shape} x {b.shape}")
+        raise ContractError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     return _record(np.matmul(a.data, b.data), (a, b),
                    lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2)),
                    lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g))
@@ -222,7 +221,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     than a batched product reduced over the batch afterwards.
     """
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeMismatchError(
+        raise ContractError(
             f"linear needs x (..., d), w (d, k) and b (k,), "
             f"got {x.shape}, {w.shape} and {b.shape}")
     d, k = w.shape
@@ -292,13 +291,13 @@ def attention(qkv: Tensor, n_heads: int, scale: float,
     not queried.
     """
     if qkv.ndim != 3 or n_heads < 1 or qkv.shape[-1] % (3 * n_heads) != 0:
-        raise ShapeMismatchError(
+        raise ContractError(
             f"attention needs a (B, T, 3d) input with d divisible by "
             f"{n_heads} heads, got {qkv.shape}")
     b, t, d3 = qkv.shape
     rows = t if rows is None else rows
     if not 1 <= rows <= t:
-        raise ShapeMismatchError(f"attention query rows must be in 1..{t}, got {rows}")
+        raise ContractError(f"attention query rows must be in 1..{t}, got {rows}")
     d = d3 // 3
     hd = d // n_heads
     # views of qkv laid out as the per-head chain would index them, so that
@@ -335,7 +334,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, epsilon: float = 1e-6) -
         raise ParameterError(f"epsilon must be > 0, got {epsilon}")
     d = x.shape[-1]
     if scale.shape != (d,) or shift.shape != (d,):
-        raise ShapeMismatchError(
+        raise ContractError(
             f"layer_norm affine params must have shape ({d},), "
             f"got {scale.shape} and {shift.shape}")
 
@@ -413,7 +412,7 @@ def cross_entropy_rows(p, log_q: Tensor) -> Tensor:
     """
     p_arr = p.data if isinstance(p, Tensor) else np.asarray(p, dtype=DTYPE)
     if p_arr.shape != log_q.shape:
-        raise ShapeMismatchError(
+        raise ContractError(
             f"cross_entropy_rows shapes differ: {p_arr.shape} vs {log_q.shape}")
     if not np.allclose(p_arr.sum(axis=-1), 1.0, atol=1e-6):
         raise ContractError("cross_entropy_rows: p rows must sum to 1 within 1e-6")

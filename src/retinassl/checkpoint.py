@@ -33,9 +33,7 @@ from .autodiff import Tensor
 from .configio import build_section
 from .crops import MultiCropConfig
 from .distill import DistillConfig, TrainState
-from .errors import (CheckpointChecksumError, CheckpointError,
-                     CheckpointMagicError, CheckpointTruncationError,
-                     CheckpointVersionError)
+from .errors import CheckpointError
 from .vit import ProjectionHeadConfig, ViTConfig, param_shapes
 
 MAGIC = b"RSSLCKPT"
@@ -58,17 +56,17 @@ def _pack_array(arr: np.ndarray) -> bytes:
 
 def _unpack_array(payload: bytes) -> np.ndarray:
     if len(payload) < 1:
-        raise CheckpointTruncationError("empty array payload")
+        raise CheckpointError("empty array payload")
     ndim = payload[0]
     if ndim > 64:
         raise CheckpointError(f"array rank {ndim} is above numpy's limit of 64")
     need = 1 + 8 * ndim
     if len(payload) < need:
-        raise CheckpointTruncationError("array shape header cut short")
+        raise CheckpointError("array shape header cut short")
     shape = struct.unpack_from(f"<{ndim}Q", payload, 1)
     count = math.prod(shape)  # Python ints: a product of u64 dims cannot wrap
     if len(payload) != need + 8 * count:
-        raise CheckpointTruncationError(
+        raise CheckpointError(
             f"array payload holds {len(payload) - need} bytes, expected {8 * count}")
     values = np.frombuffer(payload, dtype="<f8", count=count, offset=need)
     try:
@@ -113,22 +111,22 @@ def save_checkpoint(state: TrainState, path, vit_config: ViTConfig,
 
 def _read_sections(blob: bytes) -> dict[str, bytes]:
     if len(blob) < len(MAGIC) + 4:
-        raise CheckpointTruncationError("file shorter than the fixed header")
+        raise CheckpointError("file shorter than the fixed header")
     if blob[:len(MAGIC)] != MAGIC:
-        raise CheckpointMagicError(f"bad magic bytes {blob[:8]!r}")
+        raise CheckpointError(f"bad magic bytes {blob[:8]!r}")
     (version,) = struct.unpack_from("<I", blob, len(MAGIC))
     if version != FORMAT_VERSION:
-        raise CheckpointVersionError(
+        raise CheckpointError(
             f"format version {version}, this build reads {FORMAT_VERSION}")
     sections: dict[str, bytes] = {}
     pos = len(MAGIC) + 4
     while pos < len(blob):
         if pos + 2 > len(blob):
-            raise CheckpointTruncationError("section name length cut short")
+            raise CheckpointError("section name length cut short")
         (nlen,) = struct.unpack_from("<H", blob, pos)
         pos += 2
         if pos + nlen + 12 > len(blob):
-            raise CheckpointTruncationError("section header cut short")
+            raise CheckpointError("section header cut short")
         try:
             name = blob[pos:pos + nlen].decode()
         except UnicodeDecodeError as exc:
@@ -138,9 +136,9 @@ def _read_sections(blob: bytes) -> dict[str, bytes]:
         pos += 12
         payload = blob[pos:pos + plen]
         if len(payload) != plen:
-            raise CheckpointTruncationError(f"section {name!r} payload cut short")
+            raise CheckpointError(f"section {name!r} payload cut short")
         if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
-            raise CheckpointChecksumError(f"checksum mismatch in section {name!r}")
+            raise CheckpointError(f"checksum mismatch in section {name!r}")
         sections[name] = payload
         pos += plen
     return sections

@@ -1,7 +1,8 @@
 """Command-line surface: make-synth, train, probe, knn, attn-map.
 
-Exit codes are a stable contract: 0 success, 1 usage error, 2 data or
-config error, 3 runtime/numerical error. Every subcommand takes --seed
+Exit codes are a stable contract: 0 success, 1 usage error, 2 bad input
+(an ``InputError`` or an ``OSError``), 3 runtime failure (any other
+``RetinaSSLError``, or a ``MemoryError``). Every subcommand takes --seed
 (default 42) and is byte-reproducible for a fixed seed. The default config
 file can also be supplied through the RETINASSL_CONFIG environment
 variable; explicit --config wins.
@@ -10,6 +11,7 @@ variable; explicit --config wins.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -20,9 +22,7 @@ from .configio import load_config, parse_assignments
 from .data import (generate_synthetic_dataset, load_manifest,
                    write_synthetic_dataset)
 from .distill import METRICS_HEADER, batch_schedule, init_train_state, train_loop
-from .errors import (CheckpointError, ConfigError, DataFormatError,
-                     DecodeError, InputError, ManifestError, ParameterError,
-                     RetinaSSLError, TrainingError)
+from .errors import InputError, RetinaSSLError
 from .evaluation import (KnnConfig, attention_heatmaps, build_index,
                          compute_metrics, extract_features, knn_classify,
                          probe_eval_transform, probe_predict,
@@ -118,6 +118,8 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_config(args):
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     path = args.config or os.environ.get(CONFIG_ENV_VAR) or None
     overrides = parse_assignments(args.set, source="--set")
     return load_config(path, overrides)
@@ -210,9 +212,8 @@ def cmd_probe(args) -> int:
                                        rng, flip=config.probe.flip_augment)
     feats = extract_features(state.teacher, train_imgs, vit,
                              config.data.n_last_blocks)
-    probe_cfg = config.probe
-    probe_cfg.seed = args.seed
-    probe = train_linear_probe(feats, train_m.grades(), probe_cfg)
+    probe = train_linear_probe(feats, train_m.grades(),
+                               dataclasses.replace(config.probe, seed=args.seed))
 
     test_imgs = probe_eval_transform(test_m.load_images(), vit.image_size)
     test_feats = extract_features(state.teacher, test_imgs, vit,
@@ -284,11 +285,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, DataFormatError, DecodeError, ManifestError,
-            CheckpointError, InputError, ParameterError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingError, FloatingPointError, RetinaSSLError) as exc:
+    except (RetinaSSLError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

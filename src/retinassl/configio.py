@@ -117,18 +117,25 @@ def build_section(base, values):
         raise ConfigError(f"invalid value in {cls.__name__}: {exc}") from exc
 
 
+# fields set from a command-line flag alone, which no config may hold
+_FLAG_FIELDS = {"probe.seed": "--seed"}
+
+
 def _valid_keys() -> set[str]:
     keys = set()
     for section, cls in _SECTIONS.items():
         for f in dataclasses.fields(cls):
             keys.add(f"{section}.{f.name}")
-    return keys
+    return keys - _FLAG_FIELDS.keys()
 
 
 def apply_assignments(config: RunConfig, assignments: dict[str, object]) -> RunConfig:
     valid = _valid_keys()
     grouped: dict[str, dict[str, object]] = {}
     for key, value in assignments.items():
+        if key in _FLAG_FIELDS:
+            raise ConfigError(f"{key!r} is not a config key; "
+                              f"set it with {_FLAG_FIELDS[key]}")
         if key not in valid:
             raise ConfigError(f"unknown config key {key!r}")
         section, name = key.split(".", 1)

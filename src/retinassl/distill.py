@@ -351,8 +351,7 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
 
     loss_val = loss.item()
     if not np.isfinite(loss_val):
-        raise TrainingError(f"non-finite loss {loss_val} at step {state.step}",
-                            step=state.step, loss=loss_val)
+        raise TrainingError(f"non-finite loss {loss_val} at step {state.step}")
 
     for p in leaves:
         p.zero_grad()

@@ -1,44 +1,39 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library.
+
+An ``InputError`` is bad input from outside the program (the CLI exits 2);
+any other ``RetinaSSLError`` is a runtime failure (the CLI exits 3).
+"""
 
 
 class RetinaSSLError(Exception):
     """Base class for all library errors."""
 
 
-class ShapeMismatchError(RetinaSSLError, ValueError):
-    """Operand shapes are incompatible for the requested operation."""
-
-
-class ParameterError(RetinaSSLError, ValueError):
-    """A numeric parameter is outside its valid range."""
-
-
 class ContractError(RetinaSSLError, ValueError):
-    """A caller violated an operation's contract (wrong structure, not just shape)."""
+    """A caller violated an operation's contract (wrong structure or shape)."""
+
+
+class TrainingError(RetinaSSLError, RuntimeError):
+    """Training diverged or hit a non-finite value."""
 
 
 class InputError(RetinaSSLError, ValueError):
     """Invalid input data (degenerate image, empty dataset, ...)."""
 
 
-class TrainingError(RetinaSSLError, RuntimeError):
-    """Training diverged or hit a non-finite value; carries step context."""
-
-    def __init__(self, message: str, step: int | None = None, loss: float | None = None):
-        super().__init__(message)
-        self.step = step
-        self.loss = loss
+class ParameterError(InputError):
+    """A numeric parameter is outside its valid range."""
 
 
-class DataFormatError(RetinaSSLError, ValueError):
+class DataFormatError(InputError):
     """Unrecognized or unsupported file format (bad magic bytes, ...)."""
 
 
-class DecodeError(RetinaSSLError, ValueError):
+class DecodeError(InputError):
     """File has a recognized format but its payload cannot be decoded."""
 
 
-class ManifestError(RetinaSSLError, ValueError):
+class ManifestError(InputError):
     """Malformed dataset manifest; carries the offending line when known,
     and then names it in the message."""
 
@@ -47,25 +42,10 @@ class ManifestError(RetinaSSLError, ValueError):
         self.line = line
 
 
-class CheckpointError(RetinaSSLError, ValueError):
-    """Base for checkpoint container problems."""
+class CheckpointError(InputError):
+    """Unreadable checkpoint container: bad magic, unsupported version,
+    failed checksum, truncation or malformed contents."""
 
 
-class CheckpointMagicError(CheckpointError):
-    """File does not start with the checkpoint magic bytes."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """Checkpoint format version is unsupported."""
-
-
-class CheckpointChecksumError(CheckpointError):
-    """A checkpoint section failed its integrity check."""
-
-
-class CheckpointTruncationError(CheckpointError):
-    """Checkpoint file ends before a declared section completes."""
-
-
-class ConfigError(RetinaSSLError, ValueError):
+class ConfigError(InputError):
     """Bad run-configuration key or value."""

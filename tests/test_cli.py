@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from retinassl import cli
+from retinassl import cli, errors
 from retinassl.checkpoint import load_checkpoint
 from retinassl.cli import main
 from retinassl.data import generate_synthetic_dataset, write_synthetic_dataset
@@ -109,6 +109,62 @@ class TestUsageErrors:
 
     def test_missing_required(self):
         assert run(["train", "--out", "x"]) == 1
+
+
+# every class in retinassl.errors, with the exit code it gets
+ERROR_EXITS = {
+    errors.InputError: 2, errors.ParameterError: 2, errors.DataFormatError: 2,
+    errors.DecodeError: 2, errors.ManifestError: 2, errors.CheckpointError: 2,
+    errors.ConfigError: 2, errors.ContractError: 3, errors.TrainingError: 3,
+    errors.RetinaSSLError: 3,
+}
+
+# the arguments each subcommand requires besides --out; the paths need not exist
+_EVAL_ARGS = ["--checkpoint", "c.ckpt", "--train-manifest", "m.csv", "--train-images",
+              "imgs", "--test-manifest", "m.csv", "--test-images", "imgs"]
+REQUIRED_ARGS = {
+    "make-synth": [],
+    "train": ["--manifest", "m.csv", "--images", "imgs"],
+    "probe": _EVAL_ARGS,
+    "knn": _EVAL_ARGS,
+    "attn-map": ["--checkpoint", "c.ckpt", "--image", "a.png"],
+}
+
+
+class TestExitCodes:
+    def test_every_error_class_has_an_exit_code(self):
+        classes = {v for v in vars(errors).values()
+                   if isinstance(v, type) and issubclass(v, BaseException)}
+        assert classes == set(ERROR_EXITS)
+
+    @pytest.mark.parametrize("exc_type, code", [
+        pytest.param(t, code, id=t.__name__) for t, code in
+        [*ERROR_EXITS.items(), (OSError, 2), (MemoryError, 3)]])
+    def test_exit_code_follows_the_class(self, tmp_path, capsys, monkeypatch,
+                                         exc_type, code):
+        def fail(args):
+            raise exc_type("boom")
+        monkeypatch.setitem(cli._COMMANDS, "make-synth", fail)
+        assert run(["make-synth", "--out", str(tmp_path / "o")]) == code
+        prefix = "error: " if code == 2 else "runtime error: "
+        assert capsys.readouterr().err == f"{prefix}boom\n"
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+    def test_negative_seed_exit_2(self, tmp_path, capsys, command):
+        # numpy's SeedSequence refused it with a ValueError (exit 1) in
+        # make-synth, train and probe; knn and attn-map never read the seed
+        out = tmp_path / "o"
+        assert run([command, *REQUIRED_ARGS[command], "--out", str(out),
+                    "--seed", "-1"]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_probe_seed_is_not_a_config_key(self, tmp_path, capsys):
+        # it was accepted, then overwritten by --seed
+        out = tmp_path / "o"
+        assert run(["make-synth", "--out", str(out), "--set", "probe.seed=7"]) == 2
+        assert "set it with --seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:

@@ -20,10 +20,8 @@ from retinassl.crops import MultiCropConfig
 from retinassl.data import (DatasetManifest, generate_synthetic_dataset,
                             load_manifest, save_manifest, write_synthetic_dataset)
 from retinassl.distill import DistillConfig, init_train_state, train_loop
-from retinassl.errors import (CheckpointChecksumError, CheckpointMagicError,
-                              CheckpointTruncationError, CheckpointVersionError,
-                              ConfigError, DataFormatError, DecodeError,
-                              ManifestError, RetinaSSLError)
+from retinassl.errors import (CheckpointError, ConfigError, DataFormatError,
+                              DecodeError, InputError, ManifestError)
 from retinassl.imagecodec import (_unfilter, decode_image, decode_png, decode_pnm,
                                   encode_image, encode_png, encode_pnm, inflate_png)
 from retinassl.vit import ProjectionHeadConfig, ViTConfig
@@ -568,14 +566,14 @@ def _pack_sections(header, sections):
 
 
 def _load_or_refuse(blob):
-    """load_checkpoint on `blob` returns or raises a RetinaSSLError."""
+    """load_checkpoint on `blob` returns or raises an InputError."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.ckpt")
         with open(path, "wb") as fh:
             fh.write(blob)
         try:
             load_checkpoint(path)
-        except RetinaSSLError:
+        except InputError:
             pass
 
 
@@ -584,7 +582,7 @@ _FUZZ_MANIFEST = b"image,level\n10_left,0\n10_right,4\n\"11,left\",2\n"
 
 def _load_manifest_or_refuse(blob, label_blind):
     """load_manifest on `blob`, beside files for the valid manifest's
-    images, returns a manifest or raises a RetinaSSLError."""
+    images, returns a manifest or raises an InputError."""
     with tempfile.TemporaryDirectory() as tmp:
         for stem in ("10_left", "10_right", "11,left"):
             open(os.path.join(tmp, stem + ".png"), "wb").close()
@@ -593,7 +591,7 @@ def _load_manifest_or_refuse(blob, label_blind):
             fh.write(blob)
         try:
             manifest = load_manifest(path, tmp, label_blind=label_blind)
-        except RetinaSSLError:
+        except InputError:
             return
     assert all(-1 <= g < 5 for g in manifest.grades())
 
@@ -619,7 +617,7 @@ def _fuzz_checkpoint_sections():
 
 
 class TestParserFuzz:
-    """Outside bytes and text give a value or a RetinaSSLError, nothing else."""
+    """Outside bytes and text give a value or an InputError (exit 2), nothing else."""
 
     @settings(max_examples=150, deadline=None)
     @given(ihdr_len=st.integers(0, 14), in_payloads=st.booleans(),
@@ -636,7 +634,7 @@ class TestParserFuzz:
             blob[pos % len(blob)] = value
         try:
             pixels = decode_png(bytes(blob))
-        except RetinaSSLError:
+        except InputError:
             return
         assert pixels.dtype == np.uint8
 
@@ -647,7 +645,7 @@ class TestParserFuzz:
     def test_arbitrary_config_text(self, line):
         try:
             load_config(None, parse_assignments([line]))
-        except RetinaSSLError:
+        except InputError:
             pass
 
     @settings(max_examples=150, deadline=None)
@@ -717,7 +715,7 @@ class TestParserFuzz:
             blob = bytes(blob[:data.draw(st.integers(0, len(blob)))])
         try:
             parsed = _read_sections(blob)
-        except RetinaSSLError:
+        except InputError:
             return
         assert all(isinstance(n, str) and isinstance(p, bytes) for n, p in parsed.items())
 
@@ -733,7 +731,7 @@ class TestParserFuzz:
     def test_arbitrary_pnm(self, blob):
         try:
             pixels = decode_pnm(blob)
-        except RetinaSSLError:
+        except InputError:
             return
         assert pixels.dtype == np.uint8 and pixels.ndim in (2, 3)
 
@@ -747,7 +745,7 @@ class TestParserFuzz:
             blob[pos] = value
         try:
             pixels = decode_pnm(bytes(blob[:cut]))
-        except RetinaSSLError:
+        except InputError:
             return
         assert pixels.dtype == np.uint8 and pixels.ndim in (2, 3)
 
@@ -794,13 +792,13 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0x01
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointChecksumError):
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "c.ckpt"
         path.write_bytes(b"NOTMAGIC" + bytes(16))
-        with pytest.raises(CheckpointMagicError):
+        with pytest.raises(CheckpointError, match="bad magic"):
             load_checkpoint(path)
 
     def test_bad_version(self, tmp_path):
@@ -810,7 +808,7 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[8] = 99
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointVersionError):
+        with pytest.raises(CheckpointError, match="format version 99"):
             load_checkpoint(path)
 
     def test_truncation(self, tmp_path):
@@ -818,7 +816,7 @@ class TestCheckpoint:
         path = tmp_path / "c.ckpt"
         save_checkpoint(state, path, vit, head, crop, distill)
         path.write_bytes(path.read_bytes()[:-30])
-        with pytest.raises(CheckpointTruncationError):
+        with pytest.raises(CheckpointError, match="cut short"):
             load_checkpoint(path)
 
     def test_resume_equivalence(self, tmp_path):
