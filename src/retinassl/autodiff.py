@@ -7,9 +7,12 @@ gradient-check tolerance is not reachable in float32 for multi-layer graphs.
 
 Operations executed while a :class:`Tape` is active are recorded on it;
 calling :func:`backward` sweeps the tape in reverse execution order (which is
-a reverse topological order by construction). Operations executed with no
-active tape produce plain value tensors and keep no graph state, which is the
-path used for teacher forward passes.
+a reverse topological order by construction). The tape holds gradient slots
+and gradient functions, not values: each gradient function keeps only the
+arrays it reads, so an op's output lives only as long as the forward's own
+variables or a later op's gradient function hold it. Operations executed with
+no active tape produce plain value tensors and keep no graph state, which is
+the path used for teacher forward passes.
 """
 
 from __future__ import annotations
@@ -28,14 +31,20 @@ _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
 class Tensor:
-    """N-dimensional float64 array with an optional gradient slot."""
+    """N-dimensional float64 array with an optional gradient.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    A leaf that requires a gradient is its own gradient slot: backward fills
+    its `grad`. A recorded op's output has a separate `_Slot` instead, and
+    its own `grad` stays None.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self._slot: _Slot | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -85,19 +94,40 @@ def _as_tensor(x) -> Tensor:
 GradFn = Callable[[np.ndarray], np.ndarray]
 
 
+class _Slot:
+    """Where backward accumulates a recorded op output's gradient; it holds
+    the output's shape, not its value."""
+
+    __slots__ = ("grad", "shape")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.grad: np.ndarray | None = None
+        self.shape = shape
+
+
+def _slot_of(t: Tensor) -> "_Slot | Tensor | None":
+    """t's gradient slot: its op's `_Slot`, the leaf itself, or None for a
+    tensor that needs no gradient."""
+    if t._slot is not None:
+        return t._slot
+    return t if t.requires_grad else None
+
+
 class Tape:
     """Ordered record of executed operations for one forward pass.
 
     Used as a context manager; at most one tape is active per thread of
-    execution. Each entry is an ``(out, parents, grad_fns)`` triple: the op's
-    output tensor, its input tensors, and one function per input that maps
-    ``out.grad`` to that input's gradient before unbroadcasting.
+    execution. Each entry is an ``(out, inputs, grad_fns)`` triple: the op
+    output's slot, one slot per input (None for an input that needs no
+    gradient), and one function per input that maps ``out.grad`` to that
+    input's gradient before unbroadcasting (None where the slot is None).
     """
 
     _active: "Tape | None" = None
 
     def __init__(self):
-        self.nodes: list[tuple[Tensor, Sequence[Tensor], Sequence[GradFn]]] = []
+        self.nodes: list[tuple[_Slot, Sequence["_Slot | Tensor | None"],
+                               Sequence[GradFn | None]]] = []
 
     def __enter__(self) -> "Tape":
         if Tape._active is not None:
@@ -111,12 +141,20 @@ class Tape:
 
 
 def _record(value, parents: Sequence[Tensor], *grad_fns: GradFn) -> Tensor:
-    """Wrap `value` as an op's output; record the op if a parent needs a gradient."""
+    """Wrap `value` as an op's output; record the op if a parent needs a gradient.
+
+    Only the gradient functions of inputs that need a gradient are kept, so
+    the arrays that only the others read are not held by the tape.
+    """
     out = Tensor(value)
     tape = Tape._active
-    if tape is not None and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        tape.nodes.append((out, parents, grad_fns))
+    if tape is not None:
+        inputs = tuple(_slot_of(p) for p in parents)
+        if any(s is not None for s in inputs):
+            out.requires_grad = True
+            out._slot = _Slot(out.data.shape)
+            tape.nodes.append((out._slot, inputs, tuple(
+                fn if s is not None else None for s, fn in zip(inputs, grad_fns))))
     return out
 
 
@@ -142,13 +180,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _record(a.data * b.data, (a, b),
-                   lambda g: g * b.data, lambda g: g * a.data)
+    x, y = a.data, b.data
+    return _record(x * y, (a, b), lambda g: g * y, lambda g: g * x)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape) if isinstance(shape, (tuple, list)) else (shape,)
-    return _record(a.data.reshape(shape), (a,), lambda g: g.reshape(a.data.shape))
+    a_shape = a.shape
+    return _record(a.data.reshape(shape), (a,), lambda g: g.reshape(a_shape))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
@@ -162,8 +201,10 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
 
 def getitem(a: Tensor, idx) -> Tensor:
+    a_shape = a.shape
+
     def grad_a(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(a_shape, dtype=DTYPE)
         full[idx] += g  # indices used here are slices/ints, never duplicated
         return full
 
@@ -187,9 +228,11 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     """Sum over `axis`. The gradient is a read-only broadcast view of the
     incoming one, not an input-sized array of copies."""
+    a_shape = a.shape
+
     def grad_a(g):
         gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.data.shape)
+        return np.broadcast_to(gg, a_shape)
 
     return _record(a.data.sum(axis=axis, keepdims=keepdims), (a,), grad_a)
 
@@ -209,9 +252,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul requires ndim >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ContractError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    return _record(np.matmul(a.data, b.data), (a, b),
-                   lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2)),
-                   lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g))
+    x, y = a.data, b.data
+    return _record(np.matmul(x, y), (a, b),
+                   lambda g: np.matmul(g, np.swapaxes(y, -1, -2)),
+                   lambda g: np.matmul(np.swapaxes(x, -1, -2), g))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -225,11 +269,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"linear needs x (..., d), w (d, k) and b (k,), "
             f"got {x.shape}, {w.shape} and {b.shape}")
     d, k = w.shape
+    x_shape, wd = x.shape, w.data
     x2 = x.data.reshape(-1, d)
-    out = x2 @ w.data
+    out = x2 @ wd
     out += b.data
-    return _record(out.reshape(*x.shape[:-1], k), (x, w, b),
-                   lambda g: (g.reshape(-1, k) @ w.data.T).reshape(x.shape),
+    return _record(out.reshape(*x_shape[:-1], k), (x, w, b),
+                   lambda g: (g.reshape(-1, k) @ wd.T).reshape(x_shape),
                    lambda g: x2.T @ g.reshape(-1, k),
                    lambda g: g.reshape(-1, k).sum(axis=0))
 
@@ -339,16 +384,17 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, epsilon: float = 1e-6) -
             f"got {scale.shape} and {shift.shape}")
 
     # the same reductions as mean() then var(), without var's second mean
+    gamma = scale.data
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     sq = xhat * xhat
     inv = 1.0 / np.sqrt(sq.sum(axis=-1, keepdims=True) / d + epsilon)
     xhat *= inv
-    np.multiply(xhat, scale.data, out=sq)
+    np.multiply(xhat, gamma, out=sq)
     sq += shift.data
 
     def grad_x(g):
         # (dxhat - m1 - xhat * m2) * inv, evaluated in that order in place
-        dxhat = g * scale.data
+        dxhat = g * gamma
         m1 = dxhat.mean(axis=-1, keepdims=True)
         scratch = dxhat * xhat
         m2 = scratch.mean(axis=-1, keepdims=True)
@@ -367,7 +413,8 @@ def gelu(x: Tensor) -> Tensor:
     """Exact-erf GELU: x * Phi(x). The tanh approximation is deliberately
     not used; it differs in the 4th decimal and the pinned values assume erf.
     """
-    phi_cdf = x.data * _INV_SQRT2
+    xd = x.data
+    phi_cdf = xd * _INV_SQRT2
     erf(phi_cdf, out=phi_cdf)
     phi_cdf += 1.0
     phi_cdf *= 0.5
@@ -375,16 +422,16 @@ def gelu(x: Tensor) -> Tensor:
     def grad_x(g):
         # g * (phi_cdf + x * pdf(x)) in one buffer; -0.5 * (x * x) has the
         # bits of (-0.5 * x) * x, as scaling by a power of two is exact
-        out = x.data * x.data
+        out = xd * xd
         out *= -0.5
         np.exp(out, out=out)
         out *= _INV_SQRT_2PI
-        out *= x.data
+        out *= xd
         out += phi_cdf
         out *= g
         return out
 
-    return _record(x.data * phi_cdf, (x,), grad_x)
+    return _record(xd * phi_cdf, (x,), grad_x)
 
 
 def l2_normalize_rows(x: Tensor, guard: float = 1e-12) -> Tensor:
@@ -393,15 +440,16 @@ def l2_normalize_rows(x: Tensor, guard: float = 1e-12) -> Tensor:
     Rows with norm below `guard` pass through unchanged instead of dividing
     by ~0; their gradient is the identity.
     """
-    norms = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
+    xd = x.data
+    norms = np.sqrt((xd * xd).sum(axis=-1, keepdims=True))
     small = norms < guard
     safe = np.where(small, 1.0, norms)
 
     def grad_x(g):
-        dot = (g * x.data).sum(axis=-1, keepdims=True)
-        return np.where(small, g, g / safe - x.data * dot / (safe ** 3))
+        dot = (g * xd).sum(axis=-1, keepdims=True)
+        return np.where(small, g, g / safe - xd * dot / (safe ** 3))
 
-    return _record(x.data / safe, (x,), grad_x)
+    return _record(xd / safe, (x,), grad_x)
 
 
 def cross_entropy_rows(p, log_q: Tensor) -> Tensor:
@@ -430,10 +478,11 @@ def backward(loss: Tensor, tape: Tape, leaves: Iterable[Tensor] = ()) -> None:
     accumulated. Leaves listed in `leaves` that are not on the loss's
     dependency cone get an explicit zero gradient.
 
-    The sweep consumes the tape: each entry is popped as it is reached, so
-    its gradient functions and the activations they saved are freed, and
-    each interior output's grad is reset to None once its parents have their
-    share. Afterwards `tape.nodes` is empty and only leaves hold gradients.
+    The sweep reads only the tape's slots: their `grad` and `shape`. It
+    consumes the tape: each entry is popped as it is reached, so its
+    gradient functions and the arrays they saved are freed, and each
+    interior slot's grad is reset to None once its inputs have their share.
+    Afterwards `tape.nodes` is empty and only leaves hold gradients.
     A leaf's grad can be a read-only view (`tensor_sum` broadcasts) or the
     very array another leaf holds (`add` passes one on to both), so copy it
     before writing into it.
@@ -441,20 +490,19 @@ def backward(loss: Tensor, tape: Tape, leaves: Iterable[Tensor] = ()) -> None:
     if loss.data.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
 
-    # Interior tensors are created with requires_grad=True by _record, so the
-    # per-tensor grad slots double as the sweep's accumulation buffers.
-    loss.grad = np.ones((), dtype=DTYPE)
+    root = loss._slot if loss._slot is not None else loss
+    root.grad = np.ones((), dtype=DTYPE)
     nodes = tape.nodes
     while nodes:
-        out, parents, grad_fns = nodes.pop()
+        out, inputs, grad_fns = nodes.pop()
         if out.grad is None:
             continue
         g = np.asarray(out.grad, dtype=DTYPE)
         out.grad = None
-        for parent, grad_fn in zip(parents, grad_fns):
-            if parent.requires_grad:
-                gp = _unbroadcast(grad_fn(g), parent.data.shape)
-                parent.grad = gp if parent.grad is None else parent.grad + gp
+        for slot, grad_fn in zip(inputs, grad_fns):
+            if slot is not None:
+                gp = _unbroadcast(grad_fn(g), slot.shape)
+                slot.grad = gp if slot.grad is None else slot.grad + gp
 
     for leaf in leaves:
         if leaf.requires_grad and leaf.grad is None:

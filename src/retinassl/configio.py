@@ -40,6 +40,16 @@ class RunConfig:
     knn: KnnConfig = field(default_factory=KnnConfig)
     data: DataConfig = field(default_factory=DataConfig)
 
+    def __post_init__(self):
+        # a training step embeds every crop it makes as whole patches
+        sizes = {"crop.global_out_size": self.crop.global_out_size}
+        if self.crop.n_local:
+            sizes["crop.local_out_size"] = self.crop.local_out_size
+        for key, size in sizes.items():
+            if size % self.vit.patch_size:
+                raise ConfigError(f"{key} = {size} is not divisible by "
+                                  f"vit.patch_size = {self.vit.patch_size}")
+
 
 _SECTIONS = {"vit": ViTConfig, "head": ProjectionHeadConfig,
              "crop": MultiCropConfig, "distill": DistillConfig,

@@ -317,10 +317,12 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
     backward (student only), clip, optimizer step, EMA teacher update,
     center update from this step's teacher logits.
 
-    The step keeps only what it still needs: backward consumes the tape, the
-    crops and the student's logits are dropped before it, and the update
-    works in place. The gradients are taken off the student's leaves, so
-    they are freed when the step returns.
+    The step keeps only what it still needs: each student crop group is
+    released once its backbone call has embedded it, so no crop is alive at
+    the head and the loss; the tape holds only what its gradients read and
+    backward consumes it; the student's logits are dropped before backward,
+    and the update works in place. The gradients are taken off the student's
+    leaves, so they are freed when the step returns.
     """
     cfg = distill_config
     rng = state.rng
@@ -338,16 +340,22 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
 
     # Student path: taped, train mode (stochastic depth active). The backbone
     # runs once per crop size, the head once over every view's CLS rows;
-    # rows stay view-major, globals first.
+    # rows stay view-major, globals first. Each group is held only by the
+    # list it is popped from; the student and teacher globals are halves of
+    # one array, which dies once the student's have been embedded.
+    groups = [group.reshape((-1,) + group.shape[-3:])
+              for group in (batch.student_global, batch.student_local) if len(group)]
+    del batch, views, out
     leaves = list(state.student.values())
     with Tape() as tape:
-        cls = [backbone_forward(group.reshape((-1,) + group.shape[-3:]), vit_config,
-                                state.student, mode=TRAIN, rng=rng).cls_features
-               for group in (batch.student_global, batch.student_local) if len(group)]
+        cls = []
+        while groups:
+            cls.append(backbone_forward(groups.pop(0), vit_config, state.student,
+                                        mode=TRAIN, rng=rng).cls_features)
         logits = projection_head_forward(ad.concat(cls, axis=0), head_config,
                                          state.student)
         loss = distillation_loss(p_t, ad.log_softmax_rows(logits, cfg.tau_s))
-    del batch, views, out, cls, logits
+    del cls, logits
 
     loss_val = loss.item()
     if not np.isfinite(loss_val):

@@ -46,12 +46,15 @@ class NumpyTwin:
     Written independently of the taped ops so the finite-difference side of
     the gradient check does not share code with the gradients under test.
     Agreement with the taped loss is asserted to < 1e-10 before use.
+
+    Every array carries a leading copy axis, so that one forward can run
+    P perturbed copies of one parameter tensor: the copy axis of `logits`'
+    output is P long for a perturbed parameter and 1 otherwise.
     """
 
     def __init__(self, vit, head, params):
         self.vit, self.head = vit, head
         self.P = {k: t.data for k, t in params.items()}
-        self.pos = interpolate_pos_embed  # resolved lazily per grid
 
     @staticmethod
     def _ln(x, scale, shift):
@@ -63,48 +66,62 @@ class NumpyTwin:
     def _gelu(x):
         return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
 
-    def logits(self, px):
-        vit, P = self.vit, self.P
+    def logits(self, px, key=None, copies=None):
+        vit = self.vit
+
+        def p(name, ndim):
+            """Parameter `name`, or the (P, ...) copies if it is `key`, with
+            axes of length 1 after the copy axis up to `ndim` axes."""
+            w = copies if name == key else self.P[name][None]
+            return w.reshape(w.shape[:1] + (1,) * (ndim - w.ndim) + w.shape[1:])
+
         b, c, H, W = px.shape
         ps = vit.patch_size
         g = H // ps
+        nc, d = vit.n_cls_tokens, vit.embed_dim
         x = (px.reshape(b, c, g, ps, g, ps).transpose(0, 2, 4, 1, 3, 5)
-             .reshape(b, g * g, c * ps * ps))
-        x = x @ P["patch_embed.w"] + P["patch_embed.b"]
-        cls = np.broadcast_to(P["cls"], (b,) + P["cls"].shape[-2:])
-        x = np.concatenate([cls, x], axis=1)
-        pos = interpolate_pos_embed(Tensor(P["pos"]), vit.grid, g,
-                                    vit.n_cls_tokens)
-        x = x + (pos.data if hasattr(pos, "data") else pos)
-        nh, hd = vit.n_heads, vit.embed_dim // vit.n_heads
-        t = x.shape[1]
+             .reshape(1, b, g * g, c * ps * ps))
+        x = x @ p("patch_embed.w", 4) + p("patch_embed.b", 4)
+        n = max(len(x), len(p("cls", 4)))
+        cls = np.broadcast_to(p("cls", 4), (n, b, nc, d))
+        x = np.concatenate([cls, np.broadcast_to(x, (n, b, g * g, d))], axis=2)
+        x = x + np.stack([interpolate_pos_embed(Tensor(pos), vit.grid, g, nc).data
+                          for pos in p("pos", 3)])[:, None]
+        nh, hd = vit.n_heads, d // vit.n_heads
+        t = x.shape[2]
         for i in range(vit.depth):
             pre = f"blocks.{i}."
-            h = self._ln(x, P[pre + "ln1.scale"], P[pre + "ln1.shift"])
-            qkv = ((h @ P[pre + "attn.qkv.w"] + P[pre + "attn.qkv.b"])
-                   .reshape(b, t, 3, nh, hd).transpose(2, 0, 3, 1, 4))
+            h = self._ln(x, p(pre + "ln1.scale", 4), p(pre + "ln1.shift", 4))
+            qkv = ((h @ p(pre + "attn.qkv.w", 4) + p(pre + "attn.qkv.b", 4))
+                   .reshape(-1, b, t, 3, nh, hd).transpose(3, 0, 1, 4, 2, 5))
             q, k, v = qkv[0], qkv[1], qkv[2]
-            a = q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd)
+            a = q @ k.swapaxes(-1, -2) / np.sqrt(hd)
             a = a - a.max(-1, keepdims=True)
             e = np.exp(a)
             a = e / e.sum(-1, keepdims=True)
-            o = (a @ v).transpose(0, 2, 1, 3).reshape(b, t, vit.embed_dim)
-            x = x + o @ P[pre + "attn.proj.w"] + P[pre + "attn.proj.b"]
-            h = self._ln(x, P[pre + "ln2.scale"], P[pre + "ln2.shift"])
-            m = self._gelu(h @ P[pre + "mlp.fc1.w"] + P[pre + "mlp.fc1.b"])
-            x = x + m @ P[pre + "mlp.fc2.w"] + P[pre + "mlp.fc2.b"]
-        x = self._ln(x, P["ln_f.scale"], P["ln_f.shift"])
-        feat = x[:, :vit.n_cls_tokens, :].reshape(b, -1)
-        h = self._gelu(feat @ P["head.fc1.w"] + P["head.fc1.b"])
-        h = self._gelu(h @ P["head.fc2.w"] + P["head.fc2.b"])
-        h = h @ P["head.fc3.w"] + P["head.fc3.b"]
+            o = (a @ v).transpose(0, 1, 3, 2, 4).reshape(-1, b, t, d)
+            if i == vit.depth - 1:  # only the CLS rows are read from here on
+                x, o = x[:, :, :nc], o[:, :, :nc]
+            x = x + o @ p(pre + "attn.proj.w", 4) + p(pre + "attn.proj.b", 4)
+            h = self._ln(x, p(pre + "ln2.scale", 4), p(pre + "ln2.shift", 4))
+            m = self._gelu(h @ p(pre + "mlp.fc1.w", 4) + p(pre + "mlp.fc1.b", 4))
+            x = x + m @ p(pre + "mlp.fc2.w", 4) + p(pre + "mlp.fc2.b", 4)
+        x = self._ln(x, p("ln_f.scale", 4), p("ln_f.shift", 4))
+        feat = x[:, :, :nc, :].reshape(len(x), b, -1)
+        h = self._gelu(feat @ p("head.fc1.w", 3) + p("head.fc1.b", 3))
+        h = self._gelu(h @ p("head.fc2.w", 3) + p("head.fc2.b", 3))
+        h = h @ p("head.fc3.w", 3) + p("head.fc3.b", 3)
         n = np.linalg.norm(h, axis=-1, keepdims=True)
         h = np.where(n < 1e-12, h, h / np.where(n < 1e-12, 1.0, n))
-        d = P["head.last.dir"]
-        dn = np.linalg.norm(d, axis=-1, keepdims=True)
-        w = (np.where(dn < 1e-12, d, d / np.where(dn < 1e-12, 1.0, dn))
-             * P["head.last.mag"][:, None])
-        return h @ w.T
+        dr = p("head.last.dir", 3)
+        dn = np.linalg.norm(dr, axis=-1, keepdims=True)
+        w = (np.where(dn < 1e-12, dr, dr / np.where(dn < 1e-12, 1.0, dn))
+             * p("head.last.mag", 2)[..., None])
+        return h @ w.swapaxes(-1, -2)
+
+
+# values of one parameter tensor perturbed per twin forward, each twice
+FD_CHUNK = 256
 
 
 def test_criterion_1_gradient_correctness():
@@ -132,18 +149,19 @@ def test_criterion_1_gradient_correctness():
 
     twin = NumpyTwin(vit, head, params)
 
-    def np_loss():
+    def np_loss(key=None, copies=None):
+        """The loss of each copy: shape (P,), or (1,) with no copies."""
         logps = []
         for px in groups:
-            z = twin.logits(px) / 0.1
+            z = twin.logits(px, key, copies) / 0.1
             z = z - z.max(-1, keepdims=True)
             lp = z - np.log(np.exp(z).sum(-1, keepdims=True))
-            logps.extend(lp[j:j + 1] for j in range(len(px)))
+            logps.extend(lp[:, j:j + 1] for j in range(len(px)))
         total = 0.0
         for ti, pt in enumerate(p_t):
             for si, lp in enumerate(logps):
                 if si != ti:
-                    total += -(pt * lp).sum()
+                    total = total - (pt * lp).sum(axis=(-2, -1))
         return total
 
     def tensor_loss():
@@ -156,27 +174,28 @@ def test_criterion_1_gradient_correctness():
 
     with Tape() as tape:
         loss = tensor_loss()
-    assert abs(np_loss() - loss.item()) < 1e-10, "twin disagrees with taped loss"
+    assert abs(np_loss()[0] - loss.item()) < 1e-10, "twin disagrees with taped loss"
     backward(loss, tape, leaves=tuple(params.values()))
 
     eps = 1e-6
     worst = 0.0
     n_checked = 0
-    P = twin.P
     for key, t in params.items():
-        flat = P[key].ravel()
+        flat = twin.P[key].ravel()
         gflat = t.grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = np_loss()
-            flat[i] = orig - eps
-            fm = np_loss()
-            flat[i] = orig
-            num = (fp - fm) / (2 * eps)
-            rel = abs(gflat[i] - num) / max(abs(gflat[i]), abs(num), 1e-3)
-            worst = max(worst, rel)
-            n_checked += 1
+        for lo in range(0, flat.size, FD_CHUNK):
+            idx = np.arange(lo, min(lo + FD_CHUNK, flat.size))
+            # copy j perturbs value idx[j]: by +eps in the first half, -eps in the second
+            copies = np.tile(flat, (2 * len(idx), 1))
+            rows = np.arange(len(idx))
+            copies[rows, idx] = flat[idx] + eps
+            copies[len(idx) + rows, idx] = flat[idx] - eps
+            f = np_loss(key, copies.reshape((-1,) + t.shape))
+            num = (f[:len(idx)] - f[len(idx):]) / (2 * eps)
+            rel = np.abs(gflat[idx] - num) / np.maximum.reduce(
+                [np.abs(gflat[idx]), np.abs(num), np.full(len(idx), 1e-3)])
+            worst = max(worst, float(rel.max()))
+            n_checked += len(idx)
     elapsed = time.time() - t0
     report(1, "gradient correctness", worst <= 1e-4 and elapsed < 120,
            f"worst rel err {worst:.2e} over {n_checked} params in {elapsed:.0f}s")

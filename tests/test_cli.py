@@ -261,15 +261,17 @@ class TestTrain:
         "crop.aspect_range=(0.0, 1.0)", "probe.epochs=-1", "probe.lr=-1",
         "vit.image_size=0", "distill.wd_start=-1", "distill.wd_end=-1",
         "distill.freeze_last_steps=-5", "crop.solarize_threshold=5",
-        "crop.jitter_strength=(0.4, 0.4, 0.4, 3.0)"])
+        "crop.jitter_strength=(0.4, 0.4, 0.4, 3.0)", "crop.global_out_size=20",
+        "crop.local_out_size=12"])
     def test_out_of_range_set_exit_2(self, tmp_path, tiny_config, synth_dir, capsys,
                                      value):
         # refused where the config is built, before a step runs and before
         # --out is made; n_heads=0 used to divide by zero in ViTConfig and
         # exit 1 with a traceback, an infinite blur sigma ended in a numpy
         # ValueError (exit 1), a probability of 2, a negative probe epoch
-        # count or a negative wd_end ran (exit 0), and image_size=0 was
-        # refused only by the first resample
+        # count or a negative wd_end ran (exit 0), image_size=0 was refused
+        # only by the first resample, and a crop size that is not a whole
+        # number of patches only by the first student forward
         assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
                     "--images", synth_dir, "--out", str(tmp_path / "o"),
                     "--config", tiny_config, "--steps", "1", "--set", value]) == 2

@@ -874,6 +874,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, overrides={"distill.tau_t": -1})
 
+    @pytest.mark.parametrize("key, value", [("crop.global_out_size", 20),
+                                            ("crop.local_out_size", 12)])
+    def test_crop_of_partial_patches_names_both_keys(self, key, value):
+        with pytest.raises(ConfigError, match=rf"{key} = {value} .*vit\.patch_size = 8"):
+            load_config(None, overrides={key: value, "vit.patch_size": 8})
+
+    def test_crop_sizes_checked_against_the_resolved_patch_size(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("vit.patch_size = 16\n")
+        assert load_config(path, {"crop.local_out_size": 32}).crop.local_out_size == 32
+        with pytest.raises(ConfigError, match="vit.patch_size = 16"):
+            load_config(path, {"crop.local_out_size": 40})
+        # no local crop is made, so its size is not embedded
+        cfg = load_config(None, overrides={"crop.n_local": 0, "crop.local_out_size": 12})
+        assert cfg.crop.local_out_size == 12
+        with pytest.raises(ConfigError, match="crop.global_out_size"):
+            RunConfig(vit=ViTConfig(patch_size=16), crop=MultiCropConfig(global_out_size=40))
+
     def test_tuple_values(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("crop.global_scale_range = (0.5, 1.0)\n")

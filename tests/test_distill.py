@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
+import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -631,6 +634,33 @@ class TestOneCallPaths:
 class TestStepMemory:
     SLACK = 64 * 1024  # Python objects: dicts, tuples, Tensor shells
 
+    def test_crops_are_dead_when_the_loss_is_formed(self, monkeypatch):
+        # 16 px locals, so that every crop size makes a grid of patches and
+        # the patch matrix is a copy, not a view of the crop stack
+        vit, head, crops, distill, state = tiny_setup()
+        crops = dataclasses.replace(crops, local_out_size=16)
+        stacks, alive = [], []
+
+        def owner(arr):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            return arr
+
+        def build(*args):
+            batch = build_multicrop(*args)
+            stacks.extend(weakref.ref(owner(a)) for a in (
+                batch.student_global, batch.student_local, batch.teacher_global))
+            return batch
+
+        def loss(*args):
+            alive.append([ref() is not None for ref in stacks])
+            return distillation_loss(*args)
+
+        monkeypatch.setattr(distill_module, "build_multicrop", build)
+        monkeypatch.setattr(distill_module, "distillation_loss", loss)
+        train_step(random_images(2), state, vit, head, crops, distill, steps_per_epoch=2)
+        assert len(stacks) == 3 and alive == [[False] * 3]
+
     def test_backward_and_update_peaks(self, monkeypatch):
         vit = ViTConfig(image_size=32, patch_size=8, depth=2, embed_dim=32, n_heads=4)
         head = ProjectionHeadConfig(hidden_dim=64, bottleneck_dim=32, output_dim=4096)
@@ -659,7 +689,9 @@ class TestStepMemory:
                 tracemalloc.reset_peak()
 
         def backward_starts(loss, tape, *_):
-            marks["activation"] = max(out.data.nbytes for out, _, _ in tape.nodes)
+            # an entry holds its output's slot, whose shape gives the bytes
+            marks["activation"] = max(math.prod(out.shape) * np.dtype(ad.DTYPE).itemsize
+                                      for out, _, _ in tape.nodes)
             mark("forward_end", reset=True)
 
         around("backward", backward_starts, lambda: mark("backward_peak"))

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -338,12 +340,57 @@ LAST_BLOCK_OPS = BLOCK_OPS[:4] + ["getitem"] + BLOCK_OPS[4:]
 
 
 def _op_names(tape):
-    """Each tape entry named by its gradient functions' __qualname__."""
+    """Each tape entry named by its gradient functions' __qualname__ (an
+    input that needs no gradient has None in place of one)."""
     names = []
     for _, _, grad_fns in tape.nodes:
-        (name,) = {fn.__qualname__.split(".")[0] for fn in grad_fns}
+        (name,) = {fn.__qualname__.split(".")[0] for fn in grad_fns if fn is not None}
         names.append(name)
     return names
+
+
+def _owner(arr):
+    """The array that owns `arr`'s memory."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def _captured(fn):
+    """What a gradient function's closure holds, by variable name."""
+    return dict(zip(fn.__code__.co_freevars,
+                    (cell.cell_contents for cell in fn.__closure__ or ())))
+
+
+def _held_values(value):
+    """Every value reachable from `value` through closures, tuples and lists."""
+    if callable(value) and hasattr(value, "__code__"):
+        for held in _captured(value).values():
+            yield from _held_values(held)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _held_values(item)
+    else:
+        yield value
+
+
+def _desk_train_step(monkeypatch, on_backward):
+    """One train step at the acceptance desk recipe (48 px, depth 2, batch
+    16, 2 + 4 crops), calling on_backward(tape, leaves) as backward starts."""
+    vit = desk_vit()
+    head = ProjectionHeadConfig(hidden_dim=64, bottleneck_dim=16, output_dim=256)
+    crop = MultiCropConfig(global_out_size=48, local_out_size=24, n_local=4)
+    cfg = distill.DistillConfig(batch_size=16, total_epochs=2)
+    state = distill.init_train_state(vit, head, seed=0, init_std=0.05)
+    original = distill.backward
+
+    def spy(loss, tape, leaves):
+        on_backward(tape, leaves)
+        return original(loss, tape, leaves=leaves)
+
+    monkeypatch.setattr(distill, "backward", spy)
+    images = np.random.default_rng(0).random((16, 3, 48, 48))
+    distill.train_step(images, state, vit, head, crop, cfg, 1)
 
 
 class TestTapeEntries:
@@ -359,23 +406,66 @@ class TestTapeEntries:
         assert _op_names(tape) == BLOCK_OPS + LAST_BLOCK_OPS + ["getitem", "layer_norm"]
 
     def test_desk_train_step_entries(self, monkeypatch):
-        # the acceptance desk recipe: 48 px, depth 2, batch 16, 2 + 4 crops
-        vit = desk_vit()
-        head = ProjectionHeadConfig(hidden_dim=64, bottleneck_dim=16, output_dim=256)
-        crop = MultiCropConfig(global_out_size=48, local_out_size=24, n_local=4)
-        cfg = distill.DistillConfig(batch_size=16, total_epochs=2)
-        state = distill.init_train_state(vit, head, seed=0, init_std=0.05)
         entries = []
-        original = distill.backward
-
-        def spy(loss, tape, *args, **kwargs):
-            entries.append(len(tape.nodes))
-            return original(loss, tape, *args, **kwargs)
-
-        monkeypatch.setattr(distill, "backward", spy)
-        images = np.random.default_rng(0).random((16, 3, 48, 48))
-        distill.train_step(images, state, vit, head, crop, cfg, 1)
+        _desk_train_step(monkeypatch, lambda tape, _: entries.append(len(tape.nodes)))
         assert len(entries) == 1 and entries[0] <= 100
+
+    def test_gradient_functions_hold_no_op_outputs(self, monkeypatch):
+        # a gradient function keeps the arrays it reads; an op's output or a
+        # constant Tensor held by one would keep the whole value alive
+        held = []
+
+        def collect(tape, leaves):
+            for _, _, grad_fns in tape.nodes:
+                for fn in grad_fns:
+                    if fn is not None:
+                        held.extend(v for v in _held_values(fn) if isinstance(v, Tensor)
+                                    and not any(v is leaf for leaf in leaves))
+
+        _desk_train_step(monkeypatch, collect)
+        assert held == []
+
+
+class TestTapeHoldsWhatGradientsRead:
+    def test_block_values_no_gradient_reads_die_in_the_forward(self, monkeypatch):
+        cfg = tiny_vit(depth=2)
+        params = init_backbone_params(cfg, np.random.default_rng(0))
+        tokens = Tensor(np.random.default_rng(1).normal(
+            size=(2, cfg.n_tokens, cfg.embed_dim)))
+        refs = {}
+
+        def keep(name, arr):
+            refs.setdefault(name, weakref.ref(_owner(arr)))
+
+        def wrap(owner, attr, after):
+            original = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                out = original(*args, **kwargs)
+                after(args, out)
+                return out
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        # the first block's values, each the first of its kind
+        wrap(vit_module, "_drop_path", lambda args, out: keep("drop-path product", out.data))
+        wrap(ad, "add", lambda args, out: keep("residual sum", out.data))
+        wrap(ad, "linear", lambda args, out: args[1] is params["blocks.0.attn.proj.w"]
+             and keep("attn.proj output", out.data))
+        wrap(ad, "attention", lambda args, out: keep("attention probabilities", out[1]))
+        wrap(ad, "layer_norm", lambda args, out: keep("layer_norm xhat", next(
+            _captured(fn)["xhat"] for fn in Tape._active.nodes[-1][2]
+            if fn is not None and "xhat" in _captured(fn))))
+
+        with Tape() as tape:
+            out = encoder_forward(tokens, cfg, params, mode=TRAIN,
+                                  rng=np.random.default_rng(2))
+            loss = (out.cls_features * out.cls_features).sum()
+        alive = {name: ref() is not None for name, ref in refs.items()}
+        assert alive == {"drop-path product": False, "residual sum": False,
+                         "attn.proj output": False, "attention probabilities": True,
+                         "layer_norm xhat": True}
+        backward(loss, tape, leaves=list(params.values()))
+        assert not any(ref() is not None for ref in refs.values())
 
 
 # ---------------------------------------------------------------------------
