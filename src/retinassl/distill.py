@@ -318,8 +318,8 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
     center update from this step's teacher logits.
 
     The step keeps only what it still needs: each student crop group is
-    released once its backbone call has embedded it, so no crop is alive at
-    the head and the loss; the tape holds only what its gradients read and
+    released when its backbone call returns, so no crop is alive at the
+    head and the loss; the tape holds only what its gradients read and
     backward consumes it; the student's logits are dropped before backward,
     and the update works in place. The gradients are taken off the student's
     leaves, so they are freed when the step returns.
@@ -342,7 +342,7 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
     # runs once per crop size, the head once over every view's CLS rows;
     # rows stay view-major, globals first. Each group is held only by the
     # list it is popped from; the student and teacher globals are halves of
-    # one array, which dies once the student's have been embedded.
+    # one array, which dies when the student globals' backbone call returns.
     groups = [group.reshape((-1,) + group.shape[-3:])
               for group in (batch.student_global, batch.student_local) if len(group)]
     del batch, views, out
