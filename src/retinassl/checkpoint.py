@@ -40,18 +40,23 @@ MAGIC = b"RSSLCKPT"
 FORMAT_VERSION = 1
 
 
-def _pack_section(name: str, payload: bytes) -> bytes:
+def _write_section(fh, name: str, *parts) -> None:
+    """Write one section whose payload is `parts` (bytes or contiguous
+    arrays), checksummed and written piece by piece, with no joined copy."""
     nb = name.encode()
-    return (struct.pack("<H", len(nb)) + nb
-            + struct.pack("<QI", len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
-            + payload)
+    size = crc = 0
+    for part in parts:
+        size += memoryview(part).nbytes
+        crc = zlib.crc32(part, crc)
+    fh.write(struct.pack("<H", len(nb)) + nb + struct.pack("<QI", size, crc))
+    for part in parts:
+        fh.write(part)
 
 
-def _pack_array(arr: np.ndarray) -> bytes:
+def _write_array(fh, name: str, arr: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr, dtype="<f8")
-    header = struct.pack("<B", arr.ndim)
-    header += b"".join(struct.pack("<Q", d) for d in arr.shape)
-    return header + arr.tobytes()
+    header = struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape)
+    _write_section(fh, name, header, arr)
 
 
 def _unpack_array(payload: bytes) -> np.ndarray:
@@ -78,30 +83,26 @@ def _unpack_array(payload: bytes) -> np.ndarray:
 def save_checkpoint(state: TrainState, path, vit_config: ViTConfig,
                     head_config: ProjectionHeadConfig, crop_config: MultiCropConfig,
                     distill_config: DistillConfig) -> None:
-    sections: list[bytes] = []
-
-    meta = {"step": state.step, "rng_state": state.rng.bit_generator.state}
-    sections.append(_pack_section("meta", json.dumps(meta).encode()))
-    configs = {name: dataclasses.asdict(cfg) for name, cfg in (
-        ("vit", vit_config), ("head", head_config), ("crop", crop_config),
-        ("distill", distill_config))}
-    sections.append(_pack_section("configs", json.dumps(configs).encode()))
-    sections.append(_pack_section("center", _pack_array(state.center)))
-    for group, params in (("student", state.student), ("teacher", state.teacher)):
-        for key in sorted(params):
-            sections.append(_pack_section(f"{group}/{key}",
-                                          _pack_array(params[key].data)))
-    for group, moments in (("opt_m", state.opt_m), ("opt_v", state.opt_v)):
-        for key in sorted(moments):
-            sections.append(_pack_section(f"{group}/{key}",
-                                          _pack_array(moments[key])))
-
-    blob = MAGIC + struct.pack("<I", FORMAT_VERSION) + b"".join(sections)
+    """Each section is written as it is packed, an array straight from its
+    own buffer, so a save holds no copy of the state."""
     directory = os.path.dirname(os.path.abspath(str(path)))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt_tmp_")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            fh.write(MAGIC + struct.pack("<I", FORMAT_VERSION))
+            meta = {"step": state.step, "rng_state": state.rng.bit_generator.state}
+            _write_section(fh, "meta", json.dumps(meta).encode())
+            configs = {name: dataclasses.asdict(cfg) for name, cfg in (
+                ("vit", vit_config), ("head", head_config), ("crop", crop_config),
+                ("distill", distill_config))}
+            _write_section(fh, "configs", json.dumps(configs).encode())
+            _write_array(fh, "center", state.center)
+            for group, params in (("student", state.student), ("teacher", state.teacher)):
+                for key in sorted(params):
+                    _write_array(fh, f"{group}/{key}", params[key].data)
+            for group, moments in (("opt_m", state.opt_m), ("opt_v", state.opt_v)):
+                for key in sorted(moments):
+                    _write_array(fh, f"{group}/{key}", moments[key])
         os.replace(tmp, str(path))
     except BaseException:
         if os.path.exists(tmp):

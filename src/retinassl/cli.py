@@ -202,14 +202,23 @@ def _write_metrics(out_dir, metrics):
         fh.write(metrics.confusion_csv())
 
 
+def _load_eval_checkpoint(args, config):
+    """The checkpoint's state and ViT config, refused before any image is
+    read if the config asks for more blocks than the checkpoint's ViT has."""
+    state, vit, *_ = load_checkpoint(args.checkpoint)
+    if config.data.n_last_blocks > vit.depth:
+        raise InputError(f"data.n_last_blocks = {config.data.n_last_blocks} is above "
+                         f"the checkpoint's vit.depth = {vit.depth}")
+    return state, vit
+
+
 def cmd_probe(args) -> int:
     config = _resolve_config(args)
-    state, vit, head, crop, distill = load_checkpoint(args.checkpoint)
+    state, vit = _load_eval_checkpoint(args, config)
     train_m, test_m = _load_eval_data(args)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xF11C]))
 
-    train_imgs = probe_train_transform(train_m.load_images(), vit.image_size,
-                                       rng, flip=config.probe.flip_augment)
+    train_imgs = probe_train_transform(train_m.load_images(), vit.image_size, rng)
     feats = extract_features(state.teacher, train_imgs, vit,
                              config.data.n_last_blocks)
     probe = train_linear_probe(feats, train_m.grades(),
@@ -228,11 +237,10 @@ def cmd_probe(args) -> int:
 
 def cmd_knn(args) -> int:
     config = _resolve_config(args)
-    state, vit, head, crop, distill = load_checkpoint(args.checkpoint)
+    state, vit = _load_eval_checkpoint(args, config)
     train_m, test_m = _load_eval_data(args)
     knn_cfg = KnnConfig(k=args.k if args.k is not None else config.knn.k,
-                        temperature=config.knn.temperature,
-                        majority=config.knn.majority)
+                        temperature=config.knn.temperature)
     index = build_index(state.teacher, probe_eval_transform(
         train_m.load_images(), vit.image_size), train_m.grades(), vit,
         config.data.n_last_blocks)

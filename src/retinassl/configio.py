@@ -12,13 +12,19 @@ import ast
 import dataclasses
 import io
 import math
+import os
 from dataclasses import dataclass, field
 
 from .crops import MultiCropConfig
 from .distill import DistillConfig
 from .errors import ConfigError, RetinaSSLError
 from .evaluation import KnnConfig, ProbeConfig
-from .vit import ProjectionHeadConfig, ViTConfig
+from .vit import ProjectionHeadConfig, ViTConfig, param_shapes
+
+try:
+    _PHYSICAL_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, ValueError, OSError):  # a system without sysconf
+    _PHYSICAL_BYTES = math.inf
 
 
 @dataclass
@@ -49,6 +55,31 @@ class RunConfig:
             if size % self.vit.patch_size:
                 raise ConfigError(f"{key} = {size} is not divisible by "
                                   f"vit.patch_size = {self.vit.patch_size}")
+        self._check_fixed_bytes()
+
+    def _check_fixed_bytes(self):
+        """Refuse a config whose parameter state and one step's crop stacks
+        need more bytes than the machine has memory. numpy refuses such a
+        size only when a run allocates it, after `--out` is made, and a size
+        that it grants can end in the kernel's out-of-memory kill."""
+        shapes = param_shapes(self.vit, self.head)
+        largest = max(shapes, key=lambda name: math.prod(shapes[name]))
+        crop, batch = self.crop, self.distill.batch_size
+        parts = {
+            # float64 student, teacher and two AdamW moments
+            f"the parameter state (largest tensor {largest}, shape "
+            f"{shapes[largest]})": 4 * 8 * sum(map(math.prod, shapes.values())),
+            # float64 student and teacher views of every global crop
+            f"crop.global_out_size = {crop.global_out_size}":
+                2 * crop.n_global * batch * 3 * 8 * crop.global_out_size ** 2,
+            f"crop.local_out_size = {crop.local_out_size}":
+                crop.n_local * batch * 3 * 8 * crop.local_out_size ** 2}
+        total = sum(parts.values())
+        if total > _PHYSICAL_BYTES:
+            cause = max(parts, key=parts.get)
+            raise ConfigError(f"the config fixes {total} bytes, above this machine's "
+                              f"{_PHYSICAL_BYTES} bytes of memory; {cause} takes "
+                              f"{parts[cause]} bytes")
 
 
 _SECTIONS = {"vit": ViTConfig, "head": ProjectionHeadConfig,

@@ -30,6 +30,9 @@ FIRST_GLOBAL = "first_global"
 SECOND_GLOBAL = "second_global"
 LOCAL = "local"
 
+# Pixel values above this are inverted by solarization, as in DINO's recipe.
+SOLARIZE_THRESHOLD = 0.5
+
 
 @dataclass
 class MultiCropConfig:
@@ -50,7 +53,6 @@ class MultiCropConfig:
         FIRST_GLOBAL: 1.0, SECOND_GLOBAL: 0.1, LOCAL: 0.5})
     blur_sigma: tuple[float, float] = (0.1, 2.0)
     solarize_p: float = 0.2
-    solarize_threshold: float = 0.5
 
     def __post_init__(self):
         for name, (lo, hi) in (("global_scale_range", self.global_scale_range),
@@ -80,10 +82,6 @@ class MultiCropConfig:
         if self.jitter_strength[3] > 0.5:
             raise ParameterError(f"hue jitter strength must be <= 0.5, "
                                  f"got {self.jitter_strength[3]}")
-        # pixel values lie in [0, 1]; a threshold outside never solarizes
-        if not 0.0 <= self.solarize_threshold <= 1.0:
-            raise ParameterError(f"solarize_threshold must lie in [0, 1], "
-                                 f"got {self.solarize_threshold}")
 
 
 @dataclass
@@ -423,7 +421,7 @@ def _apply_in_place(out: np.ndarray, chosen: np.ndarray, factors: np.ndarray,
         out[blur] = _gaussian_blur(out[blur], factors[blur, 4])
     if solarize.size:
         sel = out[solarize]
-        out[solarize] = np.where(sel > config.solarize_threshold, 1.0 - sel, sel)
+        out[solarize] = np.where(sel > SOLARIZE_THRESHOLD, 1.0 - sel, sel)
 
 
 def augment_view(view: np.ndarray, recipe: str, rng: np.random.Generator,

@@ -38,10 +38,16 @@ _BLOCK_VALUES = 1 << 14
 # AdamW's moment decay rates and denominator offset
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
+TAU_S = 0.1  # the student's sharpening temperature, DINO's
+
+# the prototype layer, held fixed for the first freeze_last_steps steps: with
+# few images and an aggressive lr its prototypes otherwise align into one
+# direction and the centered teacher goes uniform
+_LAST_LAYER = ("head.last.dir", "head.last.mag")
+
 
 @dataclass
 class DistillConfig:
-    tau_s: float = 0.1            # student sharpening temperature
     tau_t: float = 0.04           # teacher sharpening temperature
     center_momentum: float = 0.9  # m in the center EMA
     ema_start: float = 0.99       # lambda schedule endpoints
@@ -57,9 +63,8 @@ class DistillConfig:
     freeze_last_steps: int = 0    # steps with the prototype layer held fixed
 
     def __post_init__(self):
-        if not all(math.isfinite(t) and t > 0 for t in (self.tau_s, self.tau_t)):
-            raise ParameterError(f"temperatures must be finite and positive, "
-                                 f"got {self.tau_s} and {self.tau_t}")
+        if not (math.isfinite(self.tau_t) and self.tau_t > 0):
+            raise ParameterError(f"tau_t must be finite and positive, got {self.tau_t}")
         if not all(math.isfinite(r) and r >= 0 for r in (self.base_lr, self.lr_floor)):
             raise ParameterError(f"base_lr and lr_floor must be finite and >= 0, "
                                  f"got {self.base_lr} and {self.lr_floor}")
@@ -100,10 +105,9 @@ def init_train_state(vit_config: ViTConfig, head_config: ProjectionHeadConfig,
     """Fresh state: teacher starts as an exact copy of the student, center
     starts at zero, optimizer moments at zero."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xD150]))
-    student = init_backbone_params(vit_config, rng, requires_grad=True, std=init_std)
+    student = init_backbone_params(vit_config, rng, std=init_std)
     student.update(init_head_params(
-        head_config, vit_config.n_cls_tokens * vit_config.embed_dim,
-        rng, requires_grad=True, std=init_std))
+        head_config, vit_config.n_cls_tokens * vit_config.embed_dim, rng, std=init_std))
     teacher = {k: Tensor(v.data.copy(), requires_grad=False) for k, v in student.items()}
     return TrainState(
         student=student,
@@ -346,6 +350,10 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
     groups = [group.reshape((-1,) + group.shape[-3:])
               for group in (batch.student_global, batch.student_local) if len(group)]
     del batch, views, out
+    # a frozen layer is a constant: no tape entry, and backward gives it zeros
+    head_params = dict(state.student)
+    if state.step < cfg.freeze_last_steps:
+        head_params.update((k, Tensor(head_params[k].data)) for k in _LAST_LAYER)
     leaves = list(state.student.values())
     with Tape() as tape:
         cls = []
@@ -353,8 +361,8 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
             cls.append(backbone_forward(groups.pop(0), vit_config, state.student,
                                         mode=TRAIN, rng=rng).cls_features)
         logits = projection_head_forward(ad.concat(cls, axis=0), head_config,
-                                         state.student)
-        loss = distillation_loss(p_t, ad.log_softmax_rows(logits, cfg.tau_s))
+                                         head_params)
+        loss = distillation_loss(p_t, ad.log_softmax_rows(logits, TAU_S))
     del cls, logits
 
     loss_val = loss.item()
@@ -369,12 +377,6 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
     for k, p in state.student.items():
         grads[k] = p.grad
         p.zero_grad()
-    if state.step < cfg.freeze_last_steps:
-        # keep the prototype layer fixed early on; with few images and an
-        # aggressive lr the prototypes otherwise align into one direction
-        # and the centered teacher goes uniform
-        for key in ("head.last.dir", "head.last.mag"):
-            grads[key] = np.zeros_like(grads[key])
     grads, _ = clip_gradients(grads, cfg.clip_threshold)
 
     lr = schedule_value("lr", state.step, steps_per_epoch, cfg)

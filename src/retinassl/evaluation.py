@@ -20,6 +20,9 @@ from .vit import EVAL, ViTConfig, encoder_forward, last_layer_attention, patch_e
 
 N_CLASSES = 5
 
+# the probe's SGD momentum, DINO's
+PROBE_MOMENTUM = 0.9
+
 
 @dataclass
 class EmbeddingIndex:
@@ -69,17 +72,13 @@ class Metrics:
 @dataclass
 class ProbeConfig:
     lr: float = 0.001
-    momentum: float = 0.9
     epochs: int = 100
     batch_size: int = 32
-    flip_augment: bool = True
     seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ParameterError(f"probe batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ParameterError(f"probe momentum must lie in [0, 1), got {self.momentum}")
         if self.epochs < 1 or not (math.isfinite(self.lr) and self.lr >= 0):
             raise ParameterError(f"probe epochs must be >= 1 and lr finite and >= 0, "
                                  f"got {self.epochs} and {self.lr}")
@@ -89,7 +88,6 @@ class ProbeConfig:
 class KnnConfig:
     k: int = 20
     temperature: float = 0.07
-    majority: bool = False  # plain majority voting instead of weighted
 
     def __post_init__(self):
         if self.k < 1:
@@ -150,13 +148,12 @@ def probe_eval_transform(images: np.ndarray, target_size: int) -> np.ndarray:
 
 
 def probe_train_transform(images: np.ndarray, target_size: int,
-                          rng: np.random.Generator, flip: bool = True) -> np.ndarray:
+                          rng: np.random.Generator) -> np.ndarray:
     """Train-time transform: resize to the model size + random horizontal flip."""
     out = bicubic_resize(images, target_size)
-    if flip:
-        # an image at a time, so no copy of the flipped half is made
-        for i in np.flatnonzero(rng.random(len(out)) < 0.5):
-            out[i] = out[i, ..., ::-1]
+    # an image at a time, so no copy of the flipped half is made
+    for i in np.flatnonzero(rng.random(len(out)) < 0.5):
+        out[i] = out[i, ..., ::-1]
     return out
 
 
@@ -211,7 +208,7 @@ def train_linear_probe(features: np.ndarray, labels: np.ndarray,
             g = t - np.exp(log_p) * t.sum(axis=-1, keepdims=True)
             lr = probe_lr_at(step, total, config.lr)
             for p, v, grad in ((w, vel_w, x.T @ g), (b, vel_b, g.sum(axis=0))):
-                v *= config.momentum
+                v *= PROBE_MOMENTUM
                 v += grad
                 p -= lr * v
             step += 1
@@ -281,8 +278,7 @@ def _knn_votes(sims: np.ndarray, labels: np.ndarray, config: KnnConfig) -> np.nd
     for r in np.flatnonzero(np.count_nonzero(sims >= kth[:, None], axis=1) > k):
         cand = np.flatnonzero(sims[r] >= kth[r])
         top[r] = cand[np.argsort(-sims[r, cand], kind="stable")[:k]]
-    weights = (np.ones((b, k)) if config.majority
-               else np.exp(sims[rows, top] / config.temperature))
+    weights = np.exp(sims[rows, top] / config.temperature)
     votes = np.zeros((b, N_CLASSES))
     # one neighbour rank at a time, so each row sums in rank order
     for j in range(k):

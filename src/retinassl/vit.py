@@ -153,9 +153,9 @@ def param_shapes(vit_config: ViTConfig,
 
 
 def _init_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator,
-                 requires_grad: bool, std: float) -> dict[str, Tensor]:
-    """Biases and shifts start at 0, scales and magnitudes at 1; every other
-    tensor is a truncated-normal draw, taken in table order."""
+                 std: float) -> dict[str, Tensor]:
+    """Trainable leaves: biases and shifts start at 0, scales and magnitudes
+    at 1; every other tensor is a truncated-normal draw, taken in table order."""
     def init(name, shape):
         if name.endswith((".b", ".shift")):
             return np.zeros(shape)
@@ -163,22 +163,21 @@ def _init_params(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator,
             return np.ones(shape)
         return trunc_normal(rng, shape, std=std)
 
-    return {name: Tensor(init(name, shape), requires_grad=requires_grad)
+    return {name: Tensor(init(name, shape), requires_grad=True)
             for name, shape in shapes.items()}
 
 
 def init_backbone_params(config: ViTConfig, rng: np.random.Generator,
-                         requires_grad: bool = True, std: float = 0.02) -> dict[str, Tensor]:
-    return _init_params(backbone_param_shapes(config), rng, requires_grad, std)
+                         std: float = 0.02) -> dict[str, Tensor]:
+    return _init_params(backbone_param_shapes(config), rng, std)
 
 
 def init_head_params(config: ProjectionHeadConfig, in_dim: int,
-                     rng: np.random.Generator, requires_grad: bool = True,
-                     std: float = 0.02) -> dict[str, Tensor]:
+                     rng: np.random.Generator, std: float = 0.02) -> dict[str, Tensor]:
     """At very small widths a 0.02-scale init leaves the bottleneck with a
     near-zero norm, which makes the L2-normalize stage badly conditioned;
     toy configs should pass a larger `std`."""
-    return _init_params(head_param_shapes(config, in_dim), rng, requires_grad, std)
+    return _init_params(head_param_shapes(config, in_dim), rng, std)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +229,10 @@ def patch_embed(images: np.ndarray, config: ViTConfig, params: dict[str, Tensor]
 
     patches = images.reshape(b, c, g, ps, g, ps)
     patches = patches.transpose(0, 2, 4, 1, 3, 5).reshape(b, g * g, c * ps * ps)
+    if np.may_share_memory(patches, images):
+        # a one-patch side makes a view, which linear's weight gradient would
+        # keep, and with it the whole crop stack, until backward
+        patches = patches.copy()
 
     tokens = ad.linear(Tensor(patches), params["patch_embed.w"], params["patch_embed.b"])
     cls = ad.broadcast_to(

@@ -10,7 +10,8 @@ import pytest
 from retinassl import cli, errors
 from retinassl.checkpoint import load_checkpoint
 from retinassl.cli import main
-from retinassl.data import generate_synthetic_dataset, write_synthetic_dataset
+from retinassl.data import (DatasetManifest, generate_synthetic_dataset,
+                            write_synthetic_dataset)
 from retinassl.distill import METRICS_HEADER
 from retinassl.errors import CheckpointError
 
@@ -262,7 +263,8 @@ class TestTrain:
         "vit.image_size=0", "distill.wd_start=-1", "distill.wd_end=-1",
         "distill.freeze_last_steps=-5", "crop.solarize_threshold=5",
         "crop.jitter_strength=(0.4, 0.4, 0.4, 3.0)", "crop.global_out_size=20",
-        "crop.local_out_size=12"])
+        "crop.local_out_size=12", "crop.global_out_size=100000",
+        "head.output_dim=2000000000", "vit.image_size=8000000"])
     def test_out_of_range_set_exit_2(self, tmp_path, tiny_config, synth_dir, capsys,
                                      value):
         # refused where the config is built, before a step runs and before
@@ -271,7 +273,9 @@ class TestTrain:
         # ValueError (exit 1), a probability of 2, a negative probe epoch
         # count or a negative wd_end ran (exit 0), image_size=0 was refused
         # only by the first resample, and a crop size that is not a whole
-        # number of patches only by the first student forward
+        # number of patches only by the first student forward; tau_s and
+        # solarize_threshold are no longer keys; a size whose parameters or
+        # crops need terabytes ended in a MemoryError (exit 3)
         assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
                     "--images", synth_dir, "--out", str(tmp_path / "o"),
                     "--config", tiny_config, "--steps", "1", "--set", value]) == 2
@@ -652,14 +656,21 @@ class TestProbeKnn:
 
     def test_checkpoint_with_a_removed_key_resumes_as_before(self, tmp_path, tiny_config,
                                                             synth_dir, trained):
-        # checkpoints written while DistillConfig had a center_sign field store
-        # "center_sign": -1.0; loading ignores names that are not fields
+        # checkpoints written while the configs had since removed fields
+        # store them, at any value; loading ignores names that are not fields
         old = tmp_path / "old.ckpt"
         shutil.copyfile(trained, old)
+        def with_removed_fields(configs):
+            for section, key, value in [("distill", "center_sign", -1.0),
+                                        ("distill", "tau_s", 0.2),
+                                        ("crop", "solarize_threshold", 0.3)]:
+                configs = _with_config(configs, section, key, value)
+            return configs
+
         _rewrite_checkpoint(old, lambda secs: [
-            (n, _with_config(p, "distill", "center_sign", -1.0) if n == b"configs" else p)
-            for n, p in secs])
+            (n, with_removed_fields(p) if n == b"configs" else p) for n, p in secs])
         assert b'"center_sign": -1.0' in old.read_bytes()
+        assert b'"solarize_threshold": 0.3' in old.read_bytes()
         assert load_checkpoint(old)[1:] == load_checkpoint(trained)[1:]
         logs = []
         for name, ckpt in (("new", trained), ("old", old)):
@@ -670,6 +681,18 @@ class TestProbeKnn:
                         "--resume", str(ckpt)]) == 0
             logs.append((out / "metrics.log").read_bytes())
         assert logs[0] == logs[1] and logs[0].count(b"\n") == 3
+
+    @pytest.mark.parametrize("cmd", ["probe", "knn"])
+    def test_blocks_above_the_checkpoint_depth_refused_before_images_are_read(
+            self, tmp_path, tiny_config, synth_dir, trained, cmd, capsys, monkeypatch):
+        loads = []
+        monkeypatch.setattr(DatasetManifest, "load_images",
+                            lambda manifest: loads.append(manifest))
+        out = tmp_path / "o"
+        assert run(self._eval_args(cmd, trained, synth_dir, out, tiny_config,
+                                   ["--set", "data.n_last_blocks=2"])) == 2
+        assert "vit.depth = 1" in capsys.readouterr().err
+        assert loads == [] and not out.exists()
 
     def test_config_of_another_kind_is_a_checkpoint_error(self, trained):
         _rewrite_checkpoint(trained, MALFORMED_CHECKPOINTS["vit_depth_a_string"])

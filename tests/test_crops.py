@@ -191,7 +191,7 @@ class TestAugmentView:
     def test_solarization_rule(self):
         cfg = tiny_config(flip_p=0.0, jitter_p=0.0, grayscale_p=0.0,
                           blur_p={FIRST_GLOBAL: 0.0, SECOND_GLOBAL: 0.0, LOCAL: 0.0},
-                          solarize_p=1.0, solarize_threshold=0.5)
+                          solarize_p=1.0)
         view = np.full((3, 4, 4), 0.8)
         out = augment_view(view, SECOND_GLOBAL, np.random.default_rng(0), cfg)
         np.testing.assert_allclose(out, 0.2, atol=1e-12)

@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import functools
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from retinassl import checkpoint
 from retinassl.checkpoint import _read_sections, load_checkpoint, save_checkpoint
 from retinassl.configio import RunConfig, load_config, parse_assignments
 from retinassl.crops import MultiCropConfig
@@ -529,6 +531,33 @@ class TestSyntheticDataset:
         assert ds.images.max() <= 1.0
 
 
+def _joined_save(state, path, vit, head, crop, distill):
+    """The checkpoint writer that packed every section as bytes, joined them
+    and wrote the file at once: the reference for a file's bytes."""
+    def section(name, payload):
+        nb = name.encode()
+        return (struct.pack("<H", len(nb)) + nb
+                + struct.pack("<QI", len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
+                + payload)
+
+    def array(arr):
+        arr = np.ascontiguousarray(arr, dtype="<f8")
+        return (struct.pack("<B", arr.ndim)
+                + b"".join(struct.pack("<Q", d) for d in arr.shape) + arr.tobytes())
+
+    meta = {"step": state.step, "rng_state": state.rng.bit_generator.state}
+    configs = {name: dataclasses.asdict(cfg) for name, cfg in (
+        ("vit", vit), ("head", head), ("crop", crop), ("distill", distill))}
+    sections = [section("meta", json.dumps(meta).encode()),
+                section("configs", json.dumps(configs).encode()),
+                section("center", array(state.center))]
+    for group, arrays in (("student", {k: t.data for k, t in state.student.items()}),
+                          ("teacher", {k: t.data for k, t in state.teacher.items()}),
+                          ("opt_m", state.opt_m), ("opt_v", state.opt_v)):
+        sections += [section(f"{group}/{k}", array(arrays[k])) for k in sorted(arrays)]
+    Path(path).write_bytes(b"RSSLCKPT" + struct.pack("<I", 1) + b"".join(sections))
+
+
 def small_state():
     vit = ViTConfig(image_size=16, patch_size=8, depth=1, embed_dim=8, n_heads=2)
     head = ProjectionHeadConfig(hidden_dim=16, bottleneck_dim=8, output_dim=24)
@@ -542,7 +571,7 @@ def small_state():
 _FUZZ_IHDR = struct.pack(">IIBBBBB", 4, 3, 8, 2, 0, 0, 0)
 _FUZZ_IDAT = zlib.compress(b"".join(bytes([f]) + bytes(range(12)) for f in (1, 3, 4)))
 _FUZZ_KEYS = ["vit.depth", "vit.mlp_ratio", "crop.global_scale_range",
-              "crop.blur_p", "probe.flip_augment"]
+              "crop.blur_p", "probe.epochs"]
 _FUZZ_JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
@@ -819,6 +848,49 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="cut short"):
             load_checkpoint(path)
 
+    def test_file_bytes_are_the_joined_writers(self, tmp_path):
+        vit, head, crop, distill, state = small_state()
+        train_loop(np.random.default_rng(3).random((4, 3, 16, 16)), state, vit, head,
+                   crop, distill, n_steps=2)
+        state.opt_m["head.fc2.w"] = np.asfortranarray(state.opt_m["head.fc2.w"])
+        save_checkpoint(state, tmp_path / "streamed.ckpt", vit, head, crop, distill)
+        _joined_save(state, tmp_path / "joined.ckpt", vit, head, crop, distill)
+        assert ((tmp_path / "streamed.ckpt").read_bytes()
+                == (tmp_path / "joined.ckpt").read_bytes())
+
+    def test_save_holds_no_copy_of_the_state(self, tmp_path):
+        vit = ViTConfig(image_size=16, patch_size=8, depth=1, embed_dim=8, n_heads=2)
+        head = ProjectionHeadConfig(hidden_dim=16, bottleneck_dim=64, output_dim=4096)
+        state = init_train_state(vit, head, seed=0)
+        configs = (vit, head, MultiCropConfig(global_out_size=16, local_out_size=8),
+                   DistillConfig())
+        save_checkpoint(state, tmp_path / "warm.ckpt", *configs)
+        tracemalloc.start()
+        try:
+            save_checkpoint(state, tmp_path / "c.ckpt", *configs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = state.student["head.last.dir"].data.nbytes  # 2 MiB of an 8.3 MiB file
+        assert (tmp_path / "c.ckpt").stat().st_size > 4 * largest
+        # a few sections; packing and joining every section took twice the file
+        assert peak < 2 * largest
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        vit, head, crop, distill, state = small_state()
+        original, names = checkpoint._write_array, []
+
+        def fail_on_the_third(fh, name, arr):
+            names.append(name)
+            if len(names) == 3:
+                raise OSError("disk full")
+            original(fh, name, arr)
+
+        monkeypatch.setattr(checkpoint, "_write_array", fail_on_the_third)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(state, tmp_path / "c.ckpt", vit, head, crop, distill)
+        assert os.listdir(tmp_path) == []
+
     def test_resume_equivalence(self, tmp_path):
         # Twin-run: an uninterrupted 10-step run vs 5 steps, save, load, 5 more.
         vit, head, crop, distill, state = small_state()
@@ -846,7 +918,6 @@ class TestConfig:
         path.write_text("# nothing here\n\n")
         cfg = load_config(path)
         assert cfg.distill.tau_t == 0.04
-        assert cfg.distill.tau_s == 0.1
         assert cfg.distill.center_momentum == 0.9
         assert cfg.distill.clip_threshold == 3.0
         assert cfg.head.output_dim == 65536
@@ -907,7 +978,8 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("vit.depth", "x"), ("vit.depth", True), ("vit.depth", 2.0),
         ("distill.tau_t", False), ("distill.tau_t", "0.1"),
-        ("probe.flip_augment", 1), ("crop.blur_sigma", (0.1, "a")),
+        ("crop.blur_p", {"first_global": 1.0, "second_global": True, "local": 0.5}),
+        ("crop.blur_sigma", (0.1, "a")),
         ("crop.blur_p", {"local": 0.5})])
     def test_value_of_another_kind_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key.split(".")[1]):

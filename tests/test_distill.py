@@ -444,6 +444,30 @@ class TestTrainStep:
 
         assert run() == run()
 
+    def test_frozen_prototype_layer_is_a_constant_of_the_step(self, monkeypatch):
+        # steps 0 and 1 hold the layer fixed, step 2 trains it
+        vit, head, crops, distill, state = tiny_setup(freeze_last_steps=2)
+        last = [state.student[k] for k in ("head.last.dir", "head.last.mag")]
+        seen = []
+
+        def spy(loss, tape, leaves=()):
+            inputs = {id(s) for _, slots, _ in tape.nodes for s in slots}
+            entries = len(tape.nodes)
+            backward(loss, tape, leaves=leaves)
+            seen.append((entries, [id(p) in inputs for p in last],
+                         [p.grad.copy() for p in last]))
+
+        monkeypatch.setattr(distill_module, "backward", spy)
+        for _ in range(3):
+            train_step(random_images(2), state, vit, head, crops, distill,
+                       steps_per_epoch=2)
+        (n0, read0, g0), (n1, read1, g1), (n2, read2, g2) = seen
+        assert read0 == read1 == [False, False] and read2 == [True, True]
+        assert all(g.shape == p.shape and not g.any() for g, p in zip(g0 + g1, last))
+        assert all(g.any() for g in g2)
+        # l2_normalize_rows, reshape, mul and transpose of the layer
+        assert n0 == n1 == n2 - 4
+
     @pytest.mark.parametrize("n, expected", [(10, (4, 3)), (8, (4, 2)), (3, (3, 1))])
     def test_batch_schedule(self, n, expected):
         assert batch_schedule(n, DistillConfig(batch_size=4)) == expected
@@ -660,6 +684,30 @@ class TestStepMemory:
         monkeypatch.setattr(distill_module, "distillation_loss", loss)
         train_step(random_images(2), state, vit, head, crops, distill, steps_per_epoch=2)
         assert len(stacks) == 3 and alive == [[False] * 3]
+
+    def test_one_patch_crops_are_dead_when_backward_starts(self, monkeypatch):
+        # 8 px locals with patch 8: each local crop is one patch, and its
+        # patch matrix would be a view that pins the local stack
+        vit, head, crops, distill, state = tiny_setup()
+        assert crops.local_out_size == vit.patch_size
+        stacks, alive = [], []
+
+        def build(*args):
+            batch = build_multicrop(*args)
+            for a in (batch.student_global, batch.student_local):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                stacks.append(weakref.ref(a))
+            return batch
+
+        def spy(*args, **kwargs):
+            alive.append([ref() is not None for ref in stacks])
+            return backward(*args, **kwargs)
+
+        monkeypatch.setattr(distill_module, "build_multicrop", build)
+        monkeypatch.setattr(distill_module, "backward", spy)
+        train_step(random_images(2), state, vit, head, crops, distill, steps_per_epoch=2)
+        assert alive == [[False, False]]
 
     def test_backward_and_update_peaks(self, monkeypatch):
         vit = ViTConfig(image_size=32, patch_size=8, depth=2, embed_dim=32, n_heads=4)

@@ -26,7 +26,7 @@ def tiny_backbone(n_cls=1, depth=2, dim=8, seed=0):
     return cfg, params
 
 
-def knn_oracle(index, query, k, temperature=0.07, majority=False):
+def knn_oracle(index, query, k, temperature=0.07):
     """Independent exhaustive scan with the documented tie rules."""
     preds = []
     for q in np.atleast_2d(query):
@@ -34,8 +34,7 @@ def knn_oracle(index, query, k, temperature=0.07, majority=False):
         order = sorted(range(len(sims)), key=lambda j: (-sims[j], j))[:k]
         votes = np.zeros(5)
         for j in order:
-            votes[index.labels[j]] += 1.0 if majority else np.exp(
-                sims[j] / temperature)
+            votes[index.labels[j]] += np.exp(sims[j] / temperature)
         best = max(range(5), key=lambda c: (votes[c], -c))
         preds.append(best)
     return np.array(preds)
@@ -210,7 +209,7 @@ def taped_probe(features, labels, config):
             lr = probe_lr_at(step, total, config.lr)
             for p in (w, b):
                 v = vel[id(p)]
-                v *= config.momentum
+                v *= evaluation.PROBE_MOMENTUM
                 v += p.grad
                 p.data = p.data - lr * v
             step += 1
@@ -364,14 +363,6 @@ class TestKnn:
             got = knn_classify(index, queries, KnnConfig(k=k))
             np.testing.assert_array_equal(got, knn_oracle(index, queries, k))
 
-    def test_oracle_equivalence_majority(self):
-        index = random_index(60, 5, seed=11)
-        queries = np.random.default_rng(12).normal(size=(10, 5))
-        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
-        got = knn_classify(index, queries, KnnConfig(k=7, majority=True))
-        np.testing.assert_array_equal(got, knn_oracle(index, queries, 7,
-                                                      majority=True))
-
     def test_bad_k(self):
         index = random_index(5, 3, seed=13)
         with pytest.raises(InputError):
@@ -436,24 +427,19 @@ class TestKnn:
         labels[at] = [0, 3, 0, 1, 3]
         index = EmbeddingIndex(feats, labels)
         for k in range(1, 8):  # the cut before, inside and after the tie
-            for majority in (False, True):
-                cfg = KnnConfig(k=k, majority=majority)
-                np.testing.assert_array_equal(
-                    knn_classify(index, q, cfg),
-                    knn_oracle(index, q, k, majority=majority))
+            np.testing.assert_array_equal(knn_classify(index, q, KnnConfig(k=k)),
+                                          knn_oracle(index, q, k))
 
     def test_k_equals_n(self):
         index = index_with_duplicates(30, 4, seed=19)
         queries = index.features[::3]
-        for majority in (False, True):
-            got = knn_classify(index, queries, KnnConfig(k=30, majority=majority))
-            np.testing.assert_array_equal(
-                got, knn_oracle(index, queries, 30, majority=majority))
+        got = knn_classify(index, queries, KnnConfig(k=30))
+        np.testing.assert_array_equal(got, knn_oracle(index, queries, 30))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(2, 5),
-           st.integers(1, 9), st.booleans())
-    def test_matches_oracle_property(self, seed, n, d, rows, majority):
+           st.integers(1, 9))
+    def test_matches_oracle_property(self, seed, n, d, rows):
         index = index_with_duplicates(n, d, seed)
         rng = np.random.default_rng(seed)
         k = int(rng.integers(1, n + 1))
@@ -461,9 +447,8 @@ class TestKnn:
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
         queries[::2] = index.features[rng.integers(0, n, size=len(queries[::2]))]
         with mock.patch.object(evaluation, "_KNN_BLOCK_VALUES", n * rows):
-            got = knn_classify(index, queries, KnnConfig(k=k, majority=majority))
-        np.testing.assert_array_equal(
-            got, knn_oracle(index, queries, k, majority=majority))
+            got = knn_classify(index, queries, KnnConfig(k=k))
+        np.testing.assert_array_equal(got, knn_oracle(index, queries, k))
 
 
 class TestAttentionHeatmaps:
