@@ -23,7 +23,7 @@ from .data import (generate_synthetic_dataset, load_manifest,
                    write_synthetic_dataset)
 from .distill import METRICS_HEADER, batch_schedule, init_train_state, train_loop
 from .errors import InputError, RetinaSSLError
-from .evaluation import (KnnConfig, attention_heatmaps, build_index,
+from .evaluation import (attention_heatmaps, build_index,
                          compute_metrics, extract_features, knn_classify,
                          probe_eval_transform, probe_predict,
                          probe_train_transform, train_linear_probe)
@@ -239,8 +239,7 @@ def cmd_knn(args) -> int:
     config = _resolve_config(args)
     state, vit = _load_eval_checkpoint(args, config)
     train_m, test_m = _load_eval_data(args)
-    knn_cfg = KnnConfig(k=args.k if args.k is not None else config.knn.k,
-                        temperature=config.knn.temperature)
+    knn_cfg = config.knn if args.k is None else dataclasses.replace(config.knn, k=args.k)
     index = build_index(state.teacher, probe_eval_transform(
         train_m.load_images(), vit.image_size), train_m.grades(), vit,
         config.data.n_last_blocks)

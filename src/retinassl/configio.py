@@ -62,13 +62,19 @@ class RunConfig:
         need more bytes than the machine has memory. numpy refuses such a
         size only when a run allocates it, after `--out` is made, and a size
         that it grants can end in the kernel's out-of-memory kill."""
-        shapes = param_shapes(self.vit, self.head)
+        try:  # one block stands for all: the table is as long as the depth
+            shapes = param_shapes(dataclasses.replace(self.vit, depth=1), self.head)
+        except OverflowError:  # the MLP width, embed_dim * mlp_ratio, as a float
+            raise ConfigError(f"vit.embed_dim = {self.vit.embed_dim} times vit.mlp_ratio "
+                              f"= {self.vit.mlp_ratio} is past the float range") from None
+        block = sum(math.prod(s) for k, s in shapes.items() if k.startswith("blocks."))
+        values = sum(map(math.prod, shapes.values())) + (self.vit.depth - 1) * block
         largest = max(shapes, key=lambda name: math.prod(shapes[name]))
         crop, batch = self.crop, self.distill.batch_size
         parts = {
             # float64 student, teacher and two AdamW moments
-            f"the parameter state (largest tensor {largest}, shape "
-            f"{shapes[largest]})": 4 * 8 * sum(map(math.prod, shapes.values())),
+            f"the parameter state ({self.vit.depth} blocks, largest tensor "
+            f"{largest})": 4 * 8 * values,
             # float64 student and teacher views of every global crop
             f"crop.global_out_size = {crop.global_out_size}":
                 2 * crop.n_global * batch * 3 * 8 * crop.global_out_size ** 2,
@@ -77,9 +83,15 @@ class RunConfig:
         total = sum(parts.values())
         if total > _PHYSICAL_BYTES:
             cause = max(parts, key=parts.get)
-            raise ConfigError(f"the config fixes {total} bytes, above this machine's "
-                              f"{_PHYSICAL_BYTES} bytes of memory; {cause} takes "
-                              f"{parts[cause]} bytes")
+            raise ConfigError(f"the config fixes {_bytes(total)}, above this machine's "
+                              f"{_bytes(_PHYSICAL_BYTES)} of memory; {cause} takes "
+                              f"{_bytes(parts[cause])}")
+
+
+def _bytes(n: int) -> str:
+    """A byte count for a message: one past 2**64 is only bounded, as its
+    digits may exceed Python's limit on converting an int to a string."""
+    return f"{n} bytes" if n < 2 ** 64 else "more than 2**64 bytes"
 
 
 _SECTIONS = {"vit": ViTConfig, "head": ProjectionHeadConfig,

@@ -264,7 +264,10 @@ class TestTrain:
         "distill.freeze_last_steps=-5", "crop.solarize_threshold=5",
         "crop.jitter_strength=(0.4, 0.4, 0.4, 3.0)", "crop.global_out_size=20",
         "crop.local_out_size=12", "crop.global_out_size=100000",
-        "head.output_dim=2000000000", "vit.image_size=8000000"])
+        "head.output_dim=2000000000", "vit.image_size=8000000", "vit.depth=1000000000000",
+        pytest.param("vit.embed_dim=1" + "0" * 400, id="vit.embed_dim=10**400"),
+        pytest.param("crop.global_out_size=1" + "0" * 4000,
+                     id="crop.global_out_size=10**4000")])
     def test_out_of_range_set_exit_2(self, tmp_path, tiny_config, synth_dir, capsys,
                                      value):
         # refused where the config is built, before a step runs and before
@@ -275,7 +278,9 @@ class TestTrain:
         # only by the first resample, and a crop size that is not a whole
         # number of patches only by the first student forward; tau_s and
         # solarize_threshold are no longer keys; a size whose parameters or
-        # crops need terabytes ended in a MemoryError (exit 3)
+        # crops need terabytes ended in a MemoryError (exit 3), a depth of
+        # 10**12 is sized without listing its blocks, and a byte count too
+        # long to print in decimal is only bounded in the message
         assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
                     "--images", synth_dir, "--out", str(tmp_path / "o"),
                     "--config", tiny_config, "--steps", "1", "--set", value]) == 2
@@ -660,6 +665,7 @@ class TestProbeKnn:
         # store them, at any value; loading ignores names that are not fields
         old = tmp_path / "old.ckpt"
         shutil.copyfile(trained, old)
+
         def with_removed_fields(configs):
             for section, key, value in [("distill", "center_sign", -1.0),
                                         ("distill", "tau_s", 0.2),
