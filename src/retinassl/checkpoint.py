@@ -59,7 +59,7 @@ def _write_array(fh, name: str, arr: np.ndarray) -> None:
     _write_section(fh, name, header, arr)
 
 
-def _unpack_array(payload: bytes) -> np.ndarray:
+def _unpack_array(payload: memoryview) -> np.ndarray:
     if len(payload) < 1:
         raise CheckpointError("empty array payload")
     ndim = payload[0]
@@ -110,7 +110,10 @@ def save_checkpoint(state: TrainState, path, vit_config: ViTConfig,
         raise
 
 
-def _read_sections(blob: bytes) -> dict[str, bytes]:
+def _read_sections(blob: bytes) -> dict[str, memoryview]:
+    """The sections of a checkpoint file's bytes, each payload a view of
+    `blob`, so that no payload is copied."""
+    view = memoryview(blob)
     if len(blob) < len(MAGIC) + 4:
         raise CheckpointError("file shorter than the fixed header")
     if blob[:len(MAGIC)] != MAGIC:
@@ -119,7 +122,7 @@ def _read_sections(blob: bytes) -> dict[str, bytes]:
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"format version {version}, this build reads {FORMAT_VERSION}")
-    sections: dict[str, bytes] = {}
+    sections: dict[str, memoryview] = {}
     pos = len(MAGIC) + 4
     while pos < len(blob):
         if pos + 2 > len(blob):
@@ -129,13 +132,13 @@ def _read_sections(blob: bytes) -> dict[str, bytes]:
         if pos + nlen + 12 > len(blob):
             raise CheckpointError("section header cut short")
         try:
-            name = blob[pos:pos + nlen].decode()
+            name = bytes(view[pos:pos + nlen]).decode()
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"section name at byte {pos} is not UTF-8") from exc
         pos += nlen
         plen, crc = struct.unpack_from("<QI", blob, pos)
         pos += 12
-        payload = blob[pos:pos + plen]
+        payload = view[pos:pos + plen]
         if len(payload) != plen:
             raise CheckpointError(f"section {name!r} payload cut short")
         if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
@@ -145,11 +148,11 @@ def _read_sections(blob: bytes) -> dict[str, bytes]:
     return sections
 
 
-def _read_metadata(sections: dict[str, bytes]):
+def _read_metadata(sections: dict[str, memoryview]):
     """Parse the JSON sections into (step, rng, vit, head, crop, distill)."""
     try:
-        meta = json.loads(sections["meta"])
-        cfg_raw = json.loads(sections["configs"])
+        meta = json.loads(bytes(sections["meta"]))
+        cfg_raw = json.loads(bytes(sections["configs"]))
         step = int(meta["step"])
         rng = np.random.default_rng()
         rng.bit_generator.state = meta["rng_state"]
@@ -179,7 +182,10 @@ def _check_shapes(group: str, got: dict, expected: dict) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (TrainState, vit, head, crop, distill configs)."""
+    """Read a checkpoint; returns (TrainState, vit, head, crop, distill configs).
+
+    The file is read whole and each array copied out of it once, so a load
+    holds two copies of the file at its peak."""
     with open(path, "rb") as fh:
         blob = fh.read()
     sections = _read_sections(blob)

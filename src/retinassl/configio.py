@@ -117,27 +117,28 @@ def parse_assignments(lines, source: str = "<config>") -> dict[str, object]:
     return out
 
 
-def _same_kind(value, default) -> bool:
-    """Whether `value` may stand where the field default `default` does.
+def _as_kind(value, default):
+    """`value` as the kind of the field default `default`, or None if it
+    cannot stand there.
 
     An int stands for a float if it converts to a finite one, as a float
-    must be finite; a bool is not a number, a tuple has the default's length,
-    and tuples and dicts are checked element by element.
+    must be finite, and becomes that float; a bool is not a number, and a
+    tuple has the default's length and is converted element by element.
     """
     if isinstance(default, tuple):
-        return (isinstance(value, tuple) and len(value) == len(default)
-                and all(_same_kind(v, d) for v, d in zip(value, default)))
-    if isinstance(default, dict):
-        return (isinstance(value, dict) and value.keys() == default.keys()
-                and all(_same_kind(value[k], default[k]) for k in default))
+        if not (isinstance(value, tuple) and len(value) == len(default)):
+            return None
+        value = tuple(_as_kind(v, d) for v, d in zip(value, default))
+        return None if None in value else value
     if isinstance(value, bool) != isinstance(default, bool):
-        return False
-    if isinstance(default, float):
+        return None
+    if isinstance(default, float) and isinstance(value, (int, float)):
         try:  # an int too large for a float overflows
-            return isinstance(value, (int, float)) and math.isfinite(value)
+            value = float(value)
         except OverflowError:
-            return False
-    return isinstance(value, type(default))
+            return None
+        return value if math.isfinite(value) else None
+    return value if isinstance(value, type(default)) else None
 
 
 def build_section(base, values):
@@ -147,7 +148,7 @@ def build_section(base, values):
     JSON), where there are no tuples, so lists become tuples. Names that are
     not fields of `base` are ignored. A value of another kind than the field's
     default, or one that fails the section's own validation, raises
-    ConfigError.
+    ConfigError; an int given for a float is stored as a float.
     """
     cls = type(base)
     if not isinstance(values, dict):
@@ -160,10 +161,10 @@ def build_section(base, values):
         value = values[f.name]
         if isinstance(value, list):
             value = tuple(value)
-        if not _same_kind(value, getattr(defaults, f.name)):
+        updates[f.name] = _as_kind(value, getattr(defaults, f.name))
+        if updates[f.name] is None:
             raise ConfigError(f"{cls.__name__}.{f.name} cannot be {value!r}: "
                               f"the default is {getattr(defaults, f.name)!r}")
-        updates[f.name] = value
     try:
         return dataclasses.replace(base, **updates)
     except (RetinaSSLError, ValueError, TypeError) as exc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,15 @@ FIRST_GLOBAL = "first_global"
 SECOND_GLOBAL = "second_global"
 LOCAL = "local"
 
-# Pixel values above this are inverted by solarization, as in DINO's recipe.
+# Values of DINO's recipe that no caller varies: the solarize threshold
+# (pixel values above it are inverted), the flip and color-jitter
+# probabilities of every view, each recipe's blur probability, and the range
+# of a crop's aspect ratio (width / height).
 SOLARIZE_THRESHOLD = 0.5
+FLIP_P = 0.5
+JITTER_P = 0.8
+BLUR_P = {FIRST_GLOBAL: 1.0, SECOND_GLOBAL: 0.1, LOCAL: 0.5}
+ASPECT_RANGE = (3.0 / 4.0, 4.0 / 3.0)
 
 
 @dataclass
@@ -42,15 +49,9 @@ class MultiCropConfig:
     local_scale_range: tuple[float, float] = (0.05, 0.40)
     global_out_size: int = 224
     local_out_size: int = 96
-    aspect_range: tuple[float, float] = (3.0 / 4.0, 4.0 / 3.0)
-    flip_p: float = 0.5
-    jitter_p: float = 0.8
     # brightness, contrast, saturation, hue strengths
     jitter_strength: tuple[float, float, float, float] = (0.4, 0.4, 0.4, 0.1)
     grayscale_p: float = 0.2
-    # blur probability per recipe: first_global, second_global, local
-    blur_p: dict = field(default_factory=lambda: {
-        FIRST_GLOBAL: 1.0, SECOND_GLOBAL: 0.1, LOCAL: 0.5})
     blur_sigma: tuple[float, float] = (0.1, 2.0)
     solarize_p: float = 0.2
 
@@ -65,23 +66,26 @@ class MultiCropConfig:
                                  f">= 2, got {self.n_global} and {self.n_local}")
         if self.global_out_size < 1 or self.local_out_size < 1:
             raise ParameterError("output sizes must be positive")
-        probs = (self.flip_p, self.jitter_p, self.grayscale_p, *self.blur_p.values(),
-                 self.solarize_p)
+        probs = (self.grayscale_p, self.solarize_p)
         if not all(0.0 <= p <= 1.0 for p in probs):
             raise ParameterError(f"augmentation probabilities must lie in [0, 1], got "
                                  f"{probs}")
-        if not 0 < self.aspect_range[0] <= self.aspect_range[1]:
-            raise ParameterError(f"aspect_range must satisfy 0 < min <= max, "
-                                 f"got {self.aspect_range}")
         # a plan maps its uniforms onto these ranges, which must not be reversed
         if min(self.jitter_strength) < 0 or not 0 < self.blur_sigma[0] <= self.blur_sigma[1]:
             raise ParameterError(f"need jitter strengths >= 0 and 0 < blur sigma min <= max, "
                                  f"got {self.jitter_strength} and {self.blur_sigma}")
-        # a hue shift is a fraction of the colour circle either way, as in
+        # a brightness, contrast or saturation factor 1 +- s is not negative,
+        # and a hue shift is a fraction of the colour circle either way, as in
         # torchvision's ColorJitter
-        if self.jitter_strength[3] > 0.5:
-            raise ParameterError(f"hue jitter strength must be <= 0.5, "
-                                 f"got {self.jitter_strength[3]}")
+        if max(self.jitter_strength[:3]) > 1.0 or self.jitter_strength[3] > 0.5:
+            raise ParameterError(f"jitter strengths must be <= 1, and the hue's <= 0.5, "
+                                 f"got {self.jitter_strength}")
+        # the widest blur's radius, int(4 sigma + 0.5), is at most the crop
+        # side, which bounds its (2 radius + 1, side**2) bank of shifts
+        side = self.local_out_size if self.n_local else self.global_out_size
+        if not _BLUR_TRUNCATE * self.blur_sigma[1] + 0.5 < side + 1:
+            raise ParameterError(f"blur sigma max {self.blur_sigma[1]} has a radius "
+                                 f"int(4 * sigma + 0.5) above the crop side {side}")
 
 
 @dataclass
@@ -199,10 +203,10 @@ def resample(images: np.ndarray, rows: np.ndarray | None,
 # ---------------------------------------------------------------------------
 
 def sample_crop(image: np.ndarray, scale_range: tuple[float, float], out_size: int,
-                rng: np.random.Generator, aspect_range: tuple[float, float],
-                ) -> tuple[np.ndarray, tuple[int, int, int, int]]:
-    """Random resized crop: sample an area fraction and aspect ratio, cut the
-    sub-rectangle, bicubically resize to (out_size, out_size).
+                rng: np.random.Generator) -> tuple[np.ndarray, tuple[int, int, int, int]]:
+    """Random resized crop: sample an area fraction and an aspect ratio in
+    `ASPECT_RANGE`, cut the sub-rectangle, bicubically resize to
+    (out_size, out_size).
 
     Returns (view, (top, left, height, width)). The realized integer area
     fraction always lies inside `scale_range`.
@@ -214,8 +218,8 @@ def sample_crop(image: np.ndarray, scale_range: tuple[float, float], out_size: i
     area_frac = rng.uniform(lo, hi)
 
     # Restrict the aspect ratio so the rectangle fits inside the image.
-    ar_lo = max(aspect_range[0], area_frac * w_img / h_img)
-    ar_hi = min(aspect_range[1], w_img / (area_frac * h_img))
+    ar_lo = max(ASPECT_RANGE[0], area_frac * w_img / h_img)
+    ar_hi = min(ASPECT_RANGE[1], w_img / (area_frac * h_img))
     if ar_lo > ar_hi:
         ar_lo = ar_hi = np.sqrt((area_frac * w_img / h_img) * (w_img / (area_frac * h_img)))
     aspect = rng.uniform(ar_lo, ar_hi)
@@ -290,7 +294,7 @@ def _read_plans(plans: np.ndarray, recipes, config: MultiCropConfig
     b, c, s, hue = config.jitter_strength
     lo = np.array([1 - b, 1 - c, 1 - s, -hue, config.blur_sigma[0]])
     hi = np.array([1 + b, 1 + c, 1 + s, hue, config.blur_sigma[1]])
-    p = np.array([(config.flip_p, config.jitter_p, config.grayscale_p, config.blur_p[r],
+    p = np.array([(FLIP_P, JITTER_P, config.grayscale_p, BLUR_P[r],
                    config.solarize_p if r == SECOND_GLOBAL else 0.0) for r in recipes])
     p = p.reshape(-1, len(_DECISIONS))
     return plans[:, _DECISIONS] < p, lo + (hi - lo) * plans[:, _FACTORS]
@@ -467,14 +471,12 @@ def build_multicrop(images: np.ndarray, config: MultiCropConfig,
 
     for k, image in enumerate(flat):
         for i in range(ng):
-            raw, _ = sample_crop(image, config.global_scale_range, gs, rng,
-                                 config.aspect_range)
+            raw, _ = sample_crop(image, config.global_scale_range, gs, rng)
             g_raw[:, i, k] = raw  # student and teacher share the geometry
             for role in range(2):
                 g_plans[role, i, k] = draw_plan(_global_recipe(i), rng)
         for j in range(nl):
-            raw, _ = sample_crop(image, config.local_scale_range, ls, rng,
-                                 config.aspect_range)
+            raw, _ = sample_crop(image, config.local_scale_range, ls, rng)
             l_raw[j, k] = raw
             l_plans[j, k] = draw_plan(LOCAL, rng)
 

@@ -50,8 +50,7 @@ _LAST_LAYER = ("head.last.dir", "head.last.mag")
 class DistillConfig:
     tau_t: float = 0.04           # teacher sharpening temperature
     center_momentum: float = 0.9  # m in the center EMA
-    ema_start: float = 0.99       # lambda schedule endpoints
-    ema_end: float = 1.0
+    ema_start: float = 0.99       # lambda at step 0; it ends at 1
     clip_threshold: float = 3.0
     wd_start: float = 0.04
     wd_end: float = 0.4
@@ -75,10 +74,9 @@ class DistillConfig:
             raise ParameterError(f"freeze_last_steps must be >= 0, got {self.freeze_last_steps}")
         if not (0.0 <= self.center_momentum < 1.0):
             raise ParameterError(f"center momentum must be in [0, 1), got {self.center_momentum}")
-        if not (0.99 <= self.ema_start <= self.ema_end <= 1.0):
-            raise ParameterError(
-                f"ema schedule must satisfy 0.99 <= start <= end <= 1, "
-                f"got {self.ema_start}..{self.ema_end}")
+        if not (0.99 <= self.ema_start <= 1.0):
+            raise ParameterError(f"ema_start must satisfy 0.99 <= start <= 1, "
+                                 f"got {self.ema_start}")
         if self.clip_threshold <= 0:
             raise ParameterError("clip_threshold must be positive")
         if self.batch_size < 1 or self.total_epochs < 1 or self.warmup_epochs < 0:
@@ -221,7 +219,7 @@ def schedule_value(kind: str, step: int, steps_per_epoch: int, config: DistillCo
 
     lr: linear 0 -> peak over the warmup epochs, then half-cosine to the
     floor. weight_decay and ema_lambda: half-cosine between their endpoints
-    over the whole run.
+    over the whole run; lambda ends at 1, as in DINO.
     """
     total = config.total_epochs * steps_per_epoch
     if not (0 <= step <= total):
@@ -241,7 +239,7 @@ def schedule_value(kind: str, step: int, steps_per_epoch: int, config: DistillCo
     if kind == "weight_decay":
         return float(half_cosine(config.wd_start, config.wd_end, step / max(total, 1)))
     if kind == "ema_lambda":
-        return float(half_cosine(config.ema_start, config.ema_end, step / max(total, 1)))
+        return float(half_cosine(config.ema_start, 1.0, step / max(total, 1)))
     raise ParameterError(f"unknown schedule kind {kind!r}")
 
 

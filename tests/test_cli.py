@@ -10,6 +10,7 @@ import pytest
 from retinassl import cli, errors
 from retinassl.checkpoint import load_checkpoint
 from retinassl.cli import main
+from retinassl.configio import RunConfig, _valid_keys
 from retinassl.data import (DatasetManifest, generate_synthetic_dataset,
                             write_synthetic_dataset)
 from retinassl.distill import METRICS_HEADER
@@ -66,6 +67,59 @@ def synth_dir(tmp_path, tiny_config):
     assert run(["make-synth", "--out", str(out), "--per-class", "3",
                 "--size", "16", "--config", tiny_config]) == 0
     return str(out)
+
+
+# boundary values of the config contract, as --set text; 10**30 is written out
+CONTRACT_ATOMS = ["0", "-1", "1", "2", "0.5", "1e999", "-1e999", "1" + "0" * 30]
+
+
+def contract_values(key):
+    """Each atom; for a tuple key, the default with each element replaced by
+    each atom, the empty tuple and one element too many."""
+    section, name = key.split(".")
+    default = getattr(getattr(RunConfig(), section), name)
+    if not isinstance(default, tuple):
+        return CONTRACT_ATOMS
+    text = [repr(v) for v in default]
+    values = [f"({', '.join(text[:i] + [atom] + text[i + 1:])})"
+              for i in range(len(text)) for atom in CONTRACT_ATOMS]
+    return values + ["()", f"({', '.join(text + text[-1:])})"]
+
+
+class TestConfigContract:
+    """Every key at every boundary value: make-synth and a 1-step train
+    exit 0, or exit 2 before --out is made; never 1 (an escaped exception,
+    a traceback from the command line) or 3."""
+
+    @pytest.fixture(scope="class")
+    def base(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("contract")
+        (root / "tiny.cfg").write_text(TINY_CFG)
+        assert run(["make-synth", "--out", str(root / "data"), "--per-class", "1",
+                    "--size", "16", "--config", str(root / "tiny.cfg")]) == 0
+        return root
+
+    @pytest.mark.parametrize("key", sorted(_valid_keys()))
+    def test_every_boundary_value_exits_0_or_2(self, tmp_path, base, capsys, key):
+        data = base / "data"
+        commands = {"make-synth": ["--per-class", "1", "--size", "16"],
+                    "train": ["--manifest", str(data / "manifest.csv"),
+                              "--images", str(data), "--steps", "1"]}
+        wrong = []
+        for value in contract_values(key):
+            for cmd, extra in commands.items():
+                out = tmp_path / "out"
+                try:
+                    code = run([cmd, "--out", str(out), "--config", str(base / "tiny.cfg"),
+                                *extra, "--set", f"{key}={value}"])
+                except Exception as exc:
+                    code = f"1 ({type(exc).__name__}: {exc})"
+                if code not in (0, 2) or (code == 2 and out.exists()):
+                    wrong.append(f"{cmd} --set {key}={value}: exit {code}"
+                                 + (" after --out was made" if code == 2 else ""))
+                shutil.rmtree(out, ignore_errors=True)
+        capsys.readouterr()
+        assert not wrong, wrong
 
 
 class TestMakeSynth:
@@ -259,7 +313,13 @@ class TestTrain:
         pytest.param("distill.base_lr=1" + "0" * 400, id="distill.base_lr=10**400"),
         "probe.lr=1e999", "distill.clip_threshold=1e999", "crop.solarize_threshold=1e999",
         "crop.solarize_p=2", "crop.flip_p=-1", "crop.aspect_range=(2.0, 1.0)",
-        "crop.aspect_range=(0.0, 1.0)", "probe.epochs=-1", "probe.lr=-1",
+        "crop.aspect_range=(0.0, 1.0)", "crop.grayscale_p=-1",
+        "crop.global_scale_range=(1.0, 0.5)", "crop.global_scale_range=(0.0, 1.0)",
+        pytest.param("crop.blur_sigma=(1, 1" + "0" * 30 + ")",
+                     id="crop.blur_sigma=(1, 10**30)"),
+        pytest.param("crop.jitter_strength=(1" + "0" * 30 + ", 0, 0, 0)",
+                     id="crop.jitter_strength=(10**30, 0, 0, 0)"),
+        "crop.blur_sigma=(0.1, 2.5)", "probe.epochs=-1", "probe.lr=-1",
         "vit.image_size=0", "distill.wd_start=-1", "distill.wd_end=-1",
         "distill.freeze_last_steps=-5", "crop.solarize_threshold=5",
         "crop.jitter_strength=(0.4, 0.4, 0.4, 3.0)", "crop.global_out_size=20",
@@ -276,11 +336,14 @@ class TestTrain:
         # ValueError (exit 1), a probability of 2, a negative probe epoch
         # count or a negative wd_end ran (exit 0), image_size=0 was refused
         # only by the first resample, and a crop size that is not a whole
-        # number of patches only by the first student forward; tau_s and
-        # solarize_threshold are no longer keys; a size whose parameters or
-        # crops need terabytes ended in a MemoryError (exit 3), a depth of
-        # 10**12 is sized without listing its blocks, and a byte count too
-        # long to print in decimal is only bounded in the message
+        # number of patches only by the first student forward; tau_s,
+        # solarize_threshold, flip_p and aspect_range are no longer keys; a
+        # size whose parameters or crops need terabytes ended in a
+        # MemoryError (exit 3), a depth of 10**12 is sized without listing
+        # its blocks, and a byte count too long to print in decimal is only
+        # bounded in the message; an int past int64 was stored as an int,
+        # from which numpy built object arrays (exit 1), and a blur radius
+        # int(4 sigma + 0.5) above the 8 px local side is refused
         assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
                     "--images", synth_dir, "--out", str(tmp_path / "o"),
                     "--config", tiny_config, "--steps", "1", "--set", value]) == 2
@@ -298,8 +361,8 @@ class TestTrain:
                     "--config", tiny_config, "--steps", "1",
                     "--set", f"vit.depth={value}"]) == 2
 
-    @pytest.mark.parametrize("value", ["crop.aspect_range=()", "crop.blur_sigma=(0.5,)",
-                                       "crop.aspect_range=(0.5, 1.0, 2.0)"],
+    @pytest.mark.parametrize("value", ["crop.blur_sigma=()", "crop.blur_sigma=(0.5,)",
+                                       "crop.global_scale_range=(0.5, 1.0, 2.0)"],
                              ids=["empty", "short", "long"])
     def test_tuple_of_another_length_exit_2(self, tmp_path, tiny_config, synth_dir,
                                             capsys, value):
@@ -569,9 +632,12 @@ MALFORMED_CHECKPOINTS = {
     "blur_sigma_infinite": lambda secs: [
         (n, _with_config(p, "crop", "blur_sigma", [0.1, float("inf")]) if n == b"configs"
          else p) for n, p in secs],
-    "aspect_range_of_one_element": lambda secs: [
-        (n, _with_config(p, "crop", "aspect_range", [0.75]) if n == b"configs" else p)
-        for n, p in secs],
+    "global_scale_range_of_one_element": lambda secs: [
+        (n, _with_config(p, "crop", "global_scale_range", [0.75]) if n == b"configs"
+         else p) for n, p in secs],
+    "blur_sigma_of_a_30_digit_int": lambda secs: [
+        (n, _with_config(p, "crop", "blur_sigma", [0.1, 10 ** 30]) if n == b"configs"
+         else p) for n, p in secs],
     "center_shape_product_wraps": lambda secs: [
         (n, struct.pack("<BQQ", 2, 2 ** 32, 2 ** 32) if n == b"center" else p)
         for n, p in secs],
@@ -669,7 +735,14 @@ class TestProbeKnn:
         def with_removed_fields(configs):
             for section, key, value in [("distill", "center_sign", -1.0),
                                         ("distill", "tau_s", 0.2),
-                                        ("crop", "solarize_threshold", 0.3)]:
+                                        ("crop", "solarize_threshold", 0.3),
+                                        ("crop", "flip_p", 0.1),
+                                        ("crop", "jitter_p", 0.2),
+                                        ("crop", "blur_p", {"first_global": 0.3,
+                                                            "second_global": 0.4,
+                                                            "local": 0.6}),
+                                        ("crop", "aspect_range", [0.5, 2.0]),
+                                        ("distill", "ema_end", 0.995)]:
                 configs = _with_config(configs, section, key, value)
             return configs
 
@@ -677,6 +750,7 @@ class TestProbeKnn:
             (n, with_removed_fields(p) if n == b"configs" else p) for n, p in secs])
         assert b'"center_sign": -1.0' in old.read_bytes()
         assert b'"solarize_threshold": 0.3' in old.read_bytes()
+        assert b'"ema_end": 0.995' in old.read_bytes()
         assert load_checkpoint(old)[1:] == load_checkpoint(trained)[1:]
         logs = []
         for name, ckpt in (("new", trained), ("old", old)):

@@ -5,11 +5,15 @@ import pytest
 from scipy.ndimage import gaussian_filter1d
 
 from retinassl.crops import (
+    BLUR_P,
     FIRST_GLOBAL,
+    FLIP_P,
+    JITTER_P,
     LOCAL,
     PLAN_WIDTH,
     SECOND_GLOBAL,
     MultiCropConfig,
+    _DECISIONS,
     _blur_matrices,
     _gaussian_blur,
     _hue_rotate,
@@ -23,9 +27,6 @@ from retinassl.crops import (
     sample_crop,
 )
 from retinassl.errors import InputError, ParameterError
-
-# the aspect ratios of the library's crops
-ASPECT = MultiCropConfig().aspect_range
 
 
 def tiny_config(**kw) -> MultiCropConfig:
@@ -147,7 +148,7 @@ class TestSampleCrop:
     def test_full_cover_crop_is_resized_whole_image(self):
         img = random_image(2, 16)
         rng = np.random.default_rng(0)
-        view, geom = sample_crop(img, (1.0, 1.0), 16, rng, aspect_range=(1.0, 1.0))
+        view, geom = sample_crop(img, (1.0, 1.0), 16, rng)
         assert geom == (0, 0, 16, 16)
         np.testing.assert_allclose(view, img, atol=1e-6)
 
@@ -155,7 +156,7 @@ class TestSampleCrop:
         img = random_image(3, 32)
         rng = np.random.default_rng(42)
         for _ in range(10_000):
-            _, (_, _, h, w) = sample_crop(img, (0.40, 1.00), 8, rng, ASPECT)
+            _, (_, _, h, w) = sample_crop(img, (0.40, 1.00), 8, rng)
             frac = h * w / (32 * 32)
             assert 0.40 <= frac <= 1.00
 
@@ -163,63 +164,74 @@ class TestSampleCrop:
         img = random_image(4, 32)
         rng = np.random.default_rng(7)
         for _ in range(2_000):
-            _, (_, _, h, w) = sample_crop(img, (0.05, 0.40), 8, rng, ASPECT)
+            _, (_, _, h, w) = sample_crop(img, (0.05, 0.40), 8, rng)
             frac = h * w / (32 * 32)
             assert 0.05 <= frac <= 0.40
 
     def test_deterministic_given_seed(self):
         img = random_image(5, 32)
-        v1, g1 = sample_crop(img, (0.4, 1.0), 16, np.random.default_rng(9), ASPECT)
-        v2, g2 = sample_crop(img, (0.4, 1.0), 16, np.random.default_rng(9), ASPECT)
+        v1, g1 = sample_crop(img, (0.4, 1.0), 16, np.random.default_rng(9))
+        v2, g2 = sample_crop(img, (0.4, 1.0), 16, np.random.default_rng(9))
         assert g1 == g2
         assert np.array_equal(v1, v2)
 
     def test_degenerate_image_rejected(self):
         with pytest.raises(InputError):
-            sample_crop(np.zeros((3, 1, 1)), (0.4, 1.0), 8, np.random.default_rng(0), ASPECT)
+            sample_crop(np.zeros((3, 1, 1)), (0.4, 1.0), 8, np.random.default_rng(0))
+
+
+STAGES = ("flip", "jitter", "grayscale", "blur", "solarize")  # _DECISIONS' order
+
+
+def plan_row(*stages):
+    """A plan row that selects exactly `stages`: a decision column of 1.0
+    never fires, and 0.0 fires whenever its probability is above 0. Every
+    factor sits at the middle of its range."""
+    row = np.full(PLAN_WIDTH, 0.5)
+    row[_DECISIONS] = [0.0 if stage in stages else 1.0 for stage in STAGES]
+    return row
+
+
+def apply_row(view, row, recipe, cfg):
+    return apply_plans(view[None], row[None], [recipe], cfg)[0]
 
 
 class TestAugmentView:
     def test_no_op_recipe(self):
-        cfg = tiny_config(flip_p=0.0, jitter_p=0.0, grayscale_p=0.0,
-                          blur_p={FIRST_GLOBAL: 0.0, SECOND_GLOBAL: 0.0, LOCAL: 0.0},
-                          solarize_p=0.0)
         view = random_image(6, 16)
-        out = augment_view(view, FIRST_GLOBAL, np.random.default_rng(0), cfg)
-        np.testing.assert_array_equal(out, view)
+        for recipe in (FIRST_GLOBAL, SECOND_GLOBAL, LOCAL):
+            out = apply_row(view, plan_row(), recipe, tiny_config())
+            np.testing.assert_array_equal(out, view)
 
     def test_solarization_rule(self):
-        cfg = tiny_config(flip_p=0.0, jitter_p=0.0, grayscale_p=0.0,
-                          blur_p={FIRST_GLOBAL: 0.0, SECOND_GLOBAL: 0.0, LOCAL: 0.0},
-                          solarize_p=1.0)
         view = np.full((3, 4, 4), 0.8)
-        out = augment_view(view, SECOND_GLOBAL, np.random.default_rng(0), cfg)
+        out = apply_row(view, plan_row("solarize"), SECOND_GLOBAL, tiny_config())
         np.testing.assert_allclose(out, 0.2, atol=1e-12)
 
     def test_solarize_only_on_second_global(self):
-        cfg = tiny_config(flip_p=0.0, jitter_p=0.0, grayscale_p=0.0,
-                          blur_p={FIRST_GLOBAL: 0.0, SECOND_GLOBAL: 0.0, LOCAL: 0.0},
-                          solarize_p=1.0)
+        cfg = tiny_config(solarize_p=1.0)
         view = np.full((3, 4, 4), 0.8)
         for recipe in (FIRST_GLOBAL, LOCAL):
-            out = augment_view(view, recipe, np.random.default_rng(0), cfg)
+            out = apply_row(view, plan_row("solarize"), recipe, cfg)
             np.testing.assert_allclose(out, 0.8)
 
     def test_grayscale_equal_channels(self):
-        cfg = tiny_config(flip_p=0.0, jitter_p=0.0, grayscale_p=1.0,
-                          blur_p={FIRST_GLOBAL: 0.0, SECOND_GLOBAL: 0.0, LOCAL: 0.0},
-                          solarize_p=0.0)
-        out = augment_view(random_image(7, 8), FIRST_GLOBAL, np.random.default_rng(1), cfg)
+        out = apply_row(random_image(7, 8), plan_row("grayscale"), FIRST_GLOBAL,
+                        tiny_config())
         np.testing.assert_array_equal(out[0], out[1])
         np.testing.assert_array_equal(out[1], out[2])
 
     def test_output_in_unit_interval(self):
-        cfg = tiny_config(jitter_p=1.0)
+        # every stage on every view, with random factors
         rng = np.random.default_rng(2)
+        plans = rng.random((60, PLAN_WIDTH))
+        plans[:, _DECISIONS] = 0.0
+        recipes = [(FIRST_GLOBAL, SECOND_GLOBAL, LOCAL)[i % 3] for i in range(60)]
+        out = apply_plans(rng.random((60, 3, 8, 8)), plans, recipes, tiny_config())
+        assert out.min() >= 0.0 and out.max() <= 1.0
         for recipe in (FIRST_GLOBAL, SECOND_GLOBAL, LOCAL):
-            for _ in range(20):
-                out = augment_view(random_image(8, 8), recipe, rng, cfg)
-                assert out.min() >= 0.0 and out.max() <= 1.0
+            out = augment_view(random_image(8, 8), recipe, rng, tiny_config())
+            assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_unknown_recipe(self):
         with pytest.raises(ParameterError):
@@ -269,9 +281,8 @@ class TestPlanRows:
     def test_decisions_and_factors_match_scalar_draws(self, solarize_p):
         # the oracle: the scalar Generator calls each row column stands for,
         # replayed on a twin generator, must give the same decisions and bits
-        cfg = tiny_config(jitter_p=0.6, jitter_strength=(0.4, 0.3, 0.2, 0.1),
-                          blur_p={FIRST_GLOBAL: 0.9, SECOND_GLOBAL: 0.1, LOCAL: 0.5},
-                          blur_sigma=(0.1, 2.0), solarize_p=solarize_p)
+        cfg = tiny_config(jitter_strength=(0.4, 0.3, 0.2, 0.1), blur_sigma=(0.1, 2.0),
+                          solarize_p=solarize_p)
         recipes = [(FIRST_GLOBAL, SECOND_GLOBAL, LOCAL)[i % 3] for i in range(300)]
         rng, twin = np.random.default_rng(50), np.random.default_rng(50)
         plans = np.stack([draw_plan(recipe, rng) for recipe in recipes])
@@ -279,14 +290,14 @@ class TestPlanRows:
         chosen, factors = _read_plans(plans, recipes, cfg)
         b, c, s, hue = cfg.jitter_strength
         for recipe, got_chosen, got_factors in zip(recipes, chosen, factors):
-            flip = twin.random() < cfg.flip_p
-            jitter = twin.random() < cfg.jitter_p
+            flip = twin.random() < FLIP_P
+            jitter = twin.random() < JITTER_P
             brightness = twin.uniform(1 - b, 1 + b)
             contrast = twin.uniform(1 - c, 1 + c)
             saturation = twin.uniform(1 - s, 1 + s)
             hue_shift = twin.uniform(-hue, hue)
             gray = twin.random() < cfg.grayscale_p
-            blur = twin.random() < cfg.blur_p[recipe]
+            blur = twin.random() < BLUR_P[recipe]
             sigma = twin.uniform(*cfg.blur_sigma)
             solarize = recipe == SECOND_GLOBAL and twin.random() < cfg.solarize_p
             assert got_chosen.tolist() == [flip, jitter, gray, blur, solarize]
@@ -315,12 +326,23 @@ class TestPlanRows:
         with pytest.raises(ParameterError):
             tiny_config(**bad)
 
+    @pytest.mark.parametrize("n_local, sigma, ok", [
+        (2, 1.875, True), (2, 2.0, True), (2, 2.125, False), (0, 3.875, True),
+        (0, 4.125, False)])
+    def test_blur_radius_is_at_most_the_crop_side(self, n_local, sigma, ok):
+        # radius int(4 sigma + 0.5) against the 8 px local side, or the 16 px
+        # global side without locals
+        if ok:
+            tiny_config(n_local=n_local, blur_sigma=(0.1, sigma))
+        else:
+            with pytest.raises(ParameterError, match="radius"):
+                tiny_config(n_local=n_local, blur_sigma=(0.1, sigma))
+
 
 class TestApplyPlans:
     def test_batch_across_chunks_equals_views_one_by_one(self):
         # 64 px views are 12288 values each, so 12 of them span three chunks
-        cfg = tiny_config(jitter_p=0.7, blur_p={FIRST_GLOBAL: 0.5, SECOND_GLOBAL: 0.5,
-                                                LOCAL: 0.5}, solarize_p=0.5)
+        cfg = tiny_config(solarize_p=0.5)
         rng = np.random.default_rng(12)
         views = rng.random((12, 3, 64, 64))
         recipes = [(FIRST_GLOBAL, SECOND_GLOBAL, LOCAL)[i % 3] for i in range(12)]
@@ -396,12 +418,12 @@ class TestBuildMulticrop:
         student, teacher = [], []
         for i, recipe in enumerate((FIRST_GLOBAL, SECOND_GLOBAL)):
             raw, _ = sample_crop(img, cfg.global_scale_range, cfg.global_out_size,
-                                 ref_rng, cfg.aspect_range)
+                                 ref_rng)
             student.append(augment_view(raw, recipe, ref_rng, cfg))
             teacher.append(augment_view(raw, recipe, ref_rng, cfg))
         for _ in range(cfg.n_local):
             raw, _ = sample_crop(img, cfg.local_scale_range, cfg.local_out_size,
-                                 ref_rng, cfg.aspect_range)
+                                 ref_rng)
             student.append(augment_view(raw, LOCAL, ref_rng, cfg))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert len(views_of(batch)) == len(student + teacher)
@@ -431,12 +453,12 @@ class TestBuildMulticrop:
             for i in range(cfg.n_global):
                 # 4 geometry draws: area, aspect, top, left
                 sample_crop(img, cfg.global_scale_range, cfg.global_out_size,
-                            replay, cfg.aspect_range)
+                            replay)
                 plan_draws(i == 1)          # student
                 plan_draws(i == 1)          # teacher
             for _ in range(cfg.n_local):
                 sample_crop(img, cfg.local_scale_range, cfg.local_out_size,
-                            replay, cfg.aspect_range)
+                            replay)
                 plan_draws(False)
         assert replay.bit_generator.state == rng.bit_generator.state
 
@@ -445,5 +467,5 @@ class TestCropAt:
     def test_matches_sample_crop_geometry(self):
         img = random_image(15)
         rng = np.random.default_rng(8)
-        view, (t, l, h, w) = sample_crop(img, (0.4, 1.0), 16, rng, ASPECT)
+        view, (t, l, h, w) = sample_crop(img, (0.4, 1.0), 16, rng)
         np.testing.assert_array_equal(bicubic_resize(img[..., t:t + h, l:l + w], 16), view)

@@ -381,8 +381,7 @@ class TestTrainStep:
                 assert t.requires_grad is False
 
     def test_lambda_one_teacher_unchanged(self):
-        vit, head, crops, distill, state = tiny_setup(
-            ema_start=1.0, ema_end=1.0)
+        vit, head, crops, distill, state = tiny_setup(ema_start=1.0)
         before = {k: t.data.copy() for k, t in state.teacher.items()}
         train_step(random_images(2), state, vit, head, crops, distill,
                    steps_per_epoch=2)
@@ -390,8 +389,8 @@ class TestTrainStep:
             assert np.array_equal(t.data, before[k])
 
     def test_ema_moves_teacher_toward_student(self):
-        vit, head, crops, distill, state = tiny_setup(
-            base_lr=0.0, ema_start=0.99, ema_end=0.99)
+        # lambda is ema_start exactly at step 0
+        vit, head, crops, distill, state = tiny_setup(base_lr=0.0, ema_start=0.99)
         # Separate teacher from the (frozen, lr=0) student.
         rng = np.random.default_rng(5)
         for t in state.teacher.values():
@@ -408,7 +407,7 @@ class TestTrainStep:
 
     def test_frozen_student_geometric_convergence(self):
         vit, head, crops, distill, state = tiny_setup(
-            base_lr=0.0, ema_start=0.99, ema_end=0.99, total_epochs=100)
+            base_lr=0.0, ema_start=0.99, total_epochs=100)
         rng = np.random.default_rng(6)
         for t in state.teacher.values():
             t.data = t.data + rng.normal(size=t.shape) * 0.1
@@ -419,7 +418,9 @@ class TestTrainStep:
             train_step(imgs, state, vit, head, crops, distill, steps_per_epoch=1)
         d30 = np.sqrt(sum(((t.data - state.student[k].data) ** 2).sum()
                           for k, t in state.teacher.items()))
-        np.testing.assert_allclose(d30, 0.99 ** 30 * d0, rtol=1e-5)
+        # each step shrinks the distance by that step's scheduled lambda
+        lams = [schedule_value("ema_lambda", s, 1, distill) for s in range(30)]
+        np.testing.assert_allclose(d30, np.prod(lams) * d0, rtol=1e-5)
 
     def test_loss_finite_and_metrics_shape(self):
         vit, head, crops, distill, state = tiny_setup()
