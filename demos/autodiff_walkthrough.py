@@ -8,6 +8,7 @@ import numpy as np
 
 from retinassl import autodiff as ad
 from retinassl.autodiff import Tape, Tensor, backward, finite_difference
+from retinassl.distill import teacher_probs
 
 # A Tensor wraps a numpy array. Only leaves we mark requires_grad=True will
 # have their .grad slot filled by backward().
@@ -44,8 +45,10 @@ for name, p, num in (("w1", w1, numeric[0]), ("w2", w2, numeric[1])):
 
 # Softmax with temperature is the workhorse of the distillation loss. Lower
 # temperature sharpens the distribution; this is exactly how the teacher's
-# targets are made more confident than the student's predictions.
-logits = Tensor(np.array([[2.0, 1.0, 0.0]]))
+# targets are made more confident than the student's predictions. The
+# teacher's softmax needs no gradient, so it is plain numpy, not a taped op;
+# with a zero centre it is the plain softmax of logits / tau.
+logits = np.array([[2.0, 1.0, 0.0]])
 for tau in (1.0, 0.1, 0.04):
-    p = ad.softmax_rows(logits, tau)
-    print(f"softmax at tau={tau}: {np.round(p.data[0], 4)}")
+    p = teacher_probs(logits, np.zeros(3), tau)
+    print(f"softmax at tau={tau}: {np.round(p[0], 4)}")

@@ -237,11 +237,6 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _record(a.data.sum(axis=axis, keepdims=keepdims), (a,), grad_a)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), _as_tensor(1.0 / n))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
@@ -283,27 +278,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # neural-net primitives
 # ---------------------------------------------------------------------------
 
-def softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
-    """Row-wise softmax of x / temperature along the last axis.
-
-    Max-subtraction keeps the exponentials bounded for any finite input.
-    """
-    if temperature <= 0:
-        raise ParameterError(f"temperature must be > 0, got {temperature}")
-    tau = float(temperature)
-    y = x.data / tau
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-
-    def grad_x(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return y * (g - dot) / tau
-
-    return _record(y, (x,), grad_x)
-
-
-def log_softmax_rows(x: Tensor, temperature: float = 1.0) -> Tensor:
+def log_softmax_rows(x: Tensor, temperature: float) -> Tensor:
     """Fused row-wise log-softmax of x / temperature; avoids log(0)."""
     if temperature <= 0:
         raise ParameterError(f"temperature must be > 0, got {temperature}")
@@ -450,21 +425,6 @@ def l2_normalize_rows(x: Tensor, guard: float = 1e-12) -> Tensor:
         return np.where(small, g, g / safe - xd * dot / (safe ** 3))
 
     return _record(xd / safe, (x,), grad_x)
-
-
-def cross_entropy_rows(p, log_q: Tensor) -> Tensor:
-    """Per-row cross entropy -sum_i p_i * log_q_i.
-
-    `p` is a probability array (rows summing to 1 within 1e-6) and is treated
-    as a constant; gradients flow through `log_q` only.
-    """
-    p_arr = p.data if isinstance(p, Tensor) else np.asarray(p, dtype=DTYPE)
-    if p_arr.shape != log_q.shape:
-        raise ContractError(
-            f"cross_entropy_rows shapes differ: {p_arr.shape} vs {log_q.shape}")
-    if not np.allclose(p_arr.sum(axis=-1), 1.0, atol=1e-6):
-        raise ContractError("cross_entropy_rows: p rows must sum to 1 within 1e-6")
-    return tensor_sum(mul(Tensor(-p_arr), log_q), axis=-1)
 
 
 # ---------------------------------------------------------------------------

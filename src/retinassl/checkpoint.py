@@ -153,7 +153,7 @@ def _read_metadata(sections: dict[str, memoryview]):
     try:
         meta = json.loads(bytes(sections["meta"]))
         cfg_raw = json.loads(bytes(sections["configs"]))
-        step = int(meta["step"])
+        step = meta["step"]
         rng = np.random.default_rng()
         rng.bit_generator.state = meta["rng_state"]
         configs = [build_section(cls(), cfg_raw[name]) for name, cls in (
@@ -162,6 +162,8 @@ def _read_metadata(sections: dict[str, memoryview]):
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(
             f"malformed checkpoint metadata: {type(exc).__name__}: {exc}") from exc
+    if type(step) is not int:  # a bool is an int to isinstance
+        raise CheckpointError(f"checkpoint step {step!r} is not an integer")
     if step < 0:
         raise CheckpointError(f"checkpoint step {step} is negative")
     return (step, rng, *configs)

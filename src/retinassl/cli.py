@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .configio import load_config, parse_assignments
-from .data import (generate_synthetic_dataset, load_manifest,
+from .data import (N_GRADES, generate_synthetic_dataset, load_manifest,
                    write_synthetic_dataset)
 from .distill import METRICS_HEADER, batch_schedule, init_train_state, train_loop
 from .errors import InputError, RetinaSSLError
@@ -131,7 +131,7 @@ def cmd_make_synth(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     with _OutputLock(args.out):
         write_synthetic_dataset(dataset, args.out)
-    counts = {g: int((dataset.grades == g).sum()) for g in range(5)}
+    counts = {g: int((dataset.grades == g).sum()) for g in range(N_GRADES)}
     print(f"wrote {len(dataset.grades)} images to {args.out}")
     print("per-grade counts: " + ", ".join(f"{g}:{c}" for g, c in counts.items()))
     return EXIT_OK

@@ -178,7 +178,7 @@ def generate_synthetic_dataset(seed: int, n_per_class: int,
     if image_size < 1:
         raise InputError(f"image_size must be >= 1, got {image_size}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
-    n = 5 * n_per_class
+    n = N_GRADES * n_per_class
     s = image_size
     images = np.zeros((n, 3, s, s))
     grades = np.zeros(n, dtype=np.int64)
@@ -189,7 +189,7 @@ def generate_synthetic_dataset(seed: int, n_per_class: int,
     yy, xx = np.mgrid[0:s, 0:s].astype(np.float64)
 
     i = 0
-    for grade in range(5):
+    for grade in range(N_GRADES):
         for j in range(n_per_class):
             # fundus background: reddish disc, randomly tinted and shaded
             base = np.array([0.72, 0.35, 0.18]) + rng.uniform(-0.08, 0.08, size=3)

@@ -149,9 +149,16 @@ def center_update(center: np.ndarray, teacher_logits: np.ndarray, momentum: floa
 def teacher_probs(teacher_logits: np.ndarray, center: np.ndarray, tau_t: float) -> np.ndarray:
     """Centered, sharpened teacher targets: softmax((O_t - C) / tau_t).
 
-    Returns a plain array; no gradient ever flows through the teacher path.
+    Returns a plain array, computed in numpy: no gradient ever flows through
+    the teacher path. Max-subtraction keeps exp bounded for finite logits.
     """
-    return ad.softmax_rows(Tensor(teacher_logits - center), tau_t).data
+    if tau_t <= 0:
+        raise ParameterError(f"temperature must be > 0, got {tau_t}")
+    y = (teacher_logits - center) / float(tau_t)
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
 
 
 def distillation_loss(teacher_probs: np.ndarray, log_p: Tensor) -> Tensor:

@@ -15,10 +15,9 @@ import numpy as np
 
 from .autodiff import Tensor
 from .crops import bicubic_resize, resample, resample_matrix
+from .data import N_GRADES
 from .errors import ContractError, InputError, ParameterError
 from .vit import EVAL, ViTConfig, encoder_forward, last_layer_attention, patch_embed
-
-N_CLASSES = 5
 
 # the probe's SGD momentum, DINO's
 PROBE_MOMENTUM = 0.9
@@ -37,7 +36,7 @@ class EmbeddingIndex:
             norms = np.linalg.norm(self.features, axis=1)
             if not np.all(np.abs(norms - 1.0) <= 1e-6):
                 raise ContractError("index rows must be unit-norm (zero rows forbidden)")
-        if len(self.labels) and not np.all((self.labels >= 0) & (self.labels < N_CLASSES)):
+        if len(self.labels) and not np.all((self.labels >= 0) & (self.labels < N_GRADES)):
             raise ContractError("labels outside the 5-grade range")
 
 
@@ -56,15 +55,15 @@ class Metrics:
 
     def report_text(self) -> str:
         lines = [f"accuracy = {self.accuracy:.6f}"]
-        for c in range(N_CLASSES):
+        for c in range(N_GRADES):
             lines.append(f"precision[{c}] = {self.precision[c]:.6f}")
             lines.append(f"recall[{c}] = {self.recall[c]:.6f}")
         return "\n".join(lines) + "\n"
 
     def confusion_csv(self) -> str:
-        header = "true\\pred," + ",".join(str(c) for c in range(N_CLASSES))
+        header = "true\\pred," + ",".join(str(c) for c in range(N_GRADES))
         rows = [header]
-        for c in range(N_CLASSES):
+        for c in range(N_GRADES):
             rows.append(str(c) + "," + ",".join(str(int(v)) for v in self.confusion[c]))
         return "\n".join(rows) + "\n"
 
@@ -171,10 +170,10 @@ def train_linear_probe(features: np.ndarray, labels: np.ndarray,
 
     Each step is plain numpy with the gradient in closed form, in the
     operations and order of the taped chain linear -> log_softmax_rows ->
-    cross_entropy_rows -> mean, so the weights are those of the tape's
-    backward bit for bit. With t = onehot * (-1/bs), the gradient of the
-    mean cross entropy at log p, the logits' gradient is
-    t - exp(log p) * rowsum(t).
+    mul by -onehot -> tensor_sum per row -> tensor_sum -> mul by 1/bs, so
+    the weights are those of the tape's backward bit for bit. With
+    t = onehot * (-1/bs), the gradient of the mean cross entropy at log p,
+    the logits' gradient is t - exp(log p) * rowsum(t).
     """
     config = config or ProbeConfig()
     n, d = features.shape if features.ndim == 2 else (0, 0)
@@ -184,15 +183,15 @@ def train_linear_probe(features: np.ndarray, labels: np.ndarray,
     if labels.shape != (n,):
         raise InputError(f"{labels.size} probe labels for {n} feature rows")
     if not (np.issubdtype(labels.dtype, np.integer)
-            and np.all((labels >= 0) & (labels < N_CLASSES))):
+            and np.all((labels >= 0) & (labels < N_GRADES))):
         raise InputError("probe labels must be integer grades in 0..4")
     features = np.asarray(features, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x9806E]))
-    w = np.zeros((d, N_CLASSES))
-    b = np.zeros(N_CLASSES)
+    w = np.zeros((d, N_GRADES))
+    b = np.zeros(N_GRADES)
     vel_w, vel_b = np.zeros_like(w), np.zeros_like(b)
     bs = min(config.batch_size, n)
-    target_grad = np.eye(N_CLASSES)[labels] * (-1.0 / bs)
+    target_grad = np.eye(N_GRADES)[labels] * (-1.0 / bs)
     steps_per_epoch = max(1, n // bs)
     total = config.epochs * steps_per_epoch
     step = 0
@@ -225,7 +224,8 @@ def probe_predict(probe: LinearProbe, features: np.ndarray) -> np.ndarray:
 
 def knn_classify(index: EmbeddingIndex, query: np.ndarray,
                  config: KnnConfig | None = None) -> np.ndarray:
-    """Cosine k-NN with exp(sim/T)-weighted voting.
+    """Cosine k-NN with exp(sim/T)-weighted voting, each query's weights
+    divided by exp(top sim/T).
 
     query: (m, d) L2-normalized rows. Ties break toward the lowest grade,
     and among equal similarities toward the lowest index row, so results
@@ -278,8 +278,11 @@ def _knn_votes(sims: np.ndarray, labels: np.ndarray, config: KnnConfig) -> np.nd
     for r in np.flatnonzero(np.count_nonzero(sims >= kth[:, None], axis=1) > k):
         cand = np.flatnonzero(sims[r] >= kth[r])
         top[r] = cand[np.argsort(-sims[r, cand], kind="stable")[:k]]
-    weights = np.exp(sims[rows, top] / config.temperature)
-    votes = np.zeros((b, N_CLASSES))
+    # exp((s - s_top) / T): each query's weights scaled by one factor, so no
+    # temperature overflows exp and the first neighbour weighs 1
+    top_sims = sims[rows, top]
+    weights = np.exp((top_sims - top_sims[:, :1]) / config.temperature)
+    votes = np.zeros((b, N_GRADES))
     # one neighbour rank at a time, so each row sums in rank order
     for j in range(k):
         votes[rows[:, 0], labels[top[:, j]]] += weights[:, j]
@@ -307,11 +310,11 @@ def compute_metrics(predictions: np.ndarray, labels: np.ndarray) -> Metrics:
     if predictions.shape != labels.shape or labels.ndim != 1:
         raise InputError("predictions and labels must be 1-D and of one length")
     if len(labels) and not all(np.issubdtype(g.dtype, np.integer)
-                               and np.all((g >= 0) & (g < N_CLASSES))
+                               and np.all((g >= 0) & (g < N_GRADES))
                                for g in (predictions, labels)):
         raise InputError("grades must be integers in 0..4")
-    cells = labels.astype(np.int64) * N_CLASSES + predictions.astype(np.int64)
-    confusion = np.bincount(cells, minlength=N_CLASSES ** 2).reshape(N_CLASSES, N_CLASSES)
+    cells = labels.astype(np.int64) * N_GRADES + predictions.astype(np.int64)
+    confusion = np.bincount(cells, minlength=N_GRADES ** 2).reshape(N_GRADES, N_GRADES)
     total = confusion.sum()
     accuracy = float(np.trace(confusion) / total) if total else 0.0
     tp = np.diag(confusion).astype(np.float64)

@@ -9,13 +9,11 @@ from retinassl.autodiff import (
     Tape,
     Tensor,
     backward,
-    cross_entropy_rows,
     finite_difference,
     gelu,
     layer_norm,
     log_softmax_rows,
     matmul,
-    softmax_rows,
 )
 from retinassl.errors import ContractError, ParameterError
 
@@ -64,33 +62,37 @@ class TestMatmul:
 
 
 class TestSoftmaxRows:
+    """The row softmax the tape records, as exp of log_softmax_rows."""
+
+    @staticmethod
+    def softmax(x, temperature):
+        return np.exp(log_softmax_rows(Tensor(x), temperature).data)
+
     def test_constant_row_uniform(self):
         for k in (2, 5, 17):
-            out = softmax_rows(Tensor(np.full((3, k), 4.2)), temperature=0.3)
-            np.testing.assert_allclose(out.data, 1.0 / k, atol=1e-12)
+            out = self.softmax(np.full((3, k), 4.2), 0.3)
+            np.testing.assert_allclose(out, 1.0 / k, atol=1e-12)
 
     def test_two_entry_row(self):
-        out = softmax_rows(Tensor(np.array([[1.0, 0.0]])), temperature=1.0)
+        out = self.softmax(np.array([[1.0, 0.0]]), 1.0)
         e = np.e
-        np.testing.assert_allclose(out.data[0], [e / (e + 1), 1 / (e + 1)], atol=1e-10)
-        np.testing.assert_allclose(out.data[0], [0.7311, 0.2689], atol=1e-4)
+        np.testing.assert_allclose(out[0], [e / (e + 1), 1 / (e + 1)], atol=1e-10)
+        np.testing.assert_allclose(out[0], [0.7311, 0.2689], atol=1e-4)
 
     def test_monotone_sharpening(self):
-        x = Tensor(np.array([[1.0, 0.0]]))
-        hot = softmax_rows(x, temperature=0.04).data.max()
-        cool = softmax_rows(x, temperature=0.1).data.max()
-        assert hot > cool
+        x = np.array([[1.0, 0.0]])
+        assert self.softmax(x, 0.04).max() > self.softmax(x, 0.1).max()
 
     def test_bad_temperature(self):
         with pytest.raises(ParameterError):
-            softmax_rows(Tensor(np.zeros((1, 2))), temperature=0.0)
+            log_softmax_rows(Tensor(np.zeros((1, 2))), 0.0)
         with pytest.raises(ParameterError):
-            softmax_rows(Tensor(np.zeros((1, 2))), temperature=-1.0)
+            log_softmax_rows(Tensor(np.zeros((1, 2))), -1.0)
 
     def test_stable_for_large_logits(self):
-        out = softmax_rows(Tensor(np.array([[1e4, 0.0, -1e4]])), temperature=1.0)
-        assert np.all(np.isfinite(out.data))
-        np.testing.assert_allclose(out.data.sum(), 1.0, atol=1e-12)
+        log_p = log_softmax_rows(Tensor(np.array([[1e4, 0.0, -1e4]])), 1.0).data
+        assert np.all(np.isfinite(log_p))
+        np.testing.assert_allclose(np.exp(log_p).sum(), 1.0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -102,10 +104,9 @@ class TestSoftmaxRows:
     )
     def test_rows_sum_to_one_and_shift_invariance(self, rows, tau, shift):
         x = np.array(rows)
-        out = softmax_rows(Tensor(x), temperature=tau).data
+        out = self.softmax(x, tau)
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
-        shifted = softmax_rows(Tensor(x + shift), temperature=tau).data
-        np.testing.assert_allclose(out, shifted, atol=1e-6)
+        np.testing.assert_allclose(out, self.softmax(x + shift, tau), atol=1e-6)
 
     @settings(max_examples=40, deadline=None)
     @given(tau_pair=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)))
@@ -163,36 +164,6 @@ class TestGelu:
         np.testing.assert_allclose(out, 0.8413, atol=1e-4)
 
 
-class TestCrossEntropyRows:
-    def test_uniform_gives_log_k(self):
-        for k in (2, 7, 16):
-            p = np.full((1, k), 1.0 / k)
-            out = cross_entropy_rows(p, Tensor(np.log(p)))
-            np.testing.assert_allclose(out.data, np.log(k), atol=1e-12)
-
-    def test_one_hot_perfect_match(self):
-        p = np.array([[0.0, 1.0, 0.0]])
-        log_q = np.array([[-5.0, 0.0, -7.0]])
-        out = cross_entropy_rows(p, Tensor(log_q))
-        np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
-
-    def test_hand_computed(self):
-        p = np.array([[0.5, 0.5]])
-        q = np.array([[0.25, 0.75]])
-        out = cross_entropy_rows(p, Tensor(np.log(q)))
-        expected = -(0.5 * np.log(0.25) + 0.5 * np.log(0.75))
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
-        np.testing.assert_allclose(out.data, 0.8370, atol=1e-4)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractError):
-            cross_entropy_rows(np.full((1, 3), 1 / 3), Tensor(np.zeros((1, 2))))
-
-    def test_unnormalized_p_rejected(self):
-        with pytest.raises(ContractError):
-            cross_entropy_rows(np.array([[0.7, 0.7]]), Tensor(np.zeros((1, 2))))
-
-
 class TestBackward:
     def test_sum_gives_ones(self):
         w = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -239,7 +210,8 @@ class TestBackward:
             h = gelu(matmul(x, w1) + b1)
             h = layer_norm(matmul(h, w2), scale, shift, epsilon=1e-5)
             logits = matmul(h, w3)
-            return cross_entropy_rows(targets, log_softmax_rows(logits, 0.7)).sum()
+            log_p = log_softmax_rows(logits, 0.7)
+            return ad.tensor_sum(ad.mul(Tensor(-targets), log_p), axis=-1).sum()
 
         with Tape() as tape:
             loss = forward()
@@ -251,20 +223,6 @@ class TestBackward:
             rel = np.abs(a - n) / np.maximum.reduce([np.abs(a), np.abs(n),
                                                      np.full_like(a, 1e-3)])
             assert rel.max() <= 1e-4
-
-    def test_softmax_and_interior_ops_gradcheck(self):
-        rng = np.random.default_rng(11)
-        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-
-        def forward():
-            s = softmax_rows(w, temperature=0.5)
-            return (s * s).sum()
-
-        with Tape() as tape:
-            loss = forward()
-        backward(loss, tape)
-        numeric = finite_difference(lambda: forward().item(), [w])[0]
-        np.testing.assert_allclose(w.grad, numeric, atol=1e-7)
 
 
 def _whole_tape_backward(loss, tape, leaves=()):
@@ -295,7 +253,8 @@ def _rich_graph(leaves):
     z = ad.l2_normalize_rows(ad.reshape(out, (2, 8)))
     logits = matmul(z, ad.transpose(ad.concat([w, w], axis=1), (1, 0)))
     logits = logits + ad.reshape(shift + scale, (1, 4))
-    return cross_entropy_rows(np.full((2, 4), 0.25), log_softmax_rows(logits, 0.3)).sum()
+    log_p = log_softmax_rows(logits, 0.3)
+    return ad.tensor_sum(ad.mul(Tensor(np.full((2, 4), -0.25)), log_p), axis=-1).sum()
 
 
 class TestBackwardConsumesTheTape:
@@ -372,7 +331,7 @@ class TestTapeSemantics:
         def run():
             t = Tensor(x.copy(), requires_grad=True)
             with Tape() as tape:
-                loss = (softmax_rows(gelu(matmul(t, t)), 0.3)).sum()
+                loss = (log_softmax_rows(gelu(matmul(t, t)), 0.3)).sum()
             backward(loss, tape)
             return loss.data.copy(), t.grad.copy()
 
@@ -384,7 +343,7 @@ class TestTapeSemantics:
     def test_outputs_finite_on_finite_inputs(self):
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(size=(3, 4)) * 100)
-        for out in (softmax_rows(x, 0.01), log_softmax_rows(x, 0.01), gelu(x),
+        for out in (log_softmax_rows(x, 0.01), gelu(x),
                     ad.l2_normalize_rows(x)):
             assert np.all(np.isfinite(out.data))
 
@@ -420,9 +379,7 @@ OP_CASES = {
     "sum_all": ([_x(2, 3)], lambda a: a.sum()),
     "sum_axis": ([_x(2, 3, 4)], lambda a: a.sum(axis=1)),
     "sum_keepdims": ([_x(2, 3, 4)], lambda a: a.sum(axis=1, keepdims=True)),
-    "mean": ([_x(2, 3)], lambda a: ad.mean(a, axis=0)),
     "matmul_batched_2d_weight": ([_x(2, 3, 4), _x(4, 5, seed=1)], matmul),
-    "softmax_rows": ([_x(3, 4)], lambda a: softmax_rows(a, 0.5)),
     "log_softmax_rows": ([_x(3, 4)], lambda a: log_softmax_rows(a, 0.5)),
     "layer_norm": ([_x(2, 3, 4), _x(4, seed=1), _x(4, seed=2)],
                    lambda x, s, b: layer_norm(x, s, b, epsilon=1e-5)),
@@ -434,8 +391,8 @@ OP_CASES = {
                                lambda qkv: ad.attention(qkv, 2, 0.7, 2)[0]),
     "l2_normalize_guarded_zero_row": ([_zero_row(_x(3, 4))],
                                       lambda a: ad.l2_normalize_rows(a, guard=0.5)),
-    "cross_entropy_rows": ([_x(3, 4)], lambda a: cross_entropy_rows(
-        np.full((3, 4), 0.25), log_softmax_rows(a))),
+    "cross_entropy_rows": ([_x(3, 4)], lambda a: ad.tensor_sum(
+        ad.mul(Tensor(np.full((3, 4), -0.25)), log_softmax_rows(a, 1.0)), axis=-1)),
 }
 
 
@@ -496,6 +453,15 @@ def _unfused_linear(x, w, b):
     return matmul(x, w) + b
 
 
+def _softmax_rows(x):
+    """Taped row softmax with its closed-form gradient y * (g - rowsum(g * y));
+    the attention chain's op, which only this oracle still needs."""
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return ad._record(y, (x,), lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True)))
+
+
 def _unfused_attention(qkv, n_heads, scale):
     """The per-head op chain that ad.attention replaces: (out, probabilities)."""
     b, t, d3 = qkv.shape
@@ -503,7 +469,7 @@ def _unfused_attention(qkv, n_heads, scale):
     hd = d // n_heads
     qkv = ad.transpose(ad.reshape(qkv, (b, t, 3, n_heads, hd)), (2, 0, 3, 1, 4))
     q, k, v = qkv[0], qkv[1], qkv[2]
-    att = softmax_rows(matmul(q, ad.transpose(k, (0, 1, 3, 2))) * scale)
+    att = _softmax_rows(matmul(q, ad.transpose(k, (0, 1, 3, 2))) * scale)
     out = ad.transpose(matmul(att, v), (0, 2, 1, 3))
     return ad.reshape(out, (b, t, d)), att
 

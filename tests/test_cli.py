@@ -603,6 +603,12 @@ def _with_step(payload, step):
     return json.dumps(meta).encode()
 
 
+def _with_section(payload, section, value):
+    configs = json.loads(payload)
+    configs[section] = value
+    return json.dumps(configs).encode()
+
+
 def _with_config(payload, section, key, value):
     configs = json.loads(payload)
     configs[section][key] = value
@@ -626,6 +632,23 @@ MALFORMED_CHECKPOINTS = {
         (n, _with_rng_state(p, 2 ** 200) if n == b"meta" else p) for n, p in secs],
     "negative_step": lambda secs: [
         (n, _with_step(p, -5) if n == b"meta" else p) for n, p in secs],
+    "step_a_float": lambda secs: [
+        (n, _with_step(p, 2.5) if n == b"meta" else p) for n, p in secs],
+    "step_a_bool": lambda secs: [
+        (n, _with_step(p, True) if n == b"meta" else p) for n, p in secs],
+    "step_a_string": lambda secs: [
+        (n, _with_step(p, "3") if n == b"meta" else p) for n, p in secs],
+    "vit_depth_true": lambda secs: [
+        (n, _with_config(p, "vit", "depth", True) if n == b"configs" else p)
+        for n, p in secs],
+    "vit_depth_a_float": lambda secs: [
+        (n, _with_config(p, "vit", "depth", 1.0) if n == b"configs" else p)
+        for n, p in secs],
+    "blur_sigma_of_nested_lists": lambda secs: [
+        (n, _with_config(p, "crop", "blur_sigma", [[0.1], [2.0]]) if n == b"configs"
+         else p) for n, p in secs],
+    "vit_section_a_list": lambda secs: [
+        (n, _with_section(p, "vit", [2, 8]) if n == b"configs" else p) for n, p in secs],
     "vit_depth_a_string": lambda secs: [
         (n, _with_config(p, "vit", "depth", "x") if n == b"configs" else p)
         for n, p in secs],

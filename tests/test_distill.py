@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retinassl import autodiff as ad
 from retinassl import distill as distill_module
@@ -132,6 +134,33 @@ class TestTeacherProbs:
         with pytest.raises(ParameterError):
             teacher_probs(np.zeros((1, 2)), np.zeros(2), 0.0)
 
+    def test_two_entry_row(self):
+        p = teacher_probs(np.array([[3.0, 2.0]]), np.array([2.0, 2.0]), 1.0)
+        e = np.e
+        np.testing.assert_allclose(p[0], [e / (e + 1), 1 / (e + 1)], atol=1e-10)
+        np.testing.assert_allclose(p[0], [0.7311, 0.2689], atol=1e-4)
+
+    def test_stable_for_large_logits(self):
+        p = teacher_probs(np.array([[1e4, 0.0, -1e4]]), np.zeros(3), 0.04)
+        assert np.all(np.isfinite(p))
+        np.testing.assert_allclose(p.sum(), 1.0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(st.floats(-50, 50), min_size=4, max_size=4),
+            min_size=1, max_size=4),
+        center=st.lists(st.floats(-50, 50), min_size=4, max_size=4),
+        tau=st.floats(1e-3, 10.0),
+        shift=st.floats(-20, 20),
+    )
+    def test_rows_sum_to_one_and_shift_invariance(self, rows, center, tau, shift):
+        logits, c = np.array(rows), np.array(center)
+        p = teacher_probs(logits, c, tau)
+        np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(p, teacher_probs(logits + shift, c, tau), atol=1e-6)
+        np.testing.assert_allclose(p, teacher_probs(logits, c - shift, tau), atol=1e-6)
+
 
 class TestStudentLogProbs:
     def test_uniform_logits(self):
@@ -151,7 +180,8 @@ class TestStudentLogProbs:
         raw = rng.random((2, 6))
         p_t = raw / raw.sum(axis=-1, keepdims=True)
         with Tape() as tape:
-            loss = ad.cross_entropy_rows(p_t, ad.log_softmax_rows(o, tau)).sum()
+            ce = ad.tensor_sum(ad.mul(Tensor(-p_t), ad.log_softmax_rows(o, tau)), axis=-1)
+            loss = ce.sum()
         backward(loss, tape)
         z = o.data / tau
         p_s = np.exp(z - z.max(-1, keepdims=True))
@@ -235,7 +265,8 @@ class TestDistillationLoss:
             for t in range(n_teacher):
                 for s in range(n_student):
                     if s != t:
-                        ce = ad.cross_entropy_rows(p_t[t], log_p[s * batch:(s + 1) * batch])
+                        ce = ad.tensor_sum(ad.mul(Tensor(-p_t[t]),
+                                                  log_p[s * batch:(s + 1) * batch]), axis=-1)
                         term = ad.tensor_sum(ce) * (1.0 / batch)
                         total = term if total is None else total + term
             return total.item()

@@ -184,8 +184,9 @@ class TestLinearProbe:
 
 def taped_probe(features, labels, config):
     """The probe's momentum-SGD loop run through the tape: linear,
-    log_softmax_rows, cross_entropy_rows and mean, then backward. The
-    oracle for the closed-form step of train_linear_probe."""
+    log_softmax_rows, the cross entropy -rowsum(onehot * log p) and its
+    batch mean, then backward. The oracle for the closed-form step of
+    train_linear_probe."""
     n, d = features.shape
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x9806E]))
     w = ad.Tensor(np.zeros((d, 5)), requires_grad=True)
@@ -203,7 +204,8 @@ def taped_probe(features, labels, config):
             with ad.Tape() as tape:
                 logits = ad.linear(ad.Tensor(features[idx]), w, b)
                 logp = ad.log_softmax_rows(logits, 1.0)
-                loss = ad.mean(ad.cross_entropy_rows(onehot[idx], logp))
+                ce = ad.tensor_sum(ad.mul(ad.Tensor(-onehot[idx]), logp), axis=-1)
+                loss = ad.mul(ad.tensor_sum(ce), ad.Tensor(1.0 / len(idx)))
             w.grad = b.grad = None
             ad.backward(loss, tape, leaves=(w, b))
             lr = probe_lr_at(step, total, config.lr)
@@ -429,6 +431,16 @@ class TestKnn:
         for k in range(1, 8):  # the cut before, inside and after the tie
             np.testing.assert_array_equal(knn_classify(index, q, KnnConfig(k=k)),
                                           knn_oracle(index, q, k))
+
+    def test_low_temperature_does_not_overflow(self):
+        # exp(sim / 1e-3) overflows from a similarity of 0.71; each query is
+        # an index row, its own first neighbour, and every other weight is
+        # below exp(-50), so the first neighbour's label wins
+        index = random_index(200, 8, seed=21)
+        with np.errstate(over="raise"):
+            got = knn_classify(index, index.features[:40],
+                               KnnConfig(k=20, temperature=1e-3))
+        np.testing.assert_array_equal(got, index.labels[:40])
 
     def test_k_equals_n(self):
         index = index_with_duplicates(30, 4, seed=19)
