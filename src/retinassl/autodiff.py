@@ -116,11 +116,12 @@ def _slot_of(t: Tensor) -> "_Slot | Tensor | None":
 class Tape:
     """Ordered record of executed operations for one forward pass.
 
-    Used as a context manager; at most one tape is active per thread of
-    execution. Each entry is an ``(out, inputs, grad_fns)`` triple: the op
-    output's slot, one slot per input (None for an input that needs no
-    gradient), and one function per input that maps ``out.grad`` to that
-    input's gradient before unbroadcasting (None where the slot is None).
+    Used as a context manager; at most one tape is active in the process,
+    and the ops of every thread record on it. Each entry is an
+    ``(out, inputs, grad_fns)`` triple: the op output's slot, one slot per
+    input (None for an input that needs no gradient), and one function per
+    input that maps ``out.grad`` to that input's gradient before
+    unbroadcasting (None where the slot is None).
     """
 
     _active: "Tape | None" = None
@@ -138,6 +139,11 @@ class Tape:
     def __exit__(self, *exc):
         Tape._active = None
         return False
+
+    @staticmethod
+    def active() -> "Tape | None":
+        """The tape that ops record on now, or None."""
+        return Tape._active
 
 
 def _record(value, parents: Sequence[Tensor], *grad_fns: GradFn) -> Tensor:

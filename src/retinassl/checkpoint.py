@@ -59,7 +59,7 @@ def _write_array(fh, name: str, arr: np.ndarray) -> None:
     _write_section(fh, name, header, arr)
 
 
-def _unpack_array(payload: memoryview) -> np.ndarray:
+def _unpack_array(name: str, payload: memoryview) -> np.ndarray:
     if len(payload) < 1:
         raise CheckpointError("empty array payload")
     ndim = payload[0]
@@ -74,6 +74,11 @@ def _unpack_array(payload: memoryview) -> np.ndarray:
         raise CheckpointError(
             f"array payload holds {len(payload) - need} bytes, expected {8 * count}")
     values = np.frombuffer(payload, dtype="<f8", count=count, offset=need)
+    # a NaN or an infinity would pass every later step or fail far from its
+    # cause: a probe predicts from NaN features, and a resumed run's AdamW
+    # divides by an infinite moment and trains on
+    if not np.isfinite(values).all():
+        raise CheckpointError(f"section {name!r} holds NaN or infinite values")
     try:
         return values.reshape(shape).copy()
     except ValueError as exc:  # numpy's dimension limits, reached by empty arrays
@@ -202,11 +207,11 @@ def load_checkpoint(path):
         if "/" in name:
             group, key = name.split("/", 1)
             if group in groups:
-                groups[group][key] = _unpack_array(payload)
+                groups[group][key] = _unpack_array(name, payload)
     expected = param_shapes(vit, head)
     for group, arrays in groups.items():
         _check_shapes(group, {k: v.shape for k, v in arrays.items()}, expected)
-    center = _unpack_array(sections["center"])
+    center = _unpack_array("center", sections["center"])
     _check_shapes("center", {"center": center.shape}, {"center": (head.output_dim,)})
     student = {k: Tensor(v, requires_grad=True) for k, v in groups["student"].items()}
     teacher = {k: Tensor(v, requires_grad=False) for k, v in groups["teacher"].items()}

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import Tape
 from .errors import InputError, ParameterError
 
 # Recipe names; the second global crop additionally gets solarization.
@@ -114,6 +116,90 @@ _A = -0.5
 _CHUNK_VALUES = 1 << 16
 
 
+def _cpu_workers() -> int:
+    """Threads that run the chunks of one `map_chunks` call: the CPUs this
+    process may use over the threads each BLAS product may take, so the two
+    never oversubscribe the cores. BLAS left at its default takes every CPU,
+    which leaves one worker: the sequential loop."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas = value
+            break
+    return max(1, cpus // blas)
+
+
+_WORKERS = _cpu_workers()
+_pool = None  # (pid, threads, ThreadPoolExecutor), made by the first parallel call
+
+
+def map_chunks(fn, n: int, step: int) -> None:
+    """Call fn(lo, hi) over [0, n) in chunks of at most `step` rows; fn
+    writes only rows lo:hi of an output its caller made.
+
+    With more than one chunk and `_WORKERS` above 1, the caller and
+    `_WORKERS - 1` pool threads take pieces of `step // _WORKERS` rows (at
+    least 1) from one counter, so the rows in flight stay within `step`, or
+    `_WORKERS` when `step` is smaller. An exception in a piece stops the
+    taking and is raised here. While an autodiff tape is active the chunks
+    run in order on the caller's thread: the tape is one per process, and
+    ops from other threads would interleave its entries.
+    """
+    if _WORKERS == 1 or n <= step or Tape.active() is not None:
+        for lo in range(0, n, step):
+            fn(lo, min(lo + step, n))
+        return
+    import threading
+    from concurrent.futures import wait
+
+    piece = max(1, step // _WORKERS)
+    starts = iter(range(0, n, piece))
+    lock, failed = threading.Lock(), threading.Event()
+
+    def take():
+        while True:
+            with lock:
+                lo = None if failed.is_set() else next(starts, None)
+            if lo is None:
+                return
+            try:
+                fn(lo, min(lo + piece, n))
+            except BaseException:
+                failed.set()
+                raise
+
+    pool = _executor(_WORKERS - 1)
+    futures = [pool.submit(take) for _ in range(_WORKERS - 1)]
+    try:
+        take()
+    finally:
+        # a taker that has not started finds nothing left to take
+        wait([f for f in futures if not f.cancel()])
+    for f in futures:
+        if not f.cancelled():
+            f.result()
+
+
+def _executor(threads: int):
+    """The process's pool of `threads` threads, made on first use. A forked
+    child makes its own: its parent's pool threads did not survive the fork,
+    so work given to that pool would never start."""
+    global _pool
+    from concurrent.futures import ThreadPoolExecutor
+
+    if _pool is None or _pool[:2] != (os.getpid(), threads):
+        _pool = (os.getpid(), threads, ThreadPoolExecutor(threads))
+    return _pool[2]
+
+
 def _cubic_weight(t: np.ndarray) -> np.ndarray:
     t = np.abs(t)
     t2 = t * t
@@ -178,23 +264,26 @@ def resample(images: np.ndarray, rows: np.ndarray | None,
     """rows @ images @ cols.T over the last two axes of a (..., H, W) stack,
     written into one new array; a None matrix leaves its axis as it is.
 
-    The leading axis goes through a chunk of about `_CHUNK_VALUES` input
-    values at a time, so no temporary outgrows a chunk. Each (H, W) slice
-    meets the same 2-D products whatever the chunk, so no bit depends on it.
+    The leading axis goes through chunks of about `_CHUNK_VALUES` input
+    values, run by `map_chunks`, so no temporary outgrows a chunk. Each
+    (H, W) slice meets the same 2-D products whatever the chunk, so no bit
+    depends on it.
     """
     h, w = images.shape[-2:]
     out = np.empty(images.shape[:-2] + (h if rows is None else len(rows),
                                         w if cols is None else len(cols)))
     src, dst = (images[None], out[None]) if images.ndim == 2 else (images, out)
-    step = max(1, _CHUNK_VALUES // max(1, math.prod(src.shape[1:])))
-    for lo in range(0, len(src), step):
-        part = src[lo:lo + step]
+
+    def chunk(lo, hi):
+        part = src[lo:hi]
         if rows is not None:
             part = rows @ part
         if cols is None:
-            dst[lo:lo + step] = part
+            dst[lo:hi] = part
         else:  # the last product is written in place, not copied
-            np.matmul(part, cols.T, out=dst[lo:lo + step])
+            np.matmul(part, cols.T, out=dst[lo:hi])
+
+    map_chunks(chunk, len(src), max(1, _CHUNK_VALUES // max(1, math.prod(src.shape[1:]))))
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .crops import bicubic_resize, resample, resample_matrix
+from .crops import bicubic_resize, map_chunks, resample, resample_matrix
 from .data import N_GRADES
 from .errors import ContractError, InputError, ParameterError
 from .vit import EVAL, ViTConfig, encoder_forward, last_layer_attention, patch_embed
@@ -112,9 +112,10 @@ def extract_features(backbone_params: dict[str, Tensor], images: np.ndarray,
     """Concatenated CLS outputs of the last n_last_blocks blocks, no pooling.
 
     Returns (n_images, n_last_blocks * n_cls_tokens * embed_dim). Images go
-    through the forward a chunk at a time, so memory follows `_CHUNK_VALUES`
-    rather than the number of images; every eval-mode op treats rows
-    independently, so the chunking does not change a bit of the output.
+    through the forward in chunks run by `crops.map_chunks`, so memory
+    follows `_CHUNK_VALUES` rather than the number of images; every eval-mode
+    op treats rows independently, so the chunking does not change a bit of
+    the output.
     """
     if n_last_blocks < 1 or n_last_blocks > config.depth:
         raise ParameterError(f"n_last_blocks must be in 1..{config.depth}")
@@ -123,12 +124,14 @@ def extract_features(backbone_params: dict[str, Tensor], images: np.ndarray,
     nc = config.n_cls_tokens
     t = (images.shape[-1] // config.patch_size) ** 2 + nc
     widest = max(config.n_heads * t * t, t * int(config.embed_dim * config.mlp_ratio))
-    step = max(1, _CHUNK_VALUES // widest)
     feats = np.empty((len(images), n_last_blocks * nc, config.embed_dim))
-    for lo in range(0, len(images), step):
-        tokens = patch_embed(images[lo:lo + step], config, backbone_params)
-        feats[lo:lo + step] = encoder_forward(tokens, config, backbone_params, mode=EVAL,
-                                              n_last_blocks=n_last_blocks).cls_features.data
+
+    def chunk(lo, hi):
+        tokens = patch_embed(images[lo:hi], config, backbone_params)
+        feats[lo:hi] = encoder_forward(tokens, config, backbone_params, mode=EVAL,
+                                       n_last_blocks=n_last_blocks).cls_features.data
+
+    map_chunks(chunk, len(images), max(1, _CHUNK_VALUES // widest))
     return feats.reshape(len(images), n_last_blocks * nc * config.embed_dim)
 
 

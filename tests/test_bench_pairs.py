@@ -112,3 +112,38 @@ def test_record_round_trips_and_names_its_environment(monkeypatch, tmp_path):
     assert rate == {"median": 2.2, "q1": 2.1, "q3": 2.35, "pairs": [2.0, 2.5, 2.2]}
     assert rec["metrics"]["base"]["images_per_s"]["pairs"] == [1.0, 1.5, 1.2]
     assert set(rec["metrics"]["base"]) == {"setup_s", "peak_rss_mb", "images_per_s"}
+
+
+def stderr_line(rescaled, raw):
+    """perfbench/run.py's stderr summary of one run."""
+    return (f"eval-frozen seed 3: 41 rounds; images/s {rescaled:.2f} rescaled, "
+            f"{raw:.2f} raw; setup_s 0.0106 rescaled, 0.0104 raw\n")
+
+
+def test_raw_rate_reads_the_stderr_line():
+    assert bench_pairs.raw_rate("generating\n" + stderr_line(2890.123, 2228.5)) == 2228.5
+    assert bench_pairs.raw_rate("round 3 failed: it broke\n") is None
+
+
+def test_raw_images_per_s_are_summarized_and_recorded(monkeypatch, tmp_path, capsys):
+    # (rescaled, raw) per run in run order: base, new; new, base
+    rates = iter([(1800.0, 1700.0), (2900.0, 2200.0), (2800.0, 2300.0), (1900.0, 1750.0)])
+
+    def fake_run(args, cwd=None, **kwargs):
+        if args[0] == "git":
+            return subprocess.CompletedProcess(args, 1, stdout="", stderr="")
+        rescaled, raw = next(rates)
+        return subprocess.CompletedProcess(args, 0, stdout=result_line(rescaled),
+                                           stderr=stderr_line(rescaled, raw))
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    path = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["base", "new", "--workload", "eval-frozen", "--pairs", "2",
+                             "--record", str(path)]) == 0
+    assert ("raw_images_per_s: base 1725 [1712, 1738]  new 2250 [2225, 2275]  "
+            "new better in 2 of 2 pairs") in capsys.readouterr().out
+    with open(path) as fh:
+        raw = json.load(fh)["raw_images_per_s"]
+    assert raw["base"]["pairs"] == [1700.0, 1750.0]
+    assert raw["new"] == {"median": 2250.0, "q1": 2225.0, "q3": 2275.0,
+                          "pairs": [2200.0, 2300.0]}

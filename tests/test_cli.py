@@ -615,6 +615,17 @@ def _with_config(payload, section, key, value):
     return json.dumps(configs).encode()
 
 
+def _with_first_value(payload, value):
+    """An array section's payload with its first stored value replaced."""
+    head = 1 + 8 * payload[0]  # ndim, then one u64 per dimension
+    return payload[:head] + struct.pack("<d", value) + payload[head + 8:]
+
+
+def _with_value_in(section, value):
+    return lambda secs: [(n, _with_first_value(p, value) if n == section else p)
+                         for n, p in secs]
+
+
 MALFORMED_CHECKPOINTS = {
     "non_utf8_section_name": lambda secs: [
         (b"teacher/\xff\xfe" if n == b"teacher/cls" else n, p) for n, p in secs],
@@ -669,6 +680,9 @@ MALFORMED_CHECKPOINTS = {
         for n, p in secs],
     "center_of_wrong_shape": lambda secs: [
         (n, dict(secs)[b"student/cls"] if n == b"center" else p) for n, p in secs],
+    "teacher_weight_nan": _with_value_in(b"teacher/blocks.0.mlp.fc1.w", float("nan")),
+    "opt_v_infinite": _with_value_in(b"opt_v/cls", float("inf")),
+    "center_nan": _with_value_in(b"center", float("nan")),
 }
 
 
@@ -796,6 +810,14 @@ class TestProbeKnn:
                                    ["--set", "data.n_last_blocks=2"])) == 2
         assert "vit.depth = 1" in capsys.readouterr().err
         assert loads == [] and not out.exists()
+
+    @pytest.mark.parametrize("case, section", [
+        ("teacher_weight_nan", "teacher/blocks.0.mlp.fc1.w"),
+        ("opt_v_infinite", "opt_v/cls"), ("center_nan", "center")])
+    def test_a_non_finite_value_names_its_section(self, trained, case, section):
+        _rewrite_checkpoint(trained, MALFORMED_CHECKPOINTS[case])
+        with pytest.raises(CheckpointError, match=f"section '{section}' holds NaN"):
+            load_checkpoint(trained)
 
     def test_config_of_another_kind_is_a_checkpoint_error(self, trained):
         _rewrite_checkpoint(trained, MALFORMED_CHECKPOINTS["vit_depth_a_string"])

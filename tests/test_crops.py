@@ -1,9 +1,15 @@
 import colorsys
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter1d
 
+from retinassl import crops
 from retinassl.crops import (
     BLUR_P,
     FIRST_GLOBAL,
@@ -26,7 +32,7 @@ from retinassl.crops import (
     resample_matrix,
     sample_crop,
 )
-from retinassl.errors import InputError, ParameterError
+from retinassl.errors import ContractError, InputError, ParameterError
 
 
 def tiny_config(**kw) -> MultiCropConfig:
@@ -469,3 +475,90 @@ class TestCropAt:
         rng = np.random.default_rng(8)
         view, (t, l, h, w) = sample_crop(img, (0.4, 1.0), 16, rng)
         np.testing.assert_array_equal(bicubic_resize(img[..., t:t + h, l:l + w], 16), view)
+
+
+class TestMapChunks:
+    """The chunk runner behind `resample` and `extract_features`, at a
+    monkeypatched worker count."""
+
+    @pytest.mark.parametrize("cpus, env, want", [
+        (8, {}, 1),  # BLAS at its default takes every CPU
+        (8, {"OPENBLAS_NUM_THREADS": "1"}, 8),
+        (8, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),  # the first wins
+        (8, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "0",
+             "MKL_NUM_THREADS": "2"}, 4),  # the first positive int
+        (8, {"OMP_NUM_THREADS": "3"}, 2),
+        (2, {"MKL_NUM_THREADS": "16"}, 1),
+    ])
+    def test_workers_are_the_cpus_over_the_blas_threads(self, monkeypatch, cpus, env,
+                                                        want):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(crops.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert crops._cpu_workers() == want
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_an_error_in_a_later_piece_reaches_the_caller(self, monkeypatch, workers):
+        monkeypatch.setattr(crops, "_WORKERS", workers)
+
+        def fn(lo, hi):
+            if lo >= 30:
+                raise ContractError(f"piece at {lo}")
+
+        with pytest.raises(ContractError, match="piece at"):
+            crops.map_chunks(fn, 40, 4)
+        seen = []
+        crops.map_chunks(lambda lo, hi: seen.append((lo, hi)), 40, 4)  # still runs
+        piece = max(1, 4 // workers)
+        assert sorted(seen) == [(lo, lo + piece) for lo in range(0, 40, piece)]
+
+    def test_pieces_cover_every_row_once_with_more_workers_than_cpus(self, monkeypatch):
+        monkeypatch.setattr(crops, "_WORKERS", 2 * len(os.sched_getaffinity(0)) + 1)
+        pieces = []
+
+        def fn(lo, hi):
+            np.sort(np.random.default_rng(lo).random(2000))  # let the threads switch
+            pieces.append((lo, hi))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                pieces.clear()
+                runner = threading.Thread(target=crops.map_chunks, args=(fn, 1001, 40))
+                runner.start()
+                runner.join(timeout=60)
+                assert not runner.is_alive()
+                # a piece taken twice, or lost, breaks the tiling of [0, 1001)
+                bounds = sorted(pieces)
+                assert bounds[0][0] == 0 and bounds[-1][1] == 1001
+                assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_forked_child_resamples_with_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(crops, "_WORKERS", 2)
+        monkeypatch.setattr(crops, "_CHUNK_VALUES", 3 * 20 * 26)
+        images = np.random.default_rng(0).random((64, 3, 20, 26))
+        rows, cols = resample_matrix(20, 14), resample_matrix(26, 11)
+        want = crops.resample(images, rows, cols)  # the parent's pool now exists
+        threads = set()
+
+        def nap(lo, hi):  # sleeps without the GIL, so a pool thread takes pieces
+            threads.add(threading.get_ident())
+            time.sleep(0.01)
+
+        pid = os.fork()
+        if pid == 0:  # the child exits 0 with the parent's bits and two threads
+            code = 1
+            try:
+                signal.alarm(60)  # a hung child dies, and the test fails
+                same = np.array_equal(crops.resample(images, rows, cols), want)
+                crops.map_chunks(nap, 20, 2)
+                code = 0 if same and len(threads) == 2 else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status

@@ -126,9 +126,11 @@ class TestChunkedExtraction:
         single = np.concatenate([extract_features(params, im[None], cfg, n_last_blocks)
                                  for im in imgs])
         monkeypatch.setattr(evaluation, "_CHUNK_VALUES", rows_per_chunk_budget(cfg, rows))
-        chunked = extract_features(params, imgs, cfg, n_last_blocks)
-        np.testing.assert_array_equal(chunked, whole)
-        np.testing.assert_array_equal(chunked, single)
+        for workers in (1, 2, 3):  # threads take pieces of rows // workers images
+            monkeypatch.setattr(crops, "_WORKERS", workers)
+            chunked = extract_features(params, imgs, cfg, n_last_blocks)
+            np.testing.assert_array_equal(chunked, whole)
+            np.testing.assert_array_equal(chunked, single)
 
     def test_memory_follows_the_chunk_not_the_batch(self, monkeypatch):
         cfg, params = tiny_backbone(dim=16)
@@ -136,14 +138,40 @@ class TestChunkedExtraction:
         imgs = np.random.default_rng(6).random((256, 3, 16, 16))
 
         def peak(batch):
-            tracemalloc.start()
+            tracemalloc.start()  # traces every thread's allocations
             try:
                 extract_features(params, batch, cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert peak(imgs) < 1.5 * peak(imgs[:64])
+        for workers in (1, 3):
+            monkeypatch.setattr(crops, "_WORKERS", workers)
+            assert peak(imgs) < 1.5 * peak(imgs[:64])
+
+    def test_a_taped_forward_runs_its_chunks_in_order(self, monkeypatch):
+        # 5 images at 2 a chunk: in order, the entries come in batches of
+        # 2, 2 and 1 images; threads would take 1-image pieces
+        cfg, params = tiny_backbone(n_cls=2, dim=8)
+        for p in params.values():
+            p.requires_grad = True
+        imgs = np.random.default_rng(11).random((5, 3, 16, 16))
+        monkeypatch.setattr(evaluation, "_CHUNK_VALUES", rows_per_chunk_budget(cfg, 2))
+
+        def taped(workers):
+            monkeypatch.setattr(crops, "_WORKERS", workers)
+            with ad.Tape() as tape:
+                feats = extract_features(params, imgs, cfg, n_last_blocks=2)
+            return feats, [(out.shape, tuple(getattr(s, "shape", None) for s in inputs),
+                            tuple(fn and fn.__qualname__ for fn in fns))
+                           for out, inputs, fns in tape.nodes]
+
+        feats, entries = taped(1)
+        assert entries and entries[0][0][0] == 2
+        for workers in (2, 3):
+            got_feats, got_entries = taped(workers)
+            assert np.array_equal(got_feats, feats)
+            assert got_entries == entries
 
 
 class TestLinearProbe:
@@ -276,32 +304,39 @@ class TestChunkedTransforms:
         monkeypatch.setattr(crops, "_CHUNK_VALUES", 4 * 3 * 20 * 26)
 
     @pytest.mark.parametrize("n", [0, 1, 3, 4, 5])
-    def test_eval_transform(self, n):
+    def test_eval_transform(self, monkeypatch, n):
         imgs = np.random.default_rng(n).random((n, 3, 20, 26))
         keep = slice(1, 15)  # 14 of the 16 rows of the ceil(8/7 * 14) resize
         oracle = resample_matrix(20, 16)[keep] @ imgs @ resample_matrix(26, 16)[keep].T
-        assert np.array_equal(probe_eval_transform(imgs, 14), oracle)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(crops, "_WORKERS", workers)
+            assert np.array_equal(probe_eval_transform(imgs, 14), oracle)
 
     @pytest.mark.parametrize("n", [0, 1, 3, 4, 5])
-    def test_train_transform(self, n):
+    def test_train_transform(self, monkeypatch, n):
         imgs = np.random.default_rng(n).random((n, 3, 20, 26))
         oracle = resample_matrix(20, 14) @ imgs @ resample_matrix(26, 14).T
         flip = np.random.default_rng(7).random(n) < 0.5
         oracle[flip] = oracle[flip][..., ::-1]
-        got = probe_train_transform(imgs, 14, np.random.default_rng(7))
-        assert np.array_equal(got, oracle)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(crops, "_WORKERS", workers)
+            got = probe_train_transform(imgs, 14, np.random.default_rng(7))
+            assert np.array_equal(got, oracle)
 
-    def test_memory_is_the_output_and_a_chunk(self):
+    def test_memory_is_the_output_and_a_chunk(self, monkeypatch):
         imgs = np.random.default_rng(10).random((64, 3, 20, 26))
-        for transform in (lambda: probe_eval_transform(imgs, 14),
-                          lambda: probe_train_transform(imgs, 14, np.random.default_rng(0))):
-            tracemalloc.start()
-            try:
-                out = transform()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < out.nbytes + imgs[:8].nbytes
+        for workers in (1, 3):
+            monkeypatch.setattr(crops, "_WORKERS", workers)
+            for transform in (lambda: probe_eval_transform(imgs, 14),
+                              lambda: probe_train_transform(imgs, 14,
+                                                            np.random.default_rng(0))):
+                tracemalloc.start()  # traces every thread's allocations
+                try:
+                    out = transform()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < out.nbytes + imgs[:8].nbytes
 
     def test_same_size_train_transform_is_a_flipped_copy(self):
         imgs = np.random.default_rng(8).random((9, 3, 16, 16))

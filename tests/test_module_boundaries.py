@@ -30,6 +30,22 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert not found, found
 
 
+def test_only_the_chunk_runner_imports_parallelism():
+    # crops.map_chunks is the one place where work leaves the caller's thread
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} imports {name}" for name in names
+                      if name.split(".")[0] in ("threading", "concurrent", "multiprocessing")]
+    assert found and all(line.startswith("crops.py:") for line in found), found
+
+
 def test_the_library_raises_only_its_own_errors():
     # a stray ValueError or KeyError would escape the CLI's exit codes
     errors = ast.parse((PACKAGE / "errors.py").read_text())

@@ -37,3 +37,13 @@ def test_bad_config_value_exits_2():
     proc = run("--steps", "1", "--set", "vit.n_heads=0")
     assert proc.returncode == 2
     assert "n_heads" in proc.stderr
+
+
+def test_extract_prints_one_json_line():
+    sets = [arg for value in TINY for arg in ("--set", value)]
+    proc = run("--extract", "3", *sets)
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    out = json.loads(line)
+    assert out["images"] == 3 and out["extract_s"] > 0 and out["ru_maxrss_mb"] > 0
+    assert out["images_per_s"] > 0 and "step_s" not in out

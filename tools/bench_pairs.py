@@ -8,15 +8,19 @@ BASE first in odd pairs and NEW first in even ones, and reads the last
 stdout line of each run, a JSON object; a run without one stops the script
 with its checkout, exit code and stderr. For each end-to-end metric of
 BENCHMARK.json it prints the median [q1, q3] of each side and the pairs in
-which NEW is better. Exits 1 if a run is not correct or has failed
-operations. Uses the standard library only.
+which NEW is better, and the same for the raw images/s that each run
+prints to stderr beside the rescaled one (the rescaling samples a reference
+kernel on the program's main thread, so it overstates a gain from other
+threads). Exits 1 if a run is not correct or has failed operations. Uses
+the standard library only.
 
 With --record PATH it also writes the pairs as JSON: the workload, seeds
 and seconds; each checkout's commit, marked dirty when it has uncommitted
 changes; the BLAS thread variables of the environment the runs start in
 (perfbench/run.py pins them to 1 itself), the Python, numpy and scipy
 versions and the CPU model; and per side and end-to-end metric the median,
-q1, q3 and the value of each pair.
+q1, q3 and the value of each pair, with the raw images/s under
+"raw_images_per_s" (null when a run printed none).
 """
 
 from __future__ import annotations
@@ -26,12 +30,21 @@ import importlib.metadata
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+RAW = "raw_images_per_s"
+
+
+def raw_rate(stderr: str) -> float | None:
+    """The raw images/s of perfbench/run.py's stderr line
+    ("images/s X rescaled, Y raw"), or None without one."""
+    found = re.findall(r"images/s \S+ rescaled, (\S+) raw", stderr)
+    return float(found[-1]) if found else None
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -46,6 +59,7 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         result = None
     if not isinstance(result, dict):
         sys.exit(f"{checkout}: no result (exit {proc.returncode})\n{proc.stderr}")
+    result[RAW] = raw_rate(proc.stderr)
     return result
 
 
@@ -61,15 +75,27 @@ def spread(values: list[float]) -> str:
     return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def raw_rates(results: list[dict]) -> list[float] | None:
+    """Each run's raw images/s, or None unless every run printed one."""
+    rates = [r.get(RAW) for r in results]
+    return None if None in rates else rates
+
+
 def summarize(base: list[dict], new: list[dict], better: dict[str, str]
               ) -> tuple[list[str], bool]:
     """Report lines for result dicts of both sides in pair order, with
-    `better` naming each metric's direction ("lower" or "higher"); and
-    whether every run was correct with no failed operation."""
+    `better` naming each metric's direction ("lower" or "higher"), and a
+    line for the raw images/s when every run has one; and whether every
+    run was correct with no failed operation."""
     lines = []
+    values = {name: ([r["metrics"][name]["value"] for r in base],
+                     [r["metrics"][name]["value"] for r in new]) for name in better}
+    raw = raw_rates(base), raw_rates(new)
+    if all(raw):
+        better = dict(better, **{RAW: "higher"})
+        values[RAW] = raw
     for name, direction in better.items():
-        a = [r["metrics"][name]["value"] for r in base]
-        b = [r["metrics"][name]["value"] for r in new]
+        a, b = values[name]
         won = sum(y < x if direction == "lower" else y > x for x, y in zip(a, b))
         lines.append(f"{name}: base {spread(a)}  new {spread(b)}  "
                      f"new better in {won} of {len(a)} pairs")
@@ -112,13 +138,14 @@ def cpu_model() -> str | None:
 
 def record(args, base: list[dict], new: list[dict], better: dict[str, str]) -> dict:
     """The JSON object that --record writes."""
-    sides = {}
-    for side, results in (("base", base), ("new", new)):
-        sides[side] = {}
-        for name in better:
-            values = [r["metrics"][name]["value"] for r in results]
-            q1, med, q3 = quartiles(values)
-            sides[side][name] = {"median": med, "q1": q1, "q3": q3, "pairs": values}
+    def stats(values):
+        q1, med, q3 = quartiles(values)
+        return {"median": med, "q1": q1, "q3": q3, "pairs": values}
+
+    sides = {side: {name: stats([r["metrics"][name]["value"] for r in results])
+                    for name in better}
+             for side, results in (("base", base), ("new", new))}
+    raw = {side: raw_rates(results) for side, results in (("base", base), ("new", new))}
     return {
         "workload": args.workload,
         "seeds": [args.seed + i for i in range(args.pairs)],
@@ -132,6 +159,8 @@ def record(args, base: list[dict], new: list[dict], better: dict[str, str]) -> d
             "cpu": cpu_model(),
         },
         "metrics": sides,
+        RAW: ({side: stats(rates) for side, rates in raw.items()}
+              if all(raw.values()) else None),
     }
 
 

@@ -1,7 +1,8 @@
-"""Training steps at the paper's scale, timed by stage.
+"""Training steps, or frozen feature extraction, at the paper's scale, timed.
 
     python3 tools/paper_step.py --steps 4
     python3 tools/paper_step.py --steps 2 --set vit.depth=1 --set head.output_dim=64
+    OPENBLAS_NUM_THREADS=1 python3 tools/paper_step.py --extract 6
 
 Runs N `distill.train_step`s at the library defaults with a ViT-S/16
 backbone: 224 px, 2 x 224 px global and 6 x 96 px local crops, head
@@ -12,8 +13,12 @@ backbone: 224 px, 2 x 224 px global and 6 x 96 px local crops, head
 Prints one JSON line: the seconds of each step and of each stage of it
 (multi-crop, teacher forward, student forward, backward, update), the
 process's peak RSS (`ru_maxrss`) and the git commit. Stages are timed by
-perfbench's tracer, which rebinds the names a step calls. Uses the standard
-library and numpy only.
+perfbench's tracer, which rebinds the names a step calls.
+
+With `--extract N` it times one `evaluation.extract_features` call over N
+random images at the model's size (224 px) through a backbone initialized
+from seed 0 instead, and prints one JSON line with the seconds, images/s,
+peak RSS and git commit. Uses the standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--steps", type=int, default=4)
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
+    parser.add_argument("--extract", type=int, metavar="N",
+                        help="time feature extraction over N images instead")
     args = parser.parse_args(argv)
 
     try:
@@ -65,6 +72,10 @@ def main(argv=None) -> int:
         cfg = configio.load_config(overrides=overrides)
     except RetinaSSLError as exc:
         parser.error(str(exc))
+    env = {"commit": commit(), "numpy": np.__version__,
+           "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+    if args.extract is not None:
+        return extract(args.extract, cfg.vit, env)
     b = cfg.distill.batch_size
     size = round(cfg.crop.global_out_size * 8 / 7)
     images = np.random.default_rng(0).random((b, 3, size, size))
@@ -89,12 +100,27 @@ def main(argv=None) -> int:
     stage_s = {stage: [round(s, 6) for s in seconds] for stage, seconds in stage_s.items()}
 
     print(json.dumps({
-        "commit": commit(), "numpy": np.__version__,
-        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "batch": b, "params": sum(p.size for p in state.student.values()),
+        **env, "batch": b, "params": sum(p.size for p in state.student.values()),
         "setup_s": round(setup_s, 6), "step_s": step_s, "stage_s": stage_s,
-        "ru_maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "ru_maxrss_mb": maxrss_mb(),
     }))
+    return 0
+
+
+def maxrss_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
+def extract(n: int, vit, env: dict) -> int:
+    """Time one extract_features call over n random images at the model's
+    size through a backbone initialized from seed 0."""
+    backbone = rs.vit.init_backbone_params(vit, np.random.default_rng(0))
+    images = np.random.default_rng(1).random((n, 3, vit.image_size, vit.image_size))
+    start = time.perf_counter()
+    rs.evaluation.extract_features(backbone, images, vit)
+    seconds = time.perf_counter() - start
+    print(json.dumps({**env, "images": n, "extract_s": round(seconds, 6),
+                      "images_per_s": round(n / seconds, 3), "ru_maxrss_mb": maxrss_mb()}))
     return 0
 
 
