@@ -448,10 +448,8 @@ def backward(loss: Tensor, tape: Tape, leaves: Iterable[Tensor] = ()) -> None:
     consumes the tape: each entry is popped as it is reached, so its
     gradient functions and the arrays they saved are freed, and each
     interior slot's grad is reset to None once its inputs have their share.
-    Afterwards `tape.nodes` is empty and only leaves hold gradients.
-    A leaf's grad can be a read-only view (`tensor_sum` broadcasts) or the
-    very array another leaf holds (`add` passes one on to both), so copy it
-    before writing into it.
+    Afterwards `tape.nodes` is empty and only leaves hold gradients, which
+    nothing writes into.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")

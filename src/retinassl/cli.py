@@ -11,14 +11,17 @@ variable; explicit --config wins.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import fcntl
 import os
 import sys
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .configio import load_config, parse_assignments
+from .configio import (RunConfig, apply_assignments, parse_assignments,
+                       read_config_file)
 from .data import (N_GRADES, generate_synthetic_dataset, load_manifest,
                    write_synthetic_dataset)
 from .distill import METRICS_HEADER, batch_schedule, init_train_state, train_loop
@@ -46,27 +49,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class _OutputLock:
-    """Advisory lock so concurrent invocations do not share an output dir."""
-
-    def __init__(self, directory):
-        self.path = os.path.join(str(directory), ".retinassl.lock")
-        self.fd = None
-
-    def __enter__(self):
+@contextlib.contextmanager
+def _output_dir(path):
+    """Make the output directory and hold an exclusive lock on its
+    `.retinassl.lock` for the block, so that a second live run into it exits
+    2. The kernel releases the lock when its process ends, killed or not. The
+    file stays: deleting it would let a later run lock a new file while
+    another run holds the old one."""
+    os.makedirs(path, exist_ok=True)
+    with open(os.path.join(path, ".retinassl.lock"), "a") as fh:
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise InputError(
-                f"output directory is locked by another run ({self.path}); "
-                "remove the lock file if that run is dead")
-        return self
-
-    def __exit__(self, *exc):
-        if self.fd is not None:
-            os.close(self.fd)
-            os.unlink(self.path)
-        return False
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise InputError(f"output directory {path} is locked by a "
+                             "running process") from None
+        yield
 
 
 def _build_parser() -> _Parser:
@@ -118,18 +115,20 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_config(args):
+    """The run's config, and the keys that its config file or --set give."""
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
     path = args.config or os.environ.get(CONFIG_ENV_VAR) or None
     overrides = parse_assignments(args.set, source="--set")
-    return load_config(path, overrides)
+    file_values = read_config_file(path) if path else {}
+    config = apply_assignments(apply_assignments(RunConfig(), file_values), overrides)
+    return config, file_values.keys() | overrides.keys()
 
 
 def cmd_make_synth(args) -> int:
     _resolve_config(args)
     dataset = generate_synthetic_dataset(args.seed, args.per_class, args.size)
-    os.makedirs(args.out, exist_ok=True)
-    with _OutputLock(args.out):
+    with _output_dir(args.out):
         write_synthetic_dataset(dataset, args.out)
     counts = {g: int((dataset.grades == g).sum()) for g in range(N_GRADES)}
     print(f"wrote {len(dataset.grades)} images to {args.out}")
@@ -138,21 +137,22 @@ def cmd_make_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _resolve_config(args)
+    config, given = _resolve_config(args)
     # label-blind on purpose: grades never reach the SSL loop
     manifest = load_manifest(args.manifest, args.images, label_blind=True)
-    images = manifest.load_images()
-    if len(images) == 0:
+    if len(manifest) == 0:
         raise InputError("manifest resolves to zero images")
 
     if args.resume:
-        state, vit, head, crop, distill = load_checkpoint(args.resume)
+        state, *saved = load_checkpoint(args.resume)
+        _check_resumed_config(config, given, saved)
+        vit, head, crop, distill = saved
     else:
         vit, head, crop, distill = (config.vit, config.head, config.crop,
                                     config.distill)
         state = init_train_state(vit, head, seed=args.seed)
 
-    _, steps_per_epoch = batch_schedule(len(images), distill)
+    _, steps_per_epoch = batch_schedule(len(manifest), distill)
     total = distill.total_epochs * steps_per_epoch
     n_steps = total - state.step if args.steps is None else args.steps
     if n_steps < 0:
@@ -163,8 +163,8 @@ def cmd_train(args) -> int:
         raise InputError(f"{n_steps} steps from step {state.step} exceeds the "
                          f"{total}-step schedule")
 
-    os.makedirs(args.out, exist_ok=True)
-    with _OutputLock(args.out), \
+    images = manifest.load_images()
+    with _output_dir(args.out), \
             open(os.path.join(args.out, "metrics.log"), "w") as log:
         log.write(METRICS_HEADER + "\n")
         log.flush()
@@ -184,6 +184,20 @@ def cmd_train(args) -> int:
                         vit, head, crop, distill)
     print(f"trained {n_steps} steps, final step {state.step}")
     return EXIT_OK
+
+
+def _check_resumed_config(config, given, saved):
+    """Refuse a model or training key that the config file or --set gives
+    another value than `saved`, the resumed checkpoint's configs."""
+    saved = dict(zip(("vit", "head", "crop", "distill"), saved))
+    for key in sorted(given):
+        section, name = key.split(".", 1)
+        if section in saved:
+            ours = getattr(getattr(config, section), name)
+            theirs = getattr(saved[section], name)
+            if ours != theirs:
+                raise InputError(f"{key} = {ours!r} differs from the resumed "
+                                 f"checkpoint's {theirs!r}")
 
 
 def _load_eval_data(args):
@@ -213,7 +227,7 @@ def _load_eval_checkpoint(args, config):
 
 
 def cmd_probe(args) -> int:
-    config = _resolve_config(args)
+    config, _ = _resolve_config(args)
     state, vit = _load_eval_checkpoint(args, config)
     train_m, test_m = _load_eval_data(args)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xF11C]))
@@ -228,15 +242,14 @@ def cmd_probe(args) -> int:
     test_feats = extract_features(state.teacher, test_imgs, vit,
                                   config.data.n_last_blocks)
     metrics = compute_metrics(probe_predict(probe, test_feats), test_m.grades())
-    os.makedirs(args.out, exist_ok=True)
-    with _OutputLock(args.out):
+    with _output_dir(args.out):
         _write_metrics(args.out, metrics)
     print(f"probe accuracy = {metrics.accuracy:.4f}")
     return EXIT_OK
 
 
 def cmd_knn(args) -> int:
-    config = _resolve_config(args)
+    config, _ = _resolve_config(args)
     state, vit = _load_eval_checkpoint(args, config)
     train_m, test_m = _load_eval_data(args)
     knn_cfg = config.knn if args.k is None else dataclasses.replace(config.knn, k=args.k)
@@ -248,8 +261,7 @@ def cmd_knn(args) -> int:
         config.data.n_last_blocks)
     preds = knn_classify(index, queries.features, knn_cfg)
     metrics = compute_metrics(preds, test_m.grades())
-    os.makedirs(args.out, exist_ok=True)
-    with _OutputLock(args.out):
+    with _output_dir(args.out):
         _write_metrics(args.out, metrics)
     print(f"knn (k={knn_cfg.k}) accuracy = {metrics.accuracy:.4f}")
     return EXIT_OK
@@ -266,8 +278,7 @@ def cmd_attn_map(args) -> int:
             f"{vit.image_size}x{vit.image_size}; resize it first")
     maps = attention_heatmaps(state.teacher, image, vit)
     stem = os.path.splitext(os.path.basename(args.image))[0]
-    os.makedirs(args.out, exist_ok=True)
-    with _OutputLock(args.out):
+    with _output_dir(args.out):
         for hi in range(vit.n_heads):
             for ci in range(vit.n_cls_tokens):
                 encode_image(os.path.join(args.out, f"{stem}_h{hi}_c{ci}.png"),

@@ -199,21 +199,27 @@ def apply_assignments(config: RunConfig, assignments: dict[str, object]) -> RunC
         for section, updates in grouped.items()})
 
 
+def read_config_file(path) -> dict[str, object]:
+    """The assignments of a UTF-8 config file (a leading byte-order mark is
+    dropped), as `parse_assignments` returns them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:  # newline=None splits lines as a file opened in text mode does
+        lines = io.StringIO(data.decode("utf-8-sig"), newline=None)
+    except UnicodeDecodeError as exc:
+        data = exc.object  # as in data._csv_rows
+        line = len((data[:exc.start] + b"x").splitlines())
+        raise ConfigError(f"{path}:{line}: config file is not UTF-8 text: "
+                          f"{exc.reason} (byte 0x{data[exc.start]:02x})") from None
+    return parse_assignments(lines, source=str(path))
+
+
 def load_config(path=None, overrides: dict[str, object] | None = None) -> RunConfig:
-    """Build a validated RunConfig from defaults, a UTF-8 file (a leading
-    byte-order mark is dropped), and overrides."""
+    """Build a validated RunConfig from defaults, a config file's values
+    (`read_config_file`), and overrides."""
     config = RunConfig()
     if path is not None:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:  # newline=None splits lines as a file opened in text mode does
-            lines = io.StringIO(data.decode("utf-8-sig"), newline=None)
-        except UnicodeDecodeError as exc:
-            data = exc.object  # as in data._csv_rows
-            line = len((data[:exc.start] + b"x").splitlines())
-            raise ConfigError(f"{path}:{line}: config file is not UTF-8 text: "
-                              f"{exc.reason} (byte 0x{data[exc.start]:02x})") from None
-        config = apply_assignments(config, parse_assignments(lines, source=str(path)))
+        config = apply_assignments(config, read_config_file(path))
     if overrides:
         config = apply_assignments(config, dict(overrides))
     return config

@@ -192,15 +192,10 @@ def distillation_loss(teacher_probs: np.ndarray, log_p: Tensor) -> Tensor:
 
 def clip_gradients(grads: dict[str, np.ndarray], threshold: float,
                    ) -> tuple[dict[str, np.ndarray], float]:
-    """Global L2-norm clipping: if the joint norm exceeds the threshold, all
-    gradients are scaled by threshold / norm, in place. Returns (grads,
+    """Global L2-norm clipping: if the joint norm exceeds the threshold, each
+    entry of `grads` is replaced by a new array scaled by threshold / norm,
+    one entry at a time, and no input array is written. Returns (grads,
     pre-clip norm).
-
-    Two leaves' gradients can be one array (`add` hands its output gradient
-    to both parents unchanged), and one can be a read-only broadcast view
-    (`tensor_sum`'s gradient). So an entry that is read-only, or whose memory
-    belongs to an earlier entry's array, is first replaced by a copy, in
-    `grads` itself: every piece of memory is then scaled exactly once.
     """
     if threshold <= 0:
         raise ParameterError(f"threshold must be positive, got {threshold}")
@@ -208,16 +203,8 @@ def clip_gradients(grads: dict[str, np.ndarray], threshold: float,
     norm = np.sqrt(sq)
     if norm > threshold:
         factor = threshold / norm
-        owners = set()
         for name, g in grads.items():
-            owner = g
-            while isinstance(owner.base, np.ndarray):
-                owner = owner.base
-            if id(owner) in owners or not g.flags.writeable:
-                grads[name] = g.copy()
-            owners.add(id(owner))
-        for g in grads.values():
-            g *= factor
+            grads[name] = g * factor
     return grads, norm
 
 
@@ -330,8 +317,8 @@ def train_step(images: np.ndarray, state: TrainState, vit_config: ViTConfig,
     released when its backbone call returns, so no crop is alive at the
     head and the loss; the tape holds only what its gradients read and
     backward consumes it; the student's logits are dropped before backward,
-    and the update works in place. The gradients are taken off the student's
-    leaves, so they are freed when the step returns.
+    and AdamW and the EMA work in place. The gradients are taken off the
+    student's leaves, so they are freed when the step returns.
     """
     cfg = distill_config
     rng = state.rng

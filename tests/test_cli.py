@@ -1,7 +1,11 @@
+import contextlib
 import json
 import os
 import shutil
+import signal
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -19,6 +23,26 @@ from retinassl.errors import CheckpointError
 
 def run(args):
     return main(args)
+
+
+@contextlib.contextmanager
+def _child_holding_output_lock(out):
+    """A child process that holds `out`'s lock as a running command does,
+    from entering the block until it is left, when the child is killed."""
+    script = ("import sys, time\n"
+              "from retinassl.cli import _output_dir\n"
+              "with _output_dir(sys.argv[1]):\n"
+              "    print('locked', flush=True)\n"
+              "    time.sleep(600)\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    with subprocess.Popen([sys.executable, "-c", script, str(out)],
+                          stdout=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": src}) as child:
+        try:
+            assert child.stdout.readline() == "locked\n", "the child took no lock"
+            yield child
+        finally:
+            child.kill()
 
 
 def tree_bytes(directory):
@@ -550,11 +574,38 @@ class TestTrain:
 
     def test_output_lock(self, tmp_path, tiny_config, synth_dir):
         out = tmp_path / "run"
-        os.makedirs(out)
-        (out / ".retinassl.lock").touch()
+        with _child_holding_output_lock(out):
+            assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
+                        "--images", synth_dir, "--out", str(out),
+                        "--config", tiny_config, "--steps", "1"]) == 2
+        assert not (out / "metrics.log").exists()
+
+    def test_a_killed_runs_lock_does_not_block_the_next(self, tmp_path, tiny_config,
+                                                        synth_dir):
+        out = tmp_path / "run"
+        with _child_holding_output_lock(out) as child:
+            os.kill(child.pid, signal.SIGKILL)
+            child.wait(timeout=30)
         assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
                     "--images", synth_dir, "--out", str(out),
-                    "--config", tiny_config, "--steps", "1"]) == 2
+                    "--config", tiny_config, "--steps", "1"]) == 0
+        # the lock file stays, so every run locks the same file
+        assert (out / ".retinassl.lock").exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--checkpoint-every", "-1"], ["--steps", "999"],
+        ["--resume", "missing.ckpt"]], ids=["checkpoint-every", "steps", "resume"])
+    def test_bad_flags_refused_before_images_are_read(self, tmp_path, tiny_config,
+                                                      synth_dir, monkeypatch, extra):
+        loads = []
+        monkeypatch.setattr(DatasetManifest, "load_images",
+                            lambda manifest: loads.append(manifest))
+        out = tmp_path / "o"
+        extra = [str(tmp_path / a) if a.endswith(".ckpt") else a for a in extra]
+        assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
+                    "--images", synth_dir, "--out", str(out),
+                    "--config", tiny_config, *extra]) == 2
+        assert loads == [] and not out.exists()
 
 
 @pytest.fixture
@@ -798,6 +849,25 @@ class TestProbeKnn:
                         "--resume", str(ckpt)]) == 0
             logs.append((out / "metrics.log").read_bytes())
         assert logs[0] == logs[1] and logs[0].count(b"\n") == 3
+
+    @pytest.mark.parametrize("key, value, saved", [
+        ("distill.total_epochs", "50", "10"), ("vit.depth", "4", "1")])
+    def test_resume_refuses_a_config_value_other_than_the_checkpoints(
+            self, tmp_path, tiny_config, synth_dir, trained, capsys, key, value, saved):
+        out = tmp_path / "o"
+        assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
+                    "--images", synth_dir, "--out", str(out),
+                    "--config", tiny_config, "--steps", "1",
+                    "--resume", trained, "--set", f"{key}={value}"]) == 2
+        assert f"{key} = {value} differs from the resumed checkpoint's {saved}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_resume_without_a_config_runs(self, tmp_path, synth_dir, trained):
+        # keys left at their defaults are not compared with the checkpoint's
+        assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
+                    "--images", synth_dir, "--out", str(tmp_path / "o"),
+                    "--steps", "1", "--resume", trained]) == 0
 
     @pytest.mark.parametrize("cmd", ["probe", "knn"])
     def test_blocks_above_the_checkpoint_depth_refused_before_images_are_read(

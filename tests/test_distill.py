@@ -521,7 +521,7 @@ class TestMeanEntropy:
 # ---------------------------------------------------------------------------
 
 def _out_of_place_clip(grads, threshold):
-    """clip_gradients as it was before it scaled in place."""
+    """clip_gradients as one dict comprehension, the reference for its bits."""
     norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if norm > threshold:
         grads = {k: g * (threshold / norm) for k, g in grads.items()}
@@ -621,6 +621,21 @@ class TestInPlaceUpdates:
         want, _ = _out_of_place_clip({k: g.copy() for k, g in grads.items()}, 1.0)
         got, _ = clip_gradients(grads, 1.0)
         for k in grads:
+            assert np.array_equal(got[k], want[k]), k
+
+    def test_clipping_writes_no_input(self):
+        # a clip replaces each entry by a new array: aliased, broadcast and
+        # plain inputs keep their bytes
+        rng = np.random.default_rng(3)
+        whole = rng.normal(size=(30, 40))
+        grads = {"whole": whole, "rows": whole[5:], "plain": rng.normal(size=(7,)),
+                 "broadcast": np.broadcast_to(np.float64(2.0), (3, 4))}
+        before = {k: g.tobytes() for k, g in grads.items()}
+        want, want_norm = _out_of_place_clip(dict(grads), 3.0)
+        got, norm = clip_gradients(dict(grads), 3.0)
+        assert norm == want_norm > 3.0
+        for k, g in grads.items():
+            assert g.tobytes() == before[k], k
             assert np.array_equal(got[k], want[k]), k
 
     def test_no_state_arrays_share_memory(self, tmp_path):
