@@ -164,7 +164,7 @@ def _read_metadata(sections: dict[str, memoryview]):
         configs = [build_section(cls(), cfg_raw[name]) for name, cls in (
             ("vit", ViTConfig), ("head", ProjectionHeadConfig),
             ("crop", MultiCropConfig), ("distill", DistillConfig))]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise CheckpointError(
             f"malformed checkpoint metadata: {type(exc).__name__}: {exc}") from exc
     if type(step) is not int:  # a bool is an int to isinstance

@@ -144,9 +144,9 @@ def cmd_train(args) -> int:
         raise InputError("manifest resolves to zero images")
 
     if args.resume:
-        state, *saved = load_checkpoint(args.resume)
-        _check_resumed_config(config, given, saved)
-        vit, head, crop, distill = saved
+        state, vit, head, crop, distill = load_checkpoint(args.resume)
+        _check_saved_config(config, given, {"vit": vit, "head": head, "crop": crop,
+                                            "distill": distill}, "resumed checkpoint")
     else:
         vit, head, crop, distill = (config.vit, config.head, config.crop,
                                     config.distill)
@@ -186,18 +186,17 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _check_resumed_config(config, given, saved):
-    """Refuse a model or training key that the config file or --set gives
-    another value than `saved`, the resumed checkpoint's configs."""
-    saved = dict(zip(("vit", "head", "crop", "distill"), saved))
+def _check_saved_config(config, given, saved, source):
+    """Refuse a key that the config file or --set gives another value than
+    `saved`, a map from section names to the configs that `source` stores;
+    keys of other sections are not compared."""
     for key in sorted(given):
         section, name = key.split(".", 1)
         if section in saved:
             ours = getattr(getattr(config, section), name)
             theirs = getattr(saved[section], name)
             if ours != theirs:
-                raise InputError(f"{key} = {ours!r} differs from the resumed "
-                                 f"checkpoint's {theirs!r}")
+                raise InputError(f"{key} = {ours!r} differs from the {source}'s {theirs!r}")
 
 
 def _load_eval_data(args):
@@ -216,10 +215,12 @@ def _write_metrics(out_dir, metrics):
         fh.write(metrics.confusion_csv())
 
 
-def _load_eval_checkpoint(args, config):
+def _load_eval_checkpoint(args, config, given):
     """The checkpoint's state and ViT config, refused before any image is
-    read if the config asks for more blocks than the checkpoint's ViT has."""
+    read if the config gives a vit key another value than the checkpoint's,
+    or asks for more blocks than the checkpoint's ViT has."""
     state, vit, *_ = load_checkpoint(args.checkpoint)
+    _check_saved_config(config, given, {"vit": vit}, "checkpoint")
     if config.data.n_last_blocks > vit.depth:
         raise InputError(f"data.n_last_blocks = {config.data.n_last_blocks} is above "
                          f"the checkpoint's vit.depth = {vit.depth}")
@@ -227,8 +228,8 @@ def _load_eval_checkpoint(args, config):
 
 
 def cmd_probe(args) -> int:
-    config, _ = _resolve_config(args)
-    state, vit = _load_eval_checkpoint(args, config)
+    config, given = _resolve_config(args)
+    state, vit = _load_eval_checkpoint(args, config, given)
     train_m, test_m = _load_eval_data(args)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0xF11C]))
 
@@ -249,8 +250,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_knn(args) -> int:
-    config, _ = _resolve_config(args)
-    state, vit = _load_eval_checkpoint(args, config)
+    config, given = _resolve_config(args)
+    state, vit = _load_eval_checkpoint(args, config, given)
     train_m, test_m = _load_eval_data(args)
     knn_cfg = config.knn if args.k is None else dataclasses.replace(config.knn, k=args.k)
     index = build_index(state.teacher, probe_eval_transform(
@@ -268,11 +269,12 @@ def cmd_knn(args) -> int:
 
 
 def cmd_attn_map(args) -> int:
-    _resolve_config(args)
-    state, vit, head, crop, distill = load_checkpoint(args.checkpoint)
+    config, given = _resolve_config(args)
+    state, vit, *_ = load_checkpoint(args.checkpoint)
+    _check_saved_config(config, given, {"vit": vit}, "checkpoint")
     image = decode_image(args.image)
     h, w = image.shape[-2:]
-    if h != w or h % vit.patch_size != 0 or h != vit.image_size:
+    if h != w or h != vit.image_size:
         raise InputError(
             f"image is {h}x{w} but the model wants "
             f"{vit.image_size}x{vit.image_size}; resize it first")

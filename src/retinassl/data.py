@@ -22,7 +22,6 @@ from .errors import InputError, ManifestError
 from .imagecodec import decode_image, decode_images, encode_image
 
 N_GRADES = 5
-IMAGE_SUFFIXES = (".png", ".ppm", ".pgm", ".pnm")
 
 
 @dataclass
@@ -49,11 +48,8 @@ class DatasetManifest:
 
 
 def _resolve_path(directory: str, image_id: str) -> str | None:
-    for suffix in IMAGE_SUFFIXES:
-        candidate = os.path.join(directory, image_id + suffix)
-        if os.path.exists(candidate):
-            return candidate
-    return None
+    path = os.path.join(directory, image_id + ".png")
+    return path if os.path.exists(path) else None
 
 
 def _csv_rows(fh):

@@ -1,10 +1,9 @@
-"""Minimal image file support: 8-bit PNG and binary portable pixmaps.
+"""Minimal image file support: 8-bit PNG, the one image format.
 
 PNG handling covers exactly what the rest of the library needs: 8-bit
 grayscale or RGB, no interlacing, no palette, no alpha. The encoder writes
 filter type 0 on every scanline; the decoder undoes all five filter types,
-for a block of same-header files at once. Pixmaps (P6) and graymaps (P5)
-exist so byte-level test fixtures do not need a compression codec.
+for a block of same-header files at once.
 """
 
 from __future__ import annotations
@@ -31,34 +30,24 @@ def _chunk(tag: bytes, payload: bytes) -> bytes:
     return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", crc)
 
 
-def _channels(pixels: np.ndarray, encoder: str) -> int:
-    """The channel count of the pixels an encoder takes: (H, W) uint8 for
-    grayscale or (H, W, 3) uint8 for RGB, with no side of 0, as the decoders
-    require."""
+def encode_png(pixels: np.ndarray) -> bytes:
+    """Encode an 8-bit image as PNG, every scanline of filter type 0.
+
+    pixels: (H, W) uint8 for grayscale, or (H, W, 3) uint8 for RGB, with no
+    side of 0, as the decoder requires.
+    """
     if pixels.dtype != np.uint8:
-        raise DataFormatError(f"{encoder} needs uint8 pixels, got {pixels.dtype}")
+        raise DataFormatError(f"encode_png needs uint8 pixels, got {pixels.dtype}")
     if not (pixels.ndim == 2 or pixels.ndim == 3 and pixels.shape[2] == 3):
         raise DataFormatError(f"unsupported pixel shape {pixels.shape}")
     if 0 in pixels.shape:
         raise DataFormatError(f"cannot encode a {pixels.shape[1]}x{len(pixels)} image")
-    return 1 if pixels.ndim == 2 else 3
-
-
-def _filter0_rows(pixels: np.ndarray) -> np.ndarray:
-    """(H, W) or (H, W, 3) uint8 pixels as PNG scanlines of filter type 0."""
-    return np.pad(pixels.reshape(len(pixels), -1), ((0, 0), (1, 0)))
-
-
-def encode_png(pixels: np.ndarray) -> bytes:
-    """Encode an 8-bit image as PNG.
-
-    pixels: (H, W) uint8 for grayscale, or (H, W, 3) uint8 for RGB.
-    """
-    color_type = 0 if _channels(pixels, "encode_png") == 1 else 2
+    color_type = 0 if pixels.ndim == 2 else 2
     ihdr = struct.pack(">IIBBBBB", pixels.shape[1], len(pixels), 8, color_type, 0, 0, 0)
+    rows = np.pad(pixels.reshape(len(pixels), -1), ((0, 0), (1, 0)))
     return (PNG_SIGNATURE
             + _chunk(b"IHDR", ihdr)
-            + _chunk(b"IDAT", zlib.compress(_filter0_rows(pixels).tobytes()))
+            + _chunk(b"IDAT", zlib.compress(rows.tobytes()))
             + _chunk(b"IEND", b""))
 
 
@@ -281,71 +270,18 @@ def decode_png(blob: bytes) -> np.ndarray:
     return pixels[:, :, 0] if channels == 1 else pixels
 
 
-def encode_pnm(pixels: np.ndarray) -> bytes:
-    """Encode uint8 pixels as P6 (RGB) or P5 (grayscale)."""
-    magic = b"P5" if _channels(pixels, "encode_pnm") == 1 else b"P6"
-    h, w = pixels.shape[:2]
-    return magic + f"\n{w} {h}\n255\n".encode() + pixels.tobytes()
-
-
-def decode_pnm(blob: bytes) -> np.ndarray:
-    """Decode binary P5/P6 with maxval 255."""
-    if blob[:2] not in (b"P5", b"P6"):
-        raise DataFormatError("not a binary portable pixmap/graymap")
-    channels = 3 if blob[:2] == b"P6" else 1
-    # Header: magic, width, height, maxval as whitespace-separated tokens,
-    # with # comments allowed, then a single whitespace byte before pixels.
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        if pos >= len(blob):
-            raise DecodeError("truncated pixmap header")
-        c = blob[pos:pos + 1]
-        if c == b"#":
-            while pos < len(blob) and blob[pos:pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            start = pos
-            while pos < len(blob) and not blob[pos:pos + 1].isspace():
-                pos += 1
-            tokens.append(blob[start:pos])
-    pos += 1  # the single whitespace after maxval
-    if any(len(t) > 9 for t in tokens):
-        raise DecodeError("pixmap width, height and maxval must have at most 9 digits")
-    w, h, maxval = (int(t) if t.isdigit() else 0 for t in tokens)
-    if min(w, h, maxval) < 1:
-        raise DecodeError("pixmap width, height and maxval must be positive "
-                          f"integers, got {b' '.join(tokens).decode(errors='replace')!r}")
-    if maxval != 255:
-        raise DataFormatError(f"only maxval 255 supported, got {maxval}")
-    need = w * h * channels
-    data = blob[pos:pos + need]
-    if len(data) != need:
-        raise DecodeError(f"pixmap needs {need} pixel bytes, found {len(data)}")
-    pixels = np.frombuffer(data, dtype=np.uint8).reshape(h, w, channels)
-    return pixels[:, :, 0] if channels == 1 else pixels
-
-
 def _read_rows(path) -> tuple[np.ndarray, int]:
-    """Read a PNG or binary pixmap file as inflate_png's (rows, channels),
-    a pixmap's rows led by filter type 0. An error names the file."""
+    """Read a PNG file as inflate_png's (rows, channels). An error names the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
-        if blob.startswith(PNG_SIGNATURE):
-            return inflate_png(blob)
-        if blob[:2] in (b"P5", b"P6"):
-            pixels = decode_pnm(blob)
-            return _filter0_rows(pixels), 1 if pixels.ndim == 2 else 3
-        raise DataFormatError("unknown image magic bytes")
+        return inflate_png(blob)
     except (DataFormatError, DecodeError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
 def decode_images(paths) -> np.ndarray:
-    """Read a list of image files of one size into one (n, 3, H, W) array in
+    """Read a list of PNG files of one size into one (n, 3, H, W) array in
     [0, 1], gray replicated across the channels. Files are read one at a
     time into blocks (see _Block) of at most _BLOCK_VALUES filtered bytes;
     each block is decoded at once and written straight into the result, so
@@ -381,25 +317,21 @@ def decode_images(paths) -> np.ndarray:
 
 
 def decode_image(path) -> np.ndarray:
-    """Read a PNG or binary pixmap file into a (3, H, W) array in [0, 1]."""
+    """Read a PNG file into a (3, H, W) array in [0, 1]."""
     return decode_images([path])[0]
 
 
 def encode_image(path, pixels01: np.ndarray) -> None:
-    """Write a [0, 1] float image to PNG or pixmap, chosen by file suffix.
+    """Write a [0, 1] float image to a PNG file, whose name must end in .png.
 
     pixels01: (3, H, W) or (H, W). Values are clipped then rounded to 8 bits.
     """
+    if not str(path).endswith(".png"):
+        raise DataFormatError(f"{path}: an image file name must end in .png")
     arr = np.clip(np.asarray(pixels01, dtype=np.float64), 0.0, 1.0)
     quant = np.round(arr * 255.0).astype(np.uint8)
     if quant.ndim == 3:
         quant = quant.transpose(1, 2, 0)
-    name = str(path)
-    if name.endswith(".png"):
-        blob = encode_png(quant)
-    elif name.endswith((".ppm", ".pgm", ".pnm")):
-        blob = encode_pnm(quant)
-    else:
-        raise DataFormatError(f"cannot infer image format from suffix of {path}")
+    blob = encode_png(quant)
     with open(path, "wb") as fh:
         fh.write(blob)

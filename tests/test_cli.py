@@ -432,21 +432,20 @@ class TestTrain:
         assert run(["make-synth", "--out", str(tmp_path / "o"),
                     "--set", "distill.center_sign=-1"]) == 2
 
-    def test_non_numeric_pnm_header_exit_2(self, tmp_path, tiny_config):
+    @pytest.mark.parametrize("name, error", [
+        ("1_left.ppm", "1 image file(s) not found"),
+        ("1_left.png", "1_left.png: not a PNG stream")], ids=["ppm", "png"])
+    def test_pixmap_exit_2(self, tmp_path, tiny_config, capsys, name, error):
+        # images are PNG only: a manifest entry is <id>.png, and a pixmap
+        # under that name is refused, naming the file
         (tmp_path / "m.csv").write_text("image,level\n1_left,0\n")
-        (tmp_path / "1_left.ppm").write_bytes(b"P6\nab 4\n255\n")
+        (tmp_path / name).write_bytes(b"P6\n16 16\n255\n" + bytes(768))
+        out = tmp_path / "o"
         assert run(["train", "--manifest", str(tmp_path / "m.csv"),
-                    "--images", str(tmp_path), "--out", str(tmp_path / "o"),
+                    "--images", str(tmp_path), "--out", str(out),
                     "--config", tiny_config, "--steps", "1"]) == 2
-
-    def test_overlong_pnm_header_exit_2(self, tmp_path, tiny_config, capsys):
-        # 5000 digits is past Python's int-conversion limit
-        (tmp_path / "m.csv").write_text("image,level\n1_left,0\n")
-        (tmp_path / "1_left.ppm").write_bytes(b"P6\n" + b"7" * 5000 + b" 4\n255\n")
-        assert run(["train", "--manifest", str(tmp_path / "m.csv"),
-                    "--images", str(tmp_path), "--out", str(tmp_path / "o"),
-                    "--config", tiny_config, "--steps", "1"]) == 2
-        assert "at most 9 digits" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mixed_size_manifest_exit_2(self, tmp_path, tiny_config, capsys):
         from retinassl.imagecodec import encode_image
@@ -734,6 +733,11 @@ MALFORMED_CHECKPOINTS = {
     "teacher_weight_nan": _with_value_in(b"teacher/blocks.0.mlp.fc1.w", float("nan")),
     "opt_v_infinite": _with_value_in(b"opt_v/cls", float("inf")),
     "center_nan": _with_value_in(b"center", float("nan")),
+    # JSON nested past the interpreter's recursion limit
+    "meta_nested_deeply": lambda secs: [
+        (n, b"[" * 200_000 + b"]" * 200_000 if n == b"meta" else p) for n, p in secs],
+    "configs_nested_deeply": lambda secs: [
+        (n, b"[" * 200_000 + b"]" * 200_000 if n == b"configs" else p) for n, p in secs],
 }
 
 
@@ -862,6 +866,28 @@ class TestProbeKnn:
         assert f"{key} = {value} differs from the resumed checkpoint's {saved}" in (
             capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("cmd, key, value, saved", [
+        ("probe", "vit.depth", "4", "1"), ("knn", "vit.embed_dim", "16", "8"),
+        ("attn-map", "vit.n_heads", "4", "2")])
+    def test_eval_refuses_a_vit_value_other_than_the_checkpoints(
+            self, tmp_path, tiny_config, synth_dir, trained, capsys, monkeypatch,
+            cmd, key, value, saved):
+        reads = []
+        monkeypatch.setattr(DatasetManifest, "load_images",
+                            lambda manifest: reads.append(manifest))
+        monkeypatch.setattr(cli, "decode_image", reads.append)
+        out = tmp_path / "o"
+        if cmd == "attn-map":
+            args = ["attn-map", "--checkpoint", trained, "--image",
+                    os.path.join(synth_dir, "synth_0_0000.png"), "--out", str(out),
+                    "--config", tiny_config]
+        else:
+            args = self._eval_args(cmd, trained, synth_dir, out, tiny_config)
+        assert run([*args, "--set", f"{key}={value}"]) == 2
+        assert f"{key} = {value} differs from the checkpoint's {saved}" in (
+            capsys.readouterr().err)
+        assert reads == [] and not out.exists()
 
     def test_resume_without_a_config_runs(self, tmp_path, synth_dir, trained):
         # keys left at their defaults are not compared with the checkpoint's

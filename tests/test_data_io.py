@@ -24,8 +24,8 @@ from retinassl.data import (DatasetManifest, generate_synthetic_dataset,
 from retinassl.distill import DistillConfig, init_train_state, train_loop
 from retinassl.errors import (CheckpointError, ConfigError, DataFormatError,
                               DecodeError, InputError, ManifestError)
-from retinassl.imagecodec import (_unfilter, decode_image, decode_png, decode_pnm,
-                                  encode_image, encode_png, encode_pnm, inflate_png)
+from retinassl.imagecodec import (_unfilter, decode_image, decode_png, encode_image,
+                                  encode_png, inflate_png)
 from retinassl.vit import ProjectionHeadConfig, ViTConfig
 
 
@@ -96,51 +96,6 @@ def _zeros_idat(megabytes):
     return b"".join(comp.compress(zeros) for _ in range(megabytes)) + comp.flush()
 
 
-class TestPnm:
-    def test_single_red_pixel(self, tmp_path):
-        path = tmp_path / "red.ppm"
-        path.write_bytes(b"P6\n1 1\n255\n\xff\x00\x00")
-        img = decode_image(path)
-        np.testing.assert_array_equal(img, [[[1.0]], [[0.0]], [[0.0]]])
-
-    def test_known_2x2_bytes(self, tmp_path):
-        # hand-written fixture: four pixels with distinct channel values
-        payload = bytes([10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110, 120])
-        path = tmp_path / "q.ppm"
-        path.write_bytes(b"P6\n2 2\n255\n" + payload)
-        img = decode_image(path)
-        expected = np.frombuffer(payload, dtype=np.uint8).astype(
-            np.float64).reshape(2, 2, 3) / 255.0
-        np.testing.assert_allclose(img, expected.transpose(2, 0, 1))
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(0)
-        pix = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
-        np.testing.assert_array_equal(decode_pnm(encode_pnm(pix)), pix)
-
-    def test_gray_roundtrip_and_replication(self, tmp_path):
-        pix = np.arange(16, dtype=np.uint8).reshape(4, 4) * 16
-        path = tmp_path / "g.pgm"
-        path.write_bytes(encode_pnm(pix))
-        img = decode_image(path)
-        assert img.shape == (3, 4, 4)
-        np.testing.assert_array_equal(img[0], img[2])
-
-    def test_truncated(self):
-        with pytest.raises(DecodeError):
-            decode_pnm(b"P6\n2 2\n255\n\x00\x00")
-
-    def test_comment_in_header(self):
-        blob = b"P6\n# a comment\n1 1\n255\n\x01\x02\x03"
-        np.testing.assert_array_equal(decode_pnm(blob), [[[1, 2, 3]]])
-
-    @pytest.mark.parametrize("header", [b"ab 4\n255", b"0 4\n255", b"4 -3\n255",
-                                        b"4 4\n0", b"4 4\nxff"])
-    def test_bad_header_fields(self, header):
-        with pytest.raises(DecodeError):
-            decode_pnm(b"P6\n" + header + b"\n" + bytes(48))
-
-
 class TestPng:
     def test_rgb_roundtrip(self):
         rng = np.random.default_rng(1)
@@ -163,10 +118,16 @@ class TestPng:
         with pytest.raises(DataFormatError):
             decode_png(b"NOTAPNG.........")
 
-    @pytest.mark.parametrize("encode", [encode_png, encode_pnm])
+    @pytest.mark.parametrize("name", ["x.ppm", "x.pgm", "x.jpg", "x"])
+    def test_file_name_other_than_png_refused(self, tmp_path, name):
+        with pytest.raises(DataFormatError, match=r"must end in \.png"):
+            encode_image(tmp_path / name, np.zeros((3, 2, 2)))
+        assert not (tmp_path / name).exists()
+
+    @pytest.mark.parametrize("encode", [encode_png])
     @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0, 3), (4, 0, 3)])
     def test_empty_image_refused(self, encode, shape):
-        # the decoders refuse a 0-pixel side, so the encoders do too
+        # the decoder refuses a 0-pixel side, so the encoder does too
         with pytest.raises(DataFormatError, match="cannot encode"):
             encode(np.zeros(shape, dtype=np.uint8))
 
@@ -406,22 +367,18 @@ class TestManifest:
     def test_gray_rgb_and_pnm_of_one_size_load_together(self, tmp_path, monkeypatch,
                                                         block_files):
         # an adaptive-filter PNG opens a wavefront block and closes a
-        # file-major one, a filter-0 PNG (png0: encode_png's) or pixmap opens
-        # a file-major block or joins a wavefront one, and a change of channel
-        # count closes either
+        # file-major one, a filter-0 PNG (png0 and png0gray: encode_png's)
+        # opens a file-major block or joins a wavefront one, and a change of
+        # channel count closes either
         rng = np.random.default_rng(8)
         names, pixels = [], []
-        for i, kind in enumerate(["rgb", "rgb", "gray", "pnm", "png0", "gray", "rgb", "pnm",
-                                  "png0gray", "png0", "rgb", "pgm", "png0", "gray"]):
+        for i, kind in enumerate(["rgb", "rgb", "gray", "png0", "png0", "gray", "rgb", "png0",
+                                  "png0gray", "png0", "rgb", "png0gray", "png0", "gray"]):
             names.append(f"{kind}{i}")
-            shape = (6, 5) if kind in ("gray", "pgm", "png0gray") else (6, 5, 3)
+            shape = (6, 5) if kind in ("gray", "png0gray") else (6, 5, 3)
             px = rng.integers(0, 256, size=shape, dtype=np.uint8)
             pixels.append(np.repeat(px[:, :, None], 3, axis=2) if px.ndim == 2 else px)
-            if kind == "pnm":
-                (tmp_path / f"{kind}{i}.ppm").write_bytes(encode_pnm(px))
-            elif kind == "pgm":
-                (tmp_path / f"{kind}{i}.pgm").write_bytes(encode_pnm(px))
-            elif kind.startswith("png0"):
+            if kind.startswith("png0"):
                 (tmp_path / f"{kind}{i}.png").write_bytes(encode_png(px))
             else:
                 types = rng.integers(0, 5, size=6).tolist()
@@ -433,8 +390,7 @@ class TestManifest:
         np.testing.assert_array_equal(images, np.stack(pixels).transpose(0, 3, 1, 2) / 255.0)
         for i, record in enumerate(m.records):
             np.testing.assert_array_equal(images[i], decode_image(record.path))
-            blob = Path(record.path).read_bytes()
-            px = decode_png(blob) if record.path.endswith(".png") else decode_pnm(blob)
+            px = decode_png(Path(record.path).read_bytes())
             if px.ndim == 2:
                 px = np.repeat(px[:, :, None], 3, axis=2)
             assert np.array_equal(images[i], px.transpose(2, 0, 1) / 255.0)
@@ -462,9 +418,9 @@ class TestManifest:
         path = self._write(tmp_path, [f"{n},0" for n in names])
         px = np.arange(48, dtype=np.uint8).reshape(4, 4, 3)
         encode_image(tmp_path / "a.png", px.transpose(2, 0, 1) / 255.0)
-        (tmp_path / "b.ppm").write_bytes(encode_pnm(px))
-        (tmp_path / "c.pgm").write_bytes(encode_pnm(px[:, :, 0]))
-        (tmp_path / "d.ppm").write_bytes(encode_pnm(px))
+        (tmp_path / "b.png").write_bytes(_filtered_png(px, [1, 2, 3, 4]))
+        (tmp_path / "c.png").write_bytes(encode_png(px[:, :, 0]))
+        (tmp_path / "d.png").write_bytes(encode_png(px))
         m = load_manifest(path, tmp_path)
         opened, real_open = [], builtins.open
 
@@ -475,9 +431,9 @@ class TestManifest:
         monkeypatch.setattr(builtins, "open", counting_open)
         m.load_images()
         monkeypatch.undo()
-        assert sorted(opened) == ["a.png", "b.ppm", "c.pgm", "d.ppm"]
+        assert sorted(opened) == ["a.png", "b.png", "c.png", "d.png"]
 
-    @pytest.mark.parametrize("damage", ["crc", "filter 5", "filter 255", "magic"])
+    @pytest.mark.parametrize("damage", ["crc", "filter 5", "filter 255", "magic", "pixmap"])
     def test_load_images_error_names_the_file(self, tmp_path, damage):
         names = [f"im{i}" for i in range(4)]
         path = self._write(tmp_path, [f"{n},0" for n in names], images=names)
@@ -488,12 +444,16 @@ class TestManifest:
             bad.write_bytes(bytes(blob))
         elif damage == "magic":
             bad.write_bytes(b"GIF89a" + bytes(20))
+        elif damage == "pixmap":  # a valid binary P6 pixmap, which is not a PNG
+            bad.write_bytes(b"P6\n4 4\n255\n" + bytes(48))
         else:
             ftype = int(damage.split()[1])
             bad.write_bytes(_rgb_png(4, 2, bytes(13) + bytes([ftype]) + bytes(12)))
         m = load_manifest(path, tmp_path)
-        with pytest.raises((DecodeError, DataFormatError), match="im2.png"):
+        with pytest.raises((DecodeError, DataFormatError), match="im2.png") as exc:
             m.load_images()
+        if damage in ("magic", "pixmap"):
+            assert exc.type is DataFormatError
 
     def test_roundtrip(self, tmp_path):
         ds = generate_synthetic_dataset(0, 2, image_size=16)
@@ -577,14 +537,6 @@ _FUZZ_JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
         st.text(max_size=4), inner, max_size=3),
     max_leaves=6)
-
-
-_FUZZ_PNM = encode_pnm(np.arange(36, dtype=np.uint8).reshape(3, 4, 3))
-# header tokens: numbers of any size, near-numbers, and digit runs past
-# Python's int-conversion limit
-_FUZZ_PNM_TOKEN = st.one_of(
-    st.integers(-3, 1 << 40).map(str), st.text("0123456789+-_#", max_size=5),
-    st.integers(1, 5000).map(lambda n: "7" * n))
 
 
 def _pack_sections(header, sections):
@@ -748,36 +700,6 @@ class TestParserFuzz:
             return
         assert all(isinstance(n, str) and isinstance(p, memoryview)
                    for n, p in parsed.items())
-
-    @settings(max_examples=150, deadline=None)
-    @given(blob=st.one_of(
-        st.binary(max_size=48),
-        st.builds(bytes.__add__, st.sampled_from([b"P5", b"P6"]), st.binary(max_size=48)),
-        st.builds(lambda magic, w, h, m, sep, body: (
-            f"{magic}\n{w} {h}{sep}{m}\n".encode() + body),
-            st.sampled_from(["P5", "P6"]), _FUZZ_PNM_TOKEN, _FUZZ_PNM_TOKEN,
-            _FUZZ_PNM_TOKEN, st.sampled_from(["\n", " ", "\n# c\n", "#"]),
-            st.binary(max_size=40))))
-    def test_arbitrary_pnm(self, blob):
-        try:
-            pixels = decode_pnm(blob)
-        except InputError:
-            return
-        assert pixels.dtype == np.uint8 and pixels.ndim in (2, 3)
-
-    @settings(max_examples=150, deadline=None)
-    @given(edits=st.lists(st.tuples(st.integers(0, len(_FUZZ_PNM) - 1),
-                                    st.integers(0, 255)), max_size=4),
-           cut=st.integers(0, len(_FUZZ_PNM)))
-    def test_mutated_pnm(self, edits, cut):
-        blob = bytearray(_FUZZ_PNM)
-        for pos, value in edits:
-            blob[pos] = value
-        try:
-            pixels = decode_pnm(bytes(blob[:cut]))
-        except InputError:
-            return
-        assert pixels.dtype == np.uint8 and pixels.ndim in (2, 3)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), label_blind=st.booleans())
