@@ -29,6 +29,9 @@ DTYPE = np.float64
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
+LN_EPSILON = 1e-6  # added to layer_norm's variance
+L2_GUARD = 1e-12   # l2_normalize_rows leaves a row with a smaller norm as it is
+
 
 class Tensor:
     """N-dimensional float64 array with an optional gradient.
@@ -77,14 +80,8 @@ class Tensor:
     def __getitem__(self, idx):
         return getitem(self, idx)
 
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return tensor_sum(self)
 
 
 def _as_tensor(x) -> Tensor:
@@ -231,16 +228,11 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                    *(piece(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])))
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Sum over `axis`. The gradient is a read-only broadcast view of the
-    incoming one, not an input-sized array of copies."""
+def tensor_sum(a: Tensor) -> Tensor:
+    """Sum of every element. The gradient is a read-only broadcast view of
+    the incoming scalar, not an input-sized array of copies."""
     a_shape = a.shape
-
-    def grad_a(g):
-        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a_shape)
-
-    return _record(a.data.sum(axis=axis, keepdims=keepdims), (a,), grad_a)
+    return _record(a.data.sum(), (a,), lambda g: np.broadcast_to(g, a_shape))
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +297,10 @@ def log_softmax_rows(x: Tensor, temperature: float) -> Tensor:
 
 
 def attention(qkv: Tensor, n_heads: int, scale: float,
-              rows: int | None = None) -> tuple[Tensor, np.ndarray]:
+              rows: int) -> tuple[Tensor, np.ndarray]:
     """Multi-head self-attention core on a (B, T, 3d) q|k|v projection.
 
-    Only the leading `rows` tokens (all T by default) are queries; every
+    Only the leading `rows` tokens (1..T) are queries; every
     token is still a key and a value. Returns the (B, rows, d) head outputs,
     recorded as one tape entry, and the (B, heads, rows, T) probabilities
     softmax(scale * q k^T) as a plain array. The backward works from those
@@ -321,7 +313,6 @@ def attention(qkv: Tensor, n_heads: int, scale: float,
             f"attention needs a (B, T, 3d) input with d divisible by "
             f"{n_heads} heads, got {qkv.shape}")
     b, t, d3 = qkv.shape
-    rows = t if rows is None else rows
     if not 1 <= rows <= t:
         raise ContractError(f"attention query rows must be in 1..{t}, got {rows}")
     d = d3 // 3
@@ -354,10 +345,9 @@ def attention(qkv: Tensor, n_heads: int, scale: float,
     return _record(out, (qkv,), grad_qkv), probs
 
 
-def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, epsilon: float = 1e-6) -> Tensor:
-    """Per-row (last axis) zero-mean unit-variance normalization, then affine."""
-    if epsilon <= 0:
-        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
+def layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
+    """Per-row (last axis) zero-mean unit-variance normalization, then affine;
+    LN_EPSILON is added to the variance."""
     d = x.shape[-1]
     if scale.shape != (d,) or shift.shape != (d,):
         raise ContractError(
@@ -368,7 +358,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, epsilon: float = 1e-6) -
     gamma = scale.data
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     sq = xhat * xhat
-    inv = 1.0 / np.sqrt(sq.sum(axis=-1, keepdims=True) / d + epsilon)
+    inv = 1.0 / np.sqrt(sq.sum(axis=-1, keepdims=True) / d + LN_EPSILON)
     xhat *= inv
     np.multiply(xhat, gamma, out=sq)
     sq += shift.data
@@ -415,15 +405,15 @@ def gelu(x: Tensor) -> Tensor:
     return _record(xd * phi_cdf, (x,), grad_x)
 
 
-def l2_normalize_rows(x: Tensor, guard: float = 1e-12) -> Tensor:
+def l2_normalize_rows(x: Tensor) -> Tensor:
     """Normalize each row (last axis) to unit Euclidean norm.
 
-    Rows with norm below `guard` pass through unchanged instead of dividing
+    Rows with norm below L2_GUARD pass through unchanged instead of dividing
     by ~0; their gradient is the identity.
     """
     xd = x.data
     norms = np.sqrt((xd * xd).sum(axis=-1, keepdims=True))
-    small = norms < guard
+    small = norms < L2_GUARD
     safe = np.where(small, 1.0, norms)
 
     def grad_x(g):

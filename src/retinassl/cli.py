@@ -22,11 +22,12 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .configio import (RunConfig, apply_assignments, parse_assignments,
                        read_config_file)
+from .crops import check_crop_source
 from .data import (N_GRADES, generate_synthetic_dataset, load_manifest,
                    write_synthetic_dataset)
 from .distill import METRICS_HEADER, batch_schedule, init_train_state, train_loop
 from .errors import InputError, RetinaSSLError
-from .evaluation import (attention_heatmaps, build_index,
+from .evaluation import (attention_heatmaps, build_index, check_knn_k,
                          compute_metrics, extract_features, knn_classify,
                          probe_eval_transform, probe_predict,
                          probe_train_transform, train_linear_probe)
@@ -164,6 +165,7 @@ def cmd_train(args) -> int:
                          f"{total}-step schedule")
 
     images = manifest.load_images()
+    check_crop_source(*images.shape[-2:])
     with _output_dir(args.out), \
             open(os.path.join(args.out, "metrics.log"), "w") as log:
         log.write(METRICS_HEADER + "\n")
@@ -254,6 +256,7 @@ def cmd_knn(args) -> int:
     state, vit = _load_eval_checkpoint(args, config, given)
     train_m, test_m = _load_eval_data(args)
     knn_cfg = config.knn if args.k is None else dataclasses.replace(config.knn, k=args.k)
+    check_knn_k(knn_cfg.k, len(train_m))  # the index holds every train image
     index = build_index(state.teacher, probe_eval_transform(
         train_m.load_images(), vit.image_size), train_m.grades(), vit,
         config.data.n_last_blocks)

@@ -99,8 +99,9 @@ _SECTIONS = {"vit": ViTConfig, "head": ProjectionHeadConfig,
              "probe": ProbeConfig, "knn": KnnConfig, "data": DataConfig}
 
 
-def parse_assignments(lines, source: str = "<config>") -> dict[str, object]:
-    """Parse ``section.key = value`` lines into a flat dict."""
+def parse_assignments(lines, source: str) -> dict[str, object]:
+    """Parse ``section.key = value`` lines into a flat dict; errors name
+    `source` (a file or a flag) and the line."""
     out: dict[str, object] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

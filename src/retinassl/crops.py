@@ -291,6 +291,13 @@ def resample(images: np.ndarray, rows: np.ndarray | None,
 # crop geometry
 # ---------------------------------------------------------------------------
 
+def check_crop_source(h: int, w: int) -> None:
+    """Refuse an h x w source image that `sample_crop` cannot cut: a crop
+    needs two pixels on each side."""
+    if h < 2 or w < 2:
+        raise InputError(f"image too small to crop: {h}x{w}")
+
+
 def sample_crop(image: np.ndarray, scale_range: tuple[float, float], out_size: int,
                 rng: np.random.Generator) -> tuple[np.ndarray, tuple[int, int, int, int]]:
     """Random resized crop: sample an area fraction and an aspect ratio in
@@ -301,8 +308,7 @@ def sample_crop(image: np.ndarray, scale_range: tuple[float, float], out_size: i
     fraction always lies inside `scale_range`.
     """
     h_img, w_img = image.shape[-2:]
-    if h_img < 2 or w_img < 2:
-        raise InputError(f"image too small to crop: {h_img}x{w_img}")
+    check_crop_source(h_img, w_img)
     lo, hi = scale_range
     area_frac = rng.uniform(lo, hi)
 

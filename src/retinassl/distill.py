@@ -39,6 +39,7 @@ _BLOCK_VALUES = 1 << 14
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 TAU_S = 0.1  # the student's sharpening temperature, DINO's
+LR_FLOOR = 1e-6  # where the lr's cosine decay ends, DINO's min_lr
 
 # the prototype layer, held fixed for the first freeze_last_steps steps: with
 # few images and an aggressive lr its prototypes otherwise align into one
@@ -55,7 +56,6 @@ class DistillConfig:
     wd_start: float = 0.04
     wd_end: float = 0.4
     base_lr: float = 0.0005       # peak lr = base_lr * batch_size / 256
-    lr_floor: float = 1e-6
     warmup_epochs: int = 10
     total_epochs: int = 100
     batch_size: int = 8
@@ -64,9 +64,8 @@ class DistillConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tau_t) and self.tau_t > 0):
             raise ParameterError(f"tau_t must be finite and positive, got {self.tau_t}")
-        if not all(math.isfinite(r) and r >= 0 for r in (self.base_lr, self.lr_floor)):
-            raise ParameterError(f"base_lr and lr_floor must be finite and >= 0, "
-                                 f"got {self.base_lr} and {self.lr_floor}")
+        if not (math.isfinite(self.base_lr) and self.base_lr >= 0):
+            raise ParameterError(f"base_lr must be finite and >= 0, got {self.base_lr}")
         if not all(math.isfinite(w) and w >= 0 for w in (self.wd_start, self.wd_end)):
             raise ParameterError(f"wd_start and wd_end must be finite and >= 0, "
                                  f"got {self.wd_start} and {self.wd_end}")
@@ -211,8 +210,8 @@ def clip_gradients(grads: dict[str, np.ndarray], threshold: float,
 def schedule_value(kind: str, step: int, steps_per_epoch: int, config: DistillConfig) -> float:
     """Scheduled lr / weight_decay / ema_lambda at a global step.
 
-    lr: linear 0 -> peak over the warmup epochs, then half-cosine to the
-    floor. weight_decay and ema_lambda: half-cosine between their endpoints
+    lr: linear 0 -> peak over the warmup epochs, then half-cosine to
+    LR_FLOOR. weight_decay and ema_lambda: half-cosine between their endpoints
     over the whole run; lambda ends at 1, as in DINO.
     """
     total = config.total_epochs * steps_per_epoch
@@ -229,7 +228,7 @@ def schedule_value(kind: str, step: int, steps_per_epoch: int, config: DistillCo
             return config.peak_lr * step / warmup
         span = max(total - warmup, 1)
         t = (step - warmup) / span
-        return float(half_cosine(config.peak_lr, config.lr_floor, t))
+        return float(half_cosine(config.peak_lr, LR_FLOOR, t))
     if kind == "weight_decay":
         return float(half_cosine(config.wd_start, config.wd_end, step / max(total, 1)))
     if kind == "ema_lambda":

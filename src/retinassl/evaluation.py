@@ -168,17 +168,16 @@ def probe_lr_at(step: int, total_steps: int, base_lr: float) -> float:
 
 
 def train_linear_probe(features: np.ndarray, labels: np.ndarray,
-                       config: ProbeConfig | None = None) -> LinearProbe:
+                       config: ProbeConfig) -> LinearProbe:
     """Momentum SGD on softmax cross-entropy over frozen features.
 
     Each step is plain numpy with the gradient in closed form, in the
     operations and order of the taped chain linear -> log_softmax_rows ->
-    mul by -onehot -> tensor_sum per row -> tensor_sum -> mul by 1/bs, so
-    the weights are those of the tape's backward bit for bit. With
-    t = onehot * (-1/bs), the gradient of the mean cross entropy at log p,
-    the logits' gradient is t - exp(log p) * rowsum(t).
+    mul by -onehot -> tensor_sum -> mul by 1/bs, so the weights are those
+    of the tape's backward bit for bit. With t = onehot * (-1/bs), the
+    gradient of the mean cross entropy at log p, the logits' gradient is
+    t - exp(log p) * rowsum(t).
     """
-    config = config or ProbeConfig()
     n, d = features.shape if features.ndim == 2 else (0, 0)
     if n == 0:
         raise InputError("empty probe training set")
@@ -225,8 +224,14 @@ def probe_predict(probe: LinearProbe, features: np.ndarray) -> np.ndarray:
     return np.argmax(logits, axis=1)
 
 
+def check_knn_k(k: int, n: int) -> None:
+    """Refuse a k-NN vote of k neighbours over an index of n rows."""
+    if not 1 <= k <= n:
+        raise InputError(f"k={k} outside 1..{n}")
+
+
 def knn_classify(index: EmbeddingIndex, query: np.ndarray,
-                 config: KnnConfig | None = None) -> np.ndarray:
+                 config: KnnConfig) -> np.ndarray:
     """Cosine k-NN with exp(sim/T)-weighted voting, each query's weights
     divided by exp(top sim/T).
 
@@ -236,12 +241,10 @@ def knn_classify(index: EmbeddingIndex, query: np.ndarray,
     `_KNN_BLOCK_VALUES` similarities, so memory follows the block rather
     than m x n; no row's arithmetic depends on the block.
     """
-    config = config or KnnConfig()
     n, d = index.features.shape
     if n == 0:
         raise InputError("empty embedding index")
-    if not 1 <= config.k <= n:
-        raise InputError(f"k={config.k} outside 1..{n}")
+    check_knn_k(config.k, n)
     query = np.atleast_2d(query)
     if query.ndim != 2 or query.shape[1] != d:
         raise InputError(f"query rows of shape {query.shape[1:]} do not match "

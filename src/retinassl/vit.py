@@ -92,16 +92,16 @@ class ProjectionHeadConfig:
 class BackboneOutput:
     # (batch, n_last_blocks * n_cls_tokens, embed_dim), block-major
     cls_features: Tensor
-    # per layer: array (batch, heads, tokens, tokens); the last layer's is
-    # (batch, heads, rows, tokens), its leading query rows only (see encoder_forward)
-    attention: list | None
+    # the last block's attention probabilities (batch, heads, rows, tokens):
+    # its leading query rows only (see encoder_forward)
+    attention: np.ndarray
 
 
 # ---------------------------------------------------------------------------
 # initialization
 # ---------------------------------------------------------------------------
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
+def trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     """Truncated normal draw: resample anything beyond 2 * std."""
     out = rng.normal(0.0, std, size=shape)
     bad = np.abs(out) > 2.0 * std
@@ -255,9 +255,8 @@ def _drop_path(branch: Tensor, rate: float, mode: str,
     return branch * Tensor(factor.reshape(b, 1, 1))
 
 
-def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor],
-                    mode: str = EVAL, rng: np.random.Generator | None = None,
-                    want_attention: bool = False,
+def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor], *,
+                    mode: str, rng: np.random.Generator | None = None,
                     n_last_blocks: int = 1) -> BackboneOutput:
     """Run the pre-norm transformer stack over an embedded token sequence.
 
@@ -272,7 +271,8 @@ def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor]
 
     The CLS features are the final-norm CLS rows of the last n_last_blocks
     blocks, block-major (feature extraction without pooling); with the
-    default 1 they are the final block's alone.
+    default 1 they are the final block's alone. The attention is the last
+    block's probabilities, which its attention op computes anyway.
     """
     if mode not in (TRAIN, EVAL):
         raise ParameterError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -283,7 +283,6 @@ def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor]
         raise ContractError(f"token width {d} != embed_dim {config.embed_dim}")
     scale = 1.0 / np.sqrt(config.head_dim)
 
-    attention = [] if want_attention else None
     nc = config.n_cls_tokens
     cls = []
     x = tokens
@@ -292,9 +291,7 @@ def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor]
         rows = min(max(nc, 2), t) if i == config.depth - 1 else t
         h = ad.layer_norm(x, params[pre + "ln1.scale"], params[pre + "ln1.shift"])
         qkv = ad.linear(h, params[pre + "attn.qkv.w"], params[pre + "attn.qkv.b"])
-        out, att = ad.attention(qkv, config.n_heads, scale, rows)
-        if want_attention:
-            attention.append(att)
+        out, attention = ad.attention(qkv, config.n_heads, scale, rows)
         out = ad.linear(out, params[pre + "attn.proj.w"], params[pre + "attn.proj.b"])
         if rows < t:
             x = x[:, :rows, :]
@@ -314,12 +311,10 @@ def encoder_forward(tokens: Tensor, config: ViTConfig, params: dict[str, Tensor]
                           attention=attention)
 
 
-def backbone_forward(images: np.ndarray, config: ViTConfig, params: dict[str, Tensor],
-                     mode: str = EVAL, rng: np.random.Generator | None = None,
-                     want_attention: bool = False) -> BackboneOutput:
+def backbone_forward(images: np.ndarray, config: ViTConfig, params: dict[str, Tensor], *,
+                     mode: str, rng: np.random.Generator | None = None) -> BackboneOutput:
     tokens = patch_embed(images, config, params)
-    return encoder_forward(tokens, config, params, mode=mode, rng=rng,
-                           want_attention=want_attention)
+    return encoder_forward(tokens, config, params, mode=mode, rng=rng)
 
 
 def projection_head_forward(cls_features: Tensor, head_config: ProjectionHeadConfig,
@@ -353,8 +348,8 @@ def last_layer_attention(image: np.ndarray, config: ViTConfig,
     sum to 1 over the patches. Eval mode, single image.
     """
     out = backbone_forward(image[None] if image.ndim == 3 else image,
-                           config, params, mode=EVAL, want_attention=True)
-    att = out.attention[-1][0]                 # (heads, rows, tokens), rows >= nc
+                           config, params, mode=EVAL)
+    att = out.attention[0]                     # (heads, rows, tokens), rows >= nc
     nc = config.n_cls_tokens
     rows = att[:, :nc, nc:]                    # CLS queries -> patch keys
     return rows / rows.sum(axis=-1, keepdims=True)

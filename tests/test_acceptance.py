@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from retinassl import autodiff as ad
 from retinassl import distill as distill_module
 from retinassl.autodiff import Tape, Tensor, backward, concat, log_softmax_rows
 from retinassl.cli import main as cli_main
@@ -25,7 +26,7 @@ from retinassl.evaluation import (EmbeddingIndex, KnnConfig, ProbeConfig,
                                   compute_metrics, extract_features,
                                   knn_classify, probe_predict,
                                   train_linear_probe)
-from retinassl.vit import (ProjectionHeadConfig, ViTConfig, backbone_forward,
+from retinassl.vit import (EVAL, ProjectionHeadConfig, ViTConfig, backbone_forward,
                            init_backbone_params, init_head_params,
                            interpolate_pos_embed, projection_head_forward)
 
@@ -142,7 +143,7 @@ def test_criterion_1_gradient_correctness():
     center = np.zeros(head.output_dim)
     p_t = []
     for crop in batch.teacher_global:
-        out = backbone_forward(crop[None], vit, params)
+        out = backbone_forward(crop[None], vit, params, mode=EVAL)
         logits = projection_head_forward(out.cls_features, head, params)
         p_t.append(teacher_probs(logits.data, center, 0.04))
     p_t = np.stack(p_t)  # (n_global, 1, K)
@@ -167,7 +168,7 @@ def test_criterion_1_gradient_correctness():
     def tensor_loss():
         logps = []
         for px in groups:
-            out = backbone_forward(px, vit, params)
+            out = backbone_forward(px, vit, params, mode=EVAL)
             logits = projection_head_forward(out.cls_features, head, params)
             logps.append(log_softmax_rows(logits, 0.1))
         return distillation_loss(p_t, concat(logps, axis=0))
@@ -285,7 +286,7 @@ def test_criterion_4_collapse_sentinel(monkeypatch):
             idx = state.rng.choice(len(images), size=8, replace=False)
             m = train_step(images[idx], state, vit, head, crop, distill, spe)
             ents.append(m.teacher_entropy)
-        out = backbone_forward(images[:32], vit, state.teacher)
+        out = backbone_forward(images[:32], vit, state.teacher, mode=EVAL)
         logits = projection_head_forward(out.cls_features, head, state.teacher)
         return np.array(ents[-100:]), float(logits.data.var())
 
@@ -380,15 +381,25 @@ def test_criterion_5_representation_quality(desk_run):
            f"(rand {probe_rand:.3f}), {total:.0f}s")
 
 
-def test_criterion_8_attention_contracts(desk_run):
+def test_criterion_8_attention_contracts(desk_run, monkeypatch):
     ds = desk_run["dataset"]
     teacher = desk_run["state"].teacher
 
-    # row-stochasticity of every attention matrix on a real batch
-    out = backbone_forward(ds.images[:4], DESK_VIT, teacher,
-                           want_attention=True)
-    rows_ok = all(np.abs(layer.sum(-1) - 1.0).max() < 1e-5
-                  for layer in out.attention)
+    # row-stochasticity of every attention matrix on a real batch: each
+    # block's probabilities as its attention op returns them
+    layers = []
+    real = ad.attention
+
+    def spy(*args):
+        out = real(*args)
+        layers.append(out[1])
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "attention", spy)
+        backbone_forward(ds.images[:4], DESK_VIT, teacher, mode=EVAL)
+    rows_ok = len(layers) == DESK_VIT.depth and all(
+        np.abs(layer.sum(-1) - 1.0).max() < 1e-5 for layer in layers)
 
     # map count = heads x CLS tokens
     maps = attention_heatmaps(teacher, ds.images[0], DESK_VIT)

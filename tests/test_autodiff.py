@@ -127,25 +127,20 @@ class TestLayerNorm:
 
     def test_constant_row_maps_to_zeros(self):
         s, b = self._affine(4)
-        out = layer_norm(Tensor(np.full((2, 4), 3.0)), s, b, epsilon=1e-6)
+        out = layer_norm(Tensor(np.full((2, 4), 3.0)), s, b)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-9)
 
     def test_already_normalized(self):
         s, b = self._affine(2)
-        out = layer_norm(Tensor(np.array([[1.0, -1.0]])), s, b, epsilon=1e-12)
+        out = layer_norm(Tensor(np.array([[1.0, -1.0]])), s, b)
         np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-6)
 
     def test_hand_computed_row(self):
         s, b = self._affine(3)
-        out = layer_norm(Tensor(np.array([[2.0, 4.0, 6.0]])), s, b, epsilon=1e-12)
+        out = layer_norm(Tensor(np.array([[2.0, 4.0, 6.0]])), s, b)
         r = np.sqrt(1.5)
         np.testing.assert_allclose(out.data, [[-r, 0.0, r]], atol=1e-6)
         np.testing.assert_allclose(out.data, [[-1.2247, 0.0, 1.2247]], atol=1e-4)
-
-    def test_bad_epsilon(self):
-        s, b = self._affine(2)
-        with pytest.raises(ParameterError):
-            layer_norm(Tensor(np.zeros((1, 2))), s, b, epsilon=0.0)
 
 
 class TestGelu:
@@ -208,10 +203,10 @@ class TestBackward:
 
         def forward():
             h = gelu(matmul(x, w1) + b1)
-            h = layer_norm(matmul(h, w2), scale, shift, epsilon=1e-5)
+            h = layer_norm(matmul(h, w2), scale, shift)
             logits = matmul(h, w3)
             log_p = log_softmax_rows(logits, 0.7)
-            return ad.tensor_sum(ad.mul(Tensor(-targets), log_p), axis=-1).sum()
+            return ad.tensor_sum(ad.mul(Tensor(-targets), log_p))
 
         with Tape() as tape:
             loss = forward()
@@ -254,7 +249,7 @@ def _rich_graph(leaves):
     logits = matmul(z, ad.transpose(ad.concat([w, w], axis=1), (1, 0)))
     logits = logits + ad.reshape(shift + scale, (1, 4))
     log_p = log_softmax_rows(logits, 0.3)
-    return ad.tensor_sum(ad.mul(Tensor(np.full((2, 4), -0.25)), log_p), axis=-1).sum()
+    return ad.tensor_sum(ad.mul(Tensor(np.full((2, 4), -0.25)), log_p))
 
 
 class TestBackwardConsumesTheTape:
@@ -369,36 +364,41 @@ OP_CASES = {
     "mul_d": ([_x(4, seed=1), _x(2, 3, 4)], lambda a, b: a * b),
     "mul_scalar": ([_x(seed=1), _x(2, 3)], lambda a, b: a * b),
     "broadcast_to": ([_x(3, 1)], lambda a: ad.broadcast_to(a, (2, 3, 4))),
-    "reshape": ([_x(2, 6)], lambda a: a.reshape(3, 4)),
-    "transpose": ([_x(2, 3, 4)], lambda a: a.transpose((2, 0, 1))),
+    "reshape": ([_x(2, 6)], lambda a: ad.reshape(a, (3, 4))),
+    "transpose": ([_x(2, 3, 4)], lambda a: ad.transpose(a, (2, 0, 1))),
     "getitem": ([_x(3, 4)], lambda a: a[1:, ::2]),
     "concat_axis1": ([_x(2, 3, 4), _x(2, 2, 4, seed=1)],
                      lambda a, b: ad.concat([a, b], axis=1)),
     "concat_axis-1": ([_x(2, 3), _x(2, 5, seed=1)],
                       lambda a, b: ad.concat([a, b], axis=-1)),
     "sum_all": ([_x(2, 3)], lambda a: a.sum()),
-    "sum_axis": ([_x(2, 3, 4)], lambda a: a.sum(axis=1)),
-    "sum_keepdims": ([_x(2, 3, 4)], lambda a: a.sum(axis=1, keepdims=True)),
     "matmul_batched_2d_weight": ([_x(2, 3, 4), _x(4, 5, seed=1)], matmul),
     "log_softmax_rows": ([_x(3, 4)], lambda a: log_softmax_rows(a, 0.5)),
     "layer_norm": ([_x(2, 3, 4), _x(4, seed=1), _x(4, seed=2)],
-                   lambda x, s, b: layer_norm(x, s, b, epsilon=1e-5)),
+                   layer_norm),
     "gelu": ([_x(3, 4)], gelu),
     "linear_2d": ([_x(5, 4), _x(4, 3, seed=1), _x(3, seed=2)], ad.linear),
     "linear_3d": ([_x(2, 3, 4), _x(4, 3, seed=1), _x(3, seed=2)], ad.linear),
-    "attention": ([_x(2, 5, 12)], lambda qkv: ad.attention(qkv, 2, 0.7)[0]),
+    "attention": ([_x(2, 5, 12)], lambda qkv: ad.attention(qkv, 2, 0.7, 5)[0]),
     "attention_2_query_rows": ([_x(2, 5, 12)],
                                lambda qkv: ad.attention(qkv, 2, 0.7, 2)[0]),
     "l2_normalize_guarded_zero_row": ([_zero_row(_x(3, 4))],
-                                      lambda a: ad.l2_normalize_rows(a, guard=0.5)),
+                                      ad.l2_normalize_rows),
     "cross_entropy_rows": ([_x(3, 4)], lambda a: ad.tensor_sum(
-        ad.mul(Tensor(np.full((3, 4), -0.25)), log_softmax_rows(a, 1.0)), axis=-1)),
+        ad.mul(Tensor(np.full((3, 4), -0.25)), log_softmax_rows(a, 1.0)))),
 }
+
+# module constants that a case sets for its run: a guard of 0.5 keeps the
+# zeroed row, and no other, on the pass-through path while finite
+# differences move it
+OP_CONSTANTS = {"l2_normalize_guarded_zero_row": {"L2_GUARD": 0.5}}
 
 
 @pytest.mark.parametrize("case", list(OP_CASES))
-def test_every_op_matches_finite_differences(case):
+def test_every_op_matches_finite_differences(case, monkeypatch):
     arrays, op = OP_CASES[case]
+    for name, value in OP_CONSTANTS.get(case, {}).items():
+        monkeypatch.setattr(ad, name, value)
     params = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     with Tape():
         out_shape = op(*params).shape
@@ -515,14 +515,14 @@ class TestFusedOps:
 
     def test_attention_matches_the_op_chain(self):
         arrays = [_x(2, 5, 12)]
-        fused = _value_and_grads(lambda qkv: ad.attention(qkv, 2, 0.7)[0], arrays)
+        fused = _value_and_grads(lambda qkv: ad.attention(qkv, 2, 0.7, 5)[0], arrays)
         chain = _value_and_grads(lambda qkv: _unfused_attention(qkv, 2, 0.7)[0], arrays)
         for got, want in zip(fused, chain):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_attention_probabilities_are_the_chains_bits(self):
         qkv = Tensor(_x(3, 7, 18))
-        _, probs = ad.attention(qkv, 3, 1.0 / np.sqrt(2.0))
+        _, probs = ad.attention(qkv, 3, 1.0 / np.sqrt(2.0), 7)
         _, att = _unfused_attention(qkv, 3, 1.0 / np.sqrt(2.0))
         assert probs.shape == (3, 3, 7, 7)
         np.testing.assert_array_equal(probs, att.data)
@@ -531,12 +531,12 @@ class TestFusedOps:
     @pytest.mark.parametrize("shape", [(2, 5, 10), (5, 12)], ids=["width", "rank"])
     def test_attention_shape_mismatch(self, shape):
         with pytest.raises(ContractError):
-            ad.attention(Tensor(np.zeros(shape)), 2, 1.0)
+            ad.attention(Tensor(np.zeros(shape)), 2, 1.0, 5)
 
     @pytest.mark.parametrize("rows", [2, 3, 6])
     def test_attention_query_rows_are_the_leading_rows_of_the_full_op(self, rows):
         qkv = Tensor(_x(3, 7, 18))
-        full_out, full_probs = ad.attention(qkv, 3, 1.0 / np.sqrt(2.0))
+        full_out, full_probs = ad.attention(qkv, 3, 1.0 / np.sqrt(2.0), 7)
         out, probs = ad.attention(qkv, 3, 1.0 / np.sqrt(2.0), rows)
         assert out.shape == (3, rows, 6) and probs.shape == (3, 3, rows, 7)
         # two or more rows keep the matrix-product path, so the bits hold
@@ -558,7 +558,7 @@ class TestFusedOps:
         padded = np.zeros((2, 5, 4))
         padded[:, :rows] = g
         with Tape() as tape:
-            loss = (ad.attention(want, 2, 0.7)[0] * Tensor(padded)).sum()
+            loss = (ad.attention(want, 2, 0.7, 5)[0] * Tensor(padded)).sum()
         backward(loss, tape)
         np.testing.assert_allclose(got.grad, want.grad, rtol=0, atol=1e-12)
         assert not got.grad[:, rows:, :4].any()

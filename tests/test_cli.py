@@ -11,7 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
-from retinassl import cli, errors
+from retinassl import cli, errors, evaluation
 from retinassl.checkpoint import load_checkpoint
 from retinassl.cli import main
 from retinassl.configio import RunConfig, _valid_keys
@@ -606,6 +606,17 @@ class TestTrain:
                     "--config", tiny_config, *extra]) == 2
         assert loads == [] and not out.exists()
 
+    def test_images_too_small_to_crop_refused_before_out(self, tmp_path, tiny_config,
+                                                         capsys):
+        data, out = tmp_path / "data", tmp_path / "o"
+        assert run(["make-synth", "--out", str(data), "--per-class", "1",
+                    "--size", "1", "--config", tiny_config]) == 0
+        assert run(["train", "--manifest", f"{data}/manifest.csv",
+                    "--images", str(data), "--out", str(out),
+                    "--config", tiny_config, "--steps", "1"]) == 2
+        assert "image too small to crop: 1x1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture
 def trained(tmp_path, tiny_config, synth_dir):
@@ -767,10 +778,19 @@ class TestProbeKnn:
         assert os.path.exists(out / "report.txt")
         assert "knn (k=3)" in capsys.readouterr().out
 
-    def test_knn_k_too_large(self, tmp_path, tiny_config, synth_dir, trained):
+    def test_knn_k_too_large(self, tmp_path, tiny_config, synth_dir, trained,
+                             monkeypatch, capsys):
+        # refused from the manifest's length, before an image is decoded
+        loads, extractions = [], []
+        monkeypatch.setattr(DatasetManifest, "load_images",
+                            lambda manifest: loads.append(manifest))
+        monkeypatch.setattr(evaluation, "extract_features",
+                            lambda *args, **kwargs: extractions.append(args))
         out = tmp_path / "knn"
         assert run(self._eval_args("knn", trained, synth_dir, out, tiny_config,
                                    ["--k", "999"])) == 2
+        assert "k=999 outside 1..15" in capsys.readouterr().err
+        assert loads == [] and extractions == [] and not out.exists()
 
     def test_reports_byte_reproducible(self, tmp_path, tiny_config, synth_dir,
                                        trained):
@@ -834,7 +854,8 @@ class TestProbeKnn:
                                                             "second_global": 0.4,
                                                             "local": 0.6}),
                                         ("crop", "aspect_range", [0.5, 2.0]),
-                                        ("distill", "ema_end", 0.995)]:
+                                        ("distill", "ema_end", 0.995),
+                                        ("distill", "lr_floor", 0.5)]:
                 configs = _with_config(configs, section, key, value)
             return configs
 
@@ -843,6 +864,7 @@ class TestProbeKnn:
         assert b'"center_sign": -1.0' in old.read_bytes()
         assert b'"solarize_threshold": 0.3' in old.read_bytes()
         assert b'"ema_end": 0.995' in old.read_bytes()
+        assert b'"lr_floor": 0.5' in old.read_bytes()
         assert load_checkpoint(old)[1:] == load_checkpoint(trained)[1:]
         logs = []
         for name, ckpt in (("new", trained), ("old", old)):

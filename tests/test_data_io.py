@@ -625,7 +625,7 @@ class TestParserFuzz:
         st.builds("{} = {}".format, st.sampled_from(_FUZZ_KEYS), st.text(max_size=30))))
     def test_arbitrary_config_text(self, line):
         try:
-            load_config(None, parse_assignments([line]))
+            load_config(None, parse_assignments([line], "--set"))
         except InputError:
             pass
 
@@ -945,8 +945,8 @@ class TestConfig:
     def test_unparsable_value_is_a_config_error(self, value):
         # literal_eval raises TypeError, RecursionError and MemoryError here
         with pytest.raises(ConfigError, match="cannot parse"):
-            parse_assignments([f"vit.depth = {value}"])
+            parse_assignments([f"vit.depth = {value}"], "--set")
 
     def test_parse_assignments_plain(self):
-        out = parse_assignments(["a.b = 1", "c.d = 'x'"])
+        out = parse_assignments(["a.b = 1", "c.d = 'x'"], "--set")
         assert out == {"a.b": 1, "c.d": "x"}

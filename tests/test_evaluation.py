@@ -195,7 +195,7 @@ class TestLinearProbe:
 
     def test_empty_set_rejected(self):
         with pytest.raises(InputError):
-            train_linear_probe(np.zeros((0, 2)), np.zeros(0, dtype=int))
+            train_linear_probe(np.zeros((0, 2)), np.zeros(0, dtype=int), ProbeConfig())
 
     def test_lr_schedule_final_zero(self):
         assert abs(probe_lr_at(99, 100, 0.001)) <= 1e-9
@@ -212,8 +212,8 @@ class TestLinearProbe:
 
 def taped_probe(features, labels, config):
     """The probe's momentum-SGD loop run through the tape: linear,
-    log_softmax_rows, the cross entropy -rowsum(onehot * log p) and its
-    batch mean, then backward. The oracle for the closed-form step of
+    log_softmax_rows, the batch's cross entropy -sum(onehot * log p) and
+    its mean, then backward. The oracle for the closed-form step of
     train_linear_probe."""
     n, d = features.shape
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x9806E]))
@@ -232,8 +232,8 @@ def taped_probe(features, labels, config):
             with ad.Tape() as tape:
                 logits = ad.linear(ad.Tensor(features[idx]), w, b)
                 logp = ad.log_softmax_rows(logits, 1.0)
-                ce = ad.tensor_sum(ad.mul(ad.Tensor(-onehot[idx]), logp), axis=-1)
-                loss = ad.mul(ad.tensor_sum(ce), ad.Tensor(1.0 / len(idx)))
+                ce = ad.tensor_sum(ad.mul(ad.Tensor(-onehot[idx]), logp))
+                loss = ad.mul(ce, ad.Tensor(1.0 / len(idx)))
             w.grad = b.grad = None
             ad.backward(loss, tape, leaves=(w, b))
             lr = probe_lr_at(step, total, config.lr)
@@ -286,7 +286,7 @@ class TestProbeStep:
     ], ids=["negative", "above_4", "float", "short", "long", "2d"])
     def test_bad_labels_rejected(self, labels):
         with pytest.raises(InputError, match="probe labels"):
-            train_linear_probe(np.ones((4, 3)), labels)
+            train_linear_probe(np.ones((4, 3)), labels, ProbeConfig())
 
     def test_predict_on_features_of_another_width(self):
         probe = train_linear_probe(np.ones((4, 3)), np.arange(4), ProbeConfig(epochs=1))

@@ -208,12 +208,22 @@ class TestEncoderForward:
         np.testing.assert_allclose(out_p.cls_features.data, out.cls_features.data,
                                    atol=1e-10)
 
-    def test_attention_rows_sum_to_one(self):
+    def test_attention_rows_sum_to_one(self, monkeypatch):
         cfg = tiny_vit()
         params = init_backbone_params(cfg, np.random.default_rng(14))
         img = np.random.default_rng(15).random((2, 3, 32, 32))
-        out = backbone_forward(img, cfg, params, mode=EVAL, want_attention=True)
-        for att in out.attention:
+        blocks = []
+        real = ad.attention
+
+        def spy(*args):
+            out = real(*args)
+            blocks.append(out[1])
+            return out
+
+        monkeypatch.setattr(ad, "attention", spy)
+        out = backbone_forward(img, cfg, params, mode=EVAL)
+        assert len(blocks) == cfg.depth and out.attention is blocks[-1]
+        for att in blocks:
             np.testing.assert_allclose(att.sum(axis=-1), 1.0, atol=1e-5)
 
 
@@ -294,7 +304,7 @@ class TestEndToEndGradient:
             out = backbone_forward(img, cfg, params, mode=EVAL)
             logits = projection_head_forward(out.cls_features, head_cfg, params)
             log_p = ad.log_softmax_rows(logits, 0.5)
-            return ad.tensor_sum(ad.mul(Tensor(-target), log_p), axis=-1).sum()
+            return ad.tensor_sum(ad.mul(Tensor(-target), log_p))
 
         leaves = list(params.values())
         with Tape() as tape:
@@ -473,20 +483,19 @@ class TestTapeHoldsWhatGradientsRead:
 # the last block computes only the rows that are read
 # ---------------------------------------------------------------------------
 
-def _full_row_encoder(tokens, config, params, mode=EVAL, rng=None,
-                      want_attention=False, n_last_blocks=1):
+def _full_row_encoder(tokens, config, params, *, mode, rng=None, n_last_blocks=1):
     """Reference for encoder_forward: every block computes every token row,
-    from the same ops in the same order."""
+    from the same ops in the same order; its attention is the last block's
+    probabilities for every query row."""
     scale = 1.0 / np.sqrt(config.head_dim)
     nc = config.n_cls_tokens
-    attention, cls = [], []
+    cls = []
     x = tokens
     for i in range(config.depth):
         pre = f"blocks.{i}."
         h = ad.layer_norm(x, params[pre + "ln1.scale"], params[pre + "ln1.shift"])
         qkv = ad.linear(h, params[pre + "attn.qkv.w"], params[pre + "attn.qkv.b"])
-        out, att = ad.attention(qkv, config.n_heads, scale)
-        attention.append(att)
+        out, attention = ad.attention(qkv, config.n_heads, scale, x.shape[1])
         out = ad.linear(out, params[pre + "attn.proj.w"], params[pre + "attn.proj.b"])
         x = x + vit_module._drop_path(out, config.drop_path_rate, mode, rng)
         h = ad.layer_norm(x, params[pre + "ln2.scale"], params[pre + "ln2.shift"])
@@ -496,8 +505,7 @@ def _full_row_encoder(tokens, config, params, mode=EVAL, rng=None,
         if i >= config.depth - n_last_blocks:
             cls.append(ad.layer_norm(x[:, :nc, :], params["ln_f.scale"],
                                      params["ln_f.shift"]))
-    return BackboneOutput(cls_features=ad.concat(cls, axis=1),
-                          attention=attention if want_attention else None)
+    return BackboneOutput(cls_features=ad.concat(cls, axis=1), attention=attention)
 
 
 class TestLastBlockRows:
@@ -510,7 +518,7 @@ class TestLastBlockRows:
         images = np.random.default_rng(41).random((n_images, 3, 48, 48))
         for n_last in (1, 2):
             want = _full_row_encoder(patch_embed(images, cfg, params), cfg, params,
-                                     n_last_blocks=n_last).cls_features
+                                     mode=EVAL, n_last_blocks=n_last).cls_features
             want = want.data.reshape(n_images, -1)
             got = extract_features(params, images, cfg, n_last_blocks=n_last)
             assert np.array_equal(got, want)
@@ -521,7 +529,7 @@ class TestLastBlockRows:
         tokens = patch_embed(np.zeros((1, 3, 48, 48)), cfg, params)
         for n in (0, cfg.depth + 1):
             with pytest.raises(ParameterError):
-                encoder_forward(tokens, cfg, params, n_last_blocks=n)
+                encoder_forward(tokens, cfg, params, mode=EVAL, n_last_blocks=n)
 
     @pytest.mark.parametrize("n_cls", [1, 2, 3])
     def test_attention_has_the_full_row_bits(self, n_cls):
@@ -529,15 +537,38 @@ class TestLastBlockRows:
         params = init_backbone_params(cfg, np.random.default_rng(42), std=0.05)
         image = np.random.default_rng(43).random((3, 48, 48))
         tokens = patch_embed(image, cfg, params)
-        want = _full_row_encoder(tokens, cfg, params, want_attention=True).attention
-        got = encoder_forward(tokens, cfg, params, want_attention=True).attention
+        want = _full_row_encoder(tokens, cfg, params, mode=EVAL).attention
+        got = encoder_forward(tokens, cfg, params, mode=EVAL).attention
         rows = max(n_cls, 2)
-        assert got[-1].shape == (1, cfg.n_heads, rows, cfg.n_tokens)
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[-1], want[-1][:, :, :rows])
-        ref = want[-1][0, :, :n_cls, n_cls:]
+        assert got.shape == (1, cfg.n_heads, rows, cfg.n_tokens)
+        assert np.array_equal(got, want[:, :, :rows])
+        ref = want[0, :, :n_cls, n_cls:]
         assert np.array_equal(last_layer_attention(image, cfg, params),
                               ref / ref.sum(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("mode", [TRAIN, EVAL])
+    def test_backbone_attention_is_the_last_blocks_query_rows(self, mode):
+        cfg = desk_vit(n_cls_tokens=3)
+        params = init_backbone_params(cfg, np.random.default_rng(47), std=0.05)
+        images = np.random.default_rng(48).random((2, 3, 48, 48))
+        want = _full_row_encoder(patch_embed(images, cfg, params), cfg, params,
+                                 mode=mode, rng=np.random.default_rng(49)).attention
+        got = backbone_forward(images, cfg, params, mode=mode,
+                               rng=np.random.default_rng(49)).attention
+        assert got.shape == (2, cfg.n_heads, 3, cfg.n_tokens)
+        assert np.array_equal(got, want[:, :, :3])
+
+    def test_mode_is_a_required_keyword(self):
+        cfg = desk_vit()
+        params = init_backbone_params(cfg, np.random.default_rng(50))
+        images = np.zeros((1, 3, 48, 48))
+        tokens = patch_embed(images, cfg, params)
+        for call in (lambda: backbone_forward(images, cfg, params, EVAL),
+                     lambda: encoder_forward(tokens, cfg, params, EVAL),
+                     lambda: backbone_forward(images, cfg, params),
+                     lambda: encoder_forward(tokens, cfg, params)):
+            with pytest.raises(TypeError):
+                call()
 
     @pytest.mark.parametrize("n_cls, rows", [(1, 2), (2, 2), (3, 3)])
     def test_last_block_mlp_sees_only_the_read_rows(self, monkeypatch, n_cls, rows):
