@@ -38,6 +38,9 @@ from .vit import ProjectionHeadConfig, ViTConfig, param_shapes
 
 MAGIC = b"RSSLCKPT"
 FORMAT_VERSION = 1
+# the config sections a checkpoint stores, in the order of its "configs" JSON
+_CONFIG_SECTIONS = {"vit": ViTConfig, "head": ProjectionHeadConfig,
+                    "crop": MultiCropConfig, "distill": DistillConfig}
 
 
 def _write_section(fh, name: str, *parts) -> None:
@@ -97,9 +100,8 @@ def save_checkpoint(state: TrainState, path, vit_config: ViTConfig,
             fh.write(MAGIC + struct.pack("<I", FORMAT_VERSION))
             meta = {"step": state.step, "rng_state": state.rng.bit_generator.state}
             _write_section(fh, "meta", json.dumps(meta).encode())
-            configs = {name: dataclasses.asdict(cfg) for name, cfg in (
-                ("vit", vit_config), ("head", head_config), ("crop", crop_config),
-                ("distill", distill_config))}
+            configs = {name: dataclasses.asdict(cfg) for name, cfg in zip(
+                _CONFIG_SECTIONS, (vit_config, head_config, crop_config, distill_config))}
             _write_section(fh, "configs", json.dumps(configs).encode())
             _write_array(fh, "center", state.center)
             for group, params in (("student", state.student), ("teacher", state.teacher)):
@@ -161,9 +163,8 @@ def _read_metadata(sections: dict[str, memoryview]):
         step = meta["step"]
         rng = np.random.default_rng()
         rng.bit_generator.state = meta["rng_state"]
-        configs = [build_section(cls(), cfg_raw[name]) for name, cls in (
-            ("vit", ViTConfig), ("head", ProjectionHeadConfig),
-            ("crop", MultiCropConfig), ("distill", DistillConfig))]
+        configs = [build_section(cls(), cfg_raw[name])
+                   for name, cls in _CONFIG_SECTIONS.items()]
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise CheckpointError(
             f"malformed checkpoint metadata: {type(exc).__name__}: {exc}") from exc

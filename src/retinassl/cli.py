@@ -20,13 +20,12 @@ import sys
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .configio import (RunConfig, apply_assignments, parse_assignments,
-                       read_config_file)
+from .configio import apply_assignments, parse_assignments, read_config_file
 from .crops import check_crop_source
 from .data import (N_GRADES, generate_synthetic_dataset, load_manifest,
                    write_synthetic_dataset)
 from .distill import METRICS_HEADER, batch_schedule, init_train_state, train_loop
-from .errors import InputError, RetinaSSLError
+from .errors import ConfigError, InputError, RetinaSSLError
 from .evaluation import (attention_heatmaps, build_index, check_knn_k,
                          compute_metrics, extract_features, knn_classify,
                          probe_eval_transform, probe_predict,
@@ -120,10 +119,9 @@ def _resolve_config(args):
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
     path = args.config or os.environ.get(CONFIG_ENV_VAR) or None
-    overrides = parse_assignments(args.set, source="--set")
-    file_values = read_config_file(path) if path else {}
-    config = apply_assignments(apply_assignments(RunConfig(), file_values), overrides)
-    return config, file_values.keys() | overrides.keys()
+    given = {**(read_config_file(path) if path else {}),
+             **parse_assignments(args.set, source="--set")}
+    return apply_assignments(given), given.keys()
 
 
 def cmd_make_synth(args) -> int:
@@ -146,12 +144,15 @@ def cmd_train(args) -> int:
 
     if args.resume:
         state, vit, head, crop, distill = load_checkpoint(args.resume)
-        _check_saved_config(config, given, {"vit": vit, "head": head, "crop": crop,
-                                            "distill": distill}, "resumed checkpoint")
+        saved = {"vit": vit, "head": head, "crop": crop, "distill": distill}
+        _check_saved_config(config, given, saved, "resumed checkpoint")
+        try:  # the cross-section rules, which the sections pass one by one on load
+            config = dataclasses.replace(config, **saved)
+        except ConfigError as exc:
+            raise ConfigError(f"resumed checkpoint: {exc}") from None
     else:
-        vit, head, crop, distill = (config.vit, config.head, config.crop,
-                                    config.distill)
-        state = init_train_state(vit, head, seed=args.seed)
+        state = init_train_state(config.vit, config.head, seed=args.seed)
+    vit, head, crop, distill = config.vit, config.head, config.crop, config.distill
 
     _, steps_per_epoch = batch_schedule(len(manifest), distill)
     total = distill.total_epochs * steps_per_epoch

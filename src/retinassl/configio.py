@@ -2,8 +2,12 @@
 
 The file grammar is one ``section.key = value`` assignment per line, with
 ``#`` comments and blank lines ignored. Values use Python literal syntax
-(numbers, booleans, tuples, strings). Precedence is defaults, then file
-values, then explicit overrides.
+(numbers, booleans, tuples, strings). Precedence is one dict merge: a
+caller merges file values, then explicit overrides, into one flat dict, so
+an override may repair a file's value. `apply_assignments` builds the
+RunConfig from that dict and the defaults in one pass, so the cross-section
+rules of `RunConfig` (whole patches, the memory bound) check the merged
+config only. A resumed run checks them again on the checkpoint's sections.
 """
 
 from __future__ import annotations
@@ -94,9 +98,7 @@ def _bytes(n: int) -> str:
     return f"{n} bytes" if n < 2 ** 64 else "more than 2**64 bytes"
 
 
-_SECTIONS = {"vit": ViTConfig, "head": ProjectionHeadConfig,
-             "crop": MultiCropConfig, "distill": DistillConfig,
-             "probe": ProbeConfig, "knn": KnnConfig, "data": DataConfig}
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 
 
 def parse_assignments(lines, source: str) -> dict[str, object]:
@@ -184,7 +186,10 @@ def _valid_keys() -> set[str]:
     return keys - _FLAG_FIELDS.keys()
 
 
-def apply_assignments(config: RunConfig, assignments: dict[str, object]) -> RunConfig:
+def apply_assignments(assignments: dict[str, object]) -> RunConfig:
+    """The RunConfig of the defaults with `assignments`, a flat dict of
+    ``section.key`` values, applied; each section is built once and the
+    RunConfig checked once, on the final values."""
     valid = _valid_keys()
     grouped: dict[str, dict[str, object]] = {}
     for key, value in assignments.items():
@@ -195,9 +200,8 @@ def apply_assignments(config: RunConfig, assignments: dict[str, object]) -> RunC
             raise ConfigError(f"unknown config key {key!r}")
         section, name = key.split(".", 1)
         grouped.setdefault(section, {})[name] = value
-    return dataclasses.replace(config, **{
-        section: build_section(getattr(config, section), updates)
-        for section, updates in grouped.items()})
+    return RunConfig(**{section: build_section(_SECTIONS[section](), values)
+                        for section, values in grouped.items()})
 
 
 def read_config_file(path) -> dict[str, object]:
@@ -213,14 +217,3 @@ def read_config_file(path) -> dict[str, object]:
         raise ConfigError(f"{path}:{line}: config file is not UTF-8 text: "
                           f"{exc.reason} (byte 0x{data[exc.start]:02x})") from None
     return parse_assignments(lines, source=str(path))
-
-
-def load_config(path=None, overrides: dict[str, object] | None = None) -> RunConfig:
-    """Build a validated RunConfig from defaults, a config file's values
-    (`read_config_file`), and overrides."""
-    config = RunConfig()
-    if path is not None:
-        config = apply_assignments(config, read_config_file(path))
-    if overrides:
-        config = apply_assignments(config, dict(overrides))
-    return config

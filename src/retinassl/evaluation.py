@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .autodiff import Tensor
 from .crops import bicubic_resize, map_chunks, resample, resample_matrix
 from .data import N_GRADES
@@ -337,6 +338,4 @@ def build_index(backbone_params: dict[str, Tensor], images: np.ndarray,
                 n_last_blocks: int = 1) -> EmbeddingIndex:
     """Extract features and L2-normalize them into an EmbeddingIndex."""
     feats = extract_features(backbone_params, images, config, n_last_blocks)
-    norms = np.linalg.norm(feats, axis=1, keepdims=True)
-    norms = np.where(norms < 1e-12, 1.0, norms)
-    return EmbeddingIndex(feats / norms, np.asarray(labels))
+    return EmbeddingIndex(ad.l2_normalize_rows(Tensor(feats)).data, np.asarray(labels))

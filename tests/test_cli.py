@@ -11,7 +11,7 @@ import zlib
 import numpy as np
 import pytest
 
-from retinassl import cli, errors, evaluation
+from retinassl import cli, configio, errors, evaluation
 from retinassl.checkpoint import load_checkpoint
 from retinassl.cli import main
 from retinassl.configio import RunConfig, _valid_keys
@@ -144,6 +144,54 @@ class TestConfigContract:
                 shutil.rmtree(out, ignore_errors=True)
         capsys.readouterr()
         assert not wrong, wrong
+
+
+# file lines that the tiny config cannot run with, each with the --set that
+# repairs it and the refusal without it: a fixed size past memory, and 8 px
+# local crops of 16 px patches
+FILE_FAULTS = {
+    "head.output_dim": ("head.output_dim = 2000000000", "head.output_dim=24",
+                        "the config fixes 576000152320 bytes"),
+    "vit.patch_size": ("vit.patch_size = 16", "crop.local_out_size=16",
+                       "crop.local_out_size = 8 is not divisible by vit.patch_size = 16")}
+
+
+class TestOnePassResolution:
+    """The config file and --set merge into one dict, from which the RunConfig
+    is built and checked once: a value that --set replaces is never checked."""
+
+    def _train(self, tmp_path, synth_dir, line, sets):
+        config = tmp_path / "fault.cfg"
+        config.write_text(TINY_CFG + line + "\n")
+        out = tmp_path / "o"
+        code = run(["train", "--manifest", f"{synth_dir}/manifest.csv",
+                    "--images", synth_dir, "--out", str(out), "--config", str(config),
+                    "--steps", "1", *sets])
+        return code, out
+
+    @pytest.mark.parametrize("key", sorted(FILE_FAULTS))
+    def test_set_repairs_a_file_value(self, tmp_path, synth_dir, key):
+        line, repair, _ = FILE_FAULTS[key]
+        assert self._train(tmp_path, synth_dir, line, ["--set", repair])[0] == 0
+
+    @pytest.mark.parametrize("key", sorted(FILE_FAULTS))
+    def test_unrepaired_file_value_exit_2_before_out(self, tmp_path, synth_dir,
+                                                     capsys, key):
+        line, _, message = FILE_FAULTS[key]
+        code, out = self._train(tmp_path, synth_dir, line, [])
+        assert code == 2 and not out.exists()
+        assert message in capsys.readouterr().err
+
+    def test_defaults_are_not_checked_before_the_file(self, tmp_path, tiny_config,
+                                                      monkeypatch):
+        # the paper-scale defaults need 1448431616 bytes, the tiny config far less
+        monkeypatch.setattr(configio, "_PHYSICAL_BYTES", 1 << 30)
+        data = tmp_path / "data"
+        assert run(["make-synth", "--out", str(data), "--per-class", "1",
+                    "--size", "16", "--config", tiny_config]) == 0
+        assert run(["train", "--manifest", str(data / "manifest.csv"),
+                    "--images", str(data), "--out", str(tmp_path / "o"),
+                    "--config", tiny_config, "--steps", "1"]) == 0
 
 
 class TestMakeSynth:
@@ -887,6 +935,20 @@ class TestProbeKnn:
                     "--resume", trained, "--set", f"{key}={value}"]) == 2
         assert f"{key} = {value} differs from the resumed checkpoint's {saved}" in (
             capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_resume_checks_the_checkpoints_sections_together(
+            self, tmp_path, synth_dir, trained, capsys):
+        # each section is valid alone, but 12 px local crops are not whole 8 px patches
+        _rewrite_checkpoint(trained, lambda secs: [
+            (n, _with_config(p, "crop", "local_out_size", 12) if n == b"configs" else p)
+            for n, p in secs])
+        out = tmp_path / "o"
+        assert run(["train", "--manifest", f"{synth_dir}/manifest.csv",
+                    "--images", synth_dir, "--out", str(out),
+                    "--steps", "1", "--resume", trained]) == 2
+        err = capsys.readouterr().err
+        assert "crop.local_out_size = 12" in err and "vit.patch_size = 8" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("cmd, key, value, saved", [

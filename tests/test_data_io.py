@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from retinassl import checkpoint
 from retinassl.checkpoint import _read_sections, load_checkpoint, save_checkpoint
-from retinassl.configio import RunConfig, load_config, parse_assignments
+from retinassl.configio import (RunConfig, apply_assignments, parse_assignments,
+                               read_config_file)
 from retinassl.crops import MultiCropConfig
 from retinassl.data import (DatasetManifest, generate_synthetic_dataset,
                             load_manifest, save_manifest, write_synthetic_dataset)
@@ -625,7 +626,7 @@ class TestParserFuzz:
         st.builds("{} = {}".format, st.sampled_from(_FUZZ_KEYS), st.text(max_size=30))))
     def test_arbitrary_config_text(self, line):
         try:
-            load_config(None, parse_assignments([line], "--set"))
+            apply_assignments(parse_assignments([line], "--set"))
         except InputError:
             pass
 
@@ -860,7 +861,7 @@ class TestConfig:
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# nothing here\n\n")
-        cfg = load_config(path)
+        cfg = apply_assignments(read_config_file(path))
         assert cfg.distill.tau_t == 0.04
         assert cfg.distill.center_momentum == 0.9
         assert cfg.distill.clip_threshold == 3.0
@@ -871,38 +872,39 @@ class TestConfig:
     def test_file_values_applied(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("crop.n_local = 0\ndistill.batch_size = 4  # inline\n")
-        cfg = load_config(path)
+        cfg = apply_assignments(read_config_file(path))
         assert cfg.crop.n_local == 0
         assert cfg.distill.batch_size == 4
 
     def test_overrides_beat_file(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("distill.tau_t = 0.05\n")
-        cfg = load_config(path, overrides={"distill.tau_t": 0.07})
+        cfg = apply_assignments({**read_config_file(path), "distill.tau_t": 0.07})
         assert cfg.distill.tau_t == 0.07
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="distill.bogus"):
-            load_config(None, overrides={"distill.bogus": 1})
+            apply_assignments({"distill.bogus": 1})
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ConfigError):
-            load_config(None, overrides={"distill.tau_t": -1})
+            apply_assignments({"distill.tau_t": -1})
 
     @pytest.mark.parametrize("key, value", [("crop.global_out_size", 20),
                                             ("crop.local_out_size", 12)])
     def test_crop_of_partial_patches_names_both_keys(self, key, value):
         with pytest.raises(ConfigError, match=rf"{key} = {value} .*vit\.patch_size = 8"):
-            load_config(None, overrides={key: value, "vit.patch_size": 8})
+            apply_assignments({key: value, "vit.patch_size": 8})
 
     def test_crop_sizes_checked_against_the_resolved_patch_size(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("vit.patch_size = 16\n")
-        assert load_config(path, {"crop.local_out_size": 32}).crop.local_out_size == 32
+        cfg = apply_assignments({**read_config_file(path), "crop.local_out_size": 32})
+        assert cfg.crop.local_out_size == 32
         with pytest.raises(ConfigError, match="vit.patch_size = 16"):
-            load_config(path, {"crop.local_out_size": 40})
+            apply_assignments({**read_config_file(path), "crop.local_out_size": 40})
         # no local crop is made, so its size is not embedded
-        cfg = load_config(None, overrides={"crop.n_local": 0, "crop.local_out_size": 12})
+        cfg = apply_assignments({"crop.n_local": 0, "crop.local_out_size": 12})
         assert cfg.crop.local_out_size == 12
         with pytest.raises(ConfigError, match="crop.global_out_size"):
             RunConfig(vit=ViTConfig(patch_size=16), crop=MultiCropConfig(global_out_size=40))
@@ -910,14 +912,14 @@ class TestConfig:
     def test_tuple_values(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("crop.global_scale_range = (0.5, 1.0)\n")
-        cfg = load_config(path)
+        cfg = apply_assignments(read_config_file(path))
         assert cfg.crop.global_scale_range == (0.5, 1.0)
 
     def test_parse_error_names_line(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("distill.tau_t 0.04\n")
         with pytest.raises(ConfigError, match=":1"):
-            load_config(path)
+            apply_assignments(read_config_file(path))
 
     @pytest.mark.parametrize("key, value", [
         ("vit.depth", "x"), ("vit.depth", True), ("vit.depth", 2.0),
@@ -926,14 +928,14 @@ class TestConfig:
         ("crop.blur_sigma", (0.1, "a"))])
     def test_value_of_another_kind_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key.split(".")[1]):
-            load_config(None, overrides={key: value})
+            apply_assignments({key: value})
 
     def test_int_for_float_and_list_for_tuple(self):
         # an int is stored as the float it stands for: one past int64 stored
         # as an int made numpy build object arrays
-        cfg = load_config(None, overrides={"distill.tau_t": 1,
-                                           "crop.blur_sigma": [0.2, 1],
-                                           "knn.temperature": 10 ** 30})
+        cfg = apply_assignments({"distill.tau_t": 1,
+                                 "crop.blur_sigma": [0.2, 1],
+                                 "knn.temperature": 10 ** 30})
         assert cfg.distill.tau_t == 1
         assert cfg.crop.blur_sigma == (0.2, 1)
         assert cfg.knn.temperature == 1e30

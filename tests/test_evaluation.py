@@ -598,3 +598,11 @@ class TestBuildIndex:
         index = build_index(params, imgs, np.array([0, 1, 2, 3]), cfg)
         np.testing.assert_allclose(np.linalg.norm(index.features, axis=1), 1.0,
                                    atol=1e-9)
+
+    def test_rows_are_the_l2_kernels_bit_for_bit(self, monkeypatch):
+        # features of every scale; EmbeddingIndex refuses the zero rows
+        feats = np.random.default_rng(3).normal(size=(7, 5))
+        feats *= np.logspace(-8, 8, 7)[:, None]
+        monkeypatch.setattr(evaluation, "extract_features", lambda *args: feats.copy())
+        index = build_index(None, None, np.arange(7) % 5, None)
+        assert np.array_equal(index.features, ad.l2_normalize_rows(ad.Tensor(feats)).data)

@@ -87,7 +87,7 @@ def test_settable_values_do_not_grow():
                 defaults += sum(d is not None for d in node.args.kw_defaults)
     counts = {"config keys": len(_valid_keys()), "dataclass fields": fields,
               "parameters with defaults": defaults, "CLI flags": _cli_flags()}
-    limits = {"config keys": 38, "dataclass fields": 83, "parameters with defaults": 20,
+    limits = {"config keys": 38, "dataclass fields": 83, "parameters with defaults": 18,
               "CLI flags": 40}
     assert all(counts[k] <= limits[k] for k in limits), (counts, limits)
 

@@ -69,7 +69,7 @@ def main(argv=None) -> int:
 
     try:
         overrides = dict(PAPER, **configio.parse_assignments(args.set, source="--set"))
-        cfg = configio.load_config(overrides=overrides)
+        cfg = configio.apply_assignments(overrides)
     except RetinaSSLError as exc:
         parser.error(str(exc))
     env = {"commit": commit(), "numpy": np.__version__,
