@@ -163,7 +163,7 @@ def _read_metadata(sections: dict[str, memoryview]):
         step = meta["step"]
         rng = np.random.default_rng()
         rng.bit_generator.state = meta["rng_state"]
-        configs = [build_section(cls(), cfg_raw[name])
+        configs = [build_section(cls, cfg_raw[name])
                    for name, cls in _CONFIG_SECTIONS.items()]
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise CheckpointError(

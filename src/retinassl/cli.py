@@ -148,9 +148,11 @@ def cmd_train(args) -> int:
         _check_saved_config(config, given, saved, "resumed checkpoint")
         try:  # the cross-section rules, which the sections pass one by one on load
             config = dataclasses.replace(config, **saved)
+            config.check_training_bytes()
         except ConfigError as exc:
             raise ConfigError(f"resumed checkpoint: {exc}") from None
     else:
+        config.check_training_bytes()
         state = init_train_state(config.vit, config.head, seed=args.seed)
     vit, head, crop, distill = config.vit, config.head, config.crop, config.distill
 

@@ -6,8 +6,9 @@ The file grammar is one ``section.key = value`` assignment per line, with
 caller merges file values, then explicit overrides, into one flat dict, so
 an override may repair a file's value. `apply_assignments` builds the
 RunConfig from that dict and the defaults in one pass, so the cross-section
-rules of `RunConfig` (whole patches, the memory bound) check the merged
-config only. A resumed run checks them again on the checkpoint's sections.
+rule of `RunConfig` (whole patches) checks the merged config only. A resumed
+run checks it again on the checkpoint's sections. The memory bound,
+`RunConfig.check_training_bytes`, is checked only where a run trains.
 """
 
 from __future__ import annotations
@@ -59,13 +60,14 @@ class RunConfig:
             if size % self.vit.patch_size:
                 raise ConfigError(f"{key} = {size} is not divisible by "
                                   f"vit.patch_size = {self.vit.patch_size}")
-        self._check_fixed_bytes()
 
-    def _check_fixed_bytes(self):
+    def check_training_bytes(self):
         """Refuse a config whose parameter state and one step's crop stacks
         need more bytes than the machine has memory. numpy refuses such a
         size only when a run allocates it, after `--out` is made, and a size
-        that it grants can end in the kernel's out-of-memory kill."""
+        that it grants can end in the kernel's out-of-memory kill. Only
+        training builds these, so only training checks them: an evaluation
+        takes its model from a checkpoint."""
         try:  # one block stands for all: the table is as long as the depth
             shapes = param_shapes(dataclasses.replace(self.vit, depth=1), self.head)
         except OverflowError:  # the MLP width, embed_dim * mlp_ratio, as a float
@@ -144,19 +146,18 @@ def _as_kind(value, default):
     return value if isinstance(value, type(default)) else None
 
 
-def build_section(base, values):
-    """Return the config dataclass `base` with fields replaced from `values`.
+def build_section(cls, values):
+    """The config dataclass `cls` built once, from its defaults with fields
+    replaced from `values`.
 
     `values` comes from outside (a config file, ``--set`` or a checkpoint's
     JSON), where there are no tuples, so lists become tuples. Names that are
-    not fields of `base` are ignored. A value of another kind than the field's
+    not fields of `cls` are ignored. A value of another kind than the field's
     default, or one that fails the section's own validation, raises
     ConfigError; an int given for a float is stored as a float.
     """
-    cls = type(base)
     if not isinstance(values, dict):
         raise ConfigError(f"{cls.__name__} values must be a mapping, got {values!r}")
-    defaults = cls()
     updates = {}
     for f in dataclasses.fields(cls):
         if f.name not in values:
@@ -164,12 +165,12 @@ def build_section(base, values):
         value = values[f.name]
         if isinstance(value, list):
             value = tuple(value)
-        updates[f.name] = _as_kind(value, getattr(defaults, f.name))
+        updates[f.name] = _as_kind(value, f.default)
         if updates[f.name] is None:
             raise ConfigError(f"{cls.__name__}.{f.name} cannot be {value!r}: "
-                              f"the default is {getattr(defaults, f.name)!r}")
+                              f"the default is {f.default!r}")
     try:
-        return dataclasses.replace(base, **updates)
+        return cls(**updates)
     except (RetinaSSLError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid value in {cls.__name__}: {exc}") from exc
 
@@ -200,7 +201,7 @@ def apply_assignments(assignments: dict[str, object]) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         section, name = key.split(".", 1)
         grouped.setdefault(section, {})[name] = value
-    return RunConfig(**{section: build_section(_SECTIONS[section](), values)
+    return RunConfig(**{section: build_section(_SECTIONS[section], values)
                         for section, values in grouped.items()})
 
 

@@ -141,6 +141,11 @@ _WORKERS = _cpu_workers()
 _pool = None  # (pid, threads, ThreadPoolExecutor), made by the first parallel call
 
 
+def workers() -> int:
+    """The threads that share the pieces of one parallel `map_chunks` call."""
+    return _WORKERS
+
+
 def map_chunks(fn, n: int, step: int) -> None:
     """Call fn(lo, hi) over [0, n) in chunks of at most `step` rows; fn
     writes only rows lo:hi of an output its caller made.

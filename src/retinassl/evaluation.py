@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .crops import bicubic_resize, map_chunks, resample, resample_matrix
+from .crops import bicubic_resize, map_chunks, resample, resample_matrix, workers
 from .data import N_GRADES
 from .errors import ContractError, InputError, ParameterError
 from .vit import EVAL, ViTConfig, encoder_forward, last_layer_attention, patch_embed
@@ -102,9 +102,10 @@ class KnnConfig:
 # gives 23 images per chunk; features do not depend on it.
 _CHUNK_VALUES = 1 << 17
 
-# Similarities that one block of k-NN queries may hold. Chosen by a sweep
-# over a 20000-row index, where it gives 26 queries per block; predictions
-# do not depend on it.
+# Similarities that the blocks of k-NN queries in flight may hold together:
+# each of `crops.workers()` blocks holds its share. Chosen by a sweep over a
+# 20000-row index, where it gives 26 queries per block on one worker and 13
+# on two; predictions do not depend on it.
 _KNN_BLOCK_VALUES = 1 << 19
 
 
@@ -238,9 +239,11 @@ def knn_classify(index: EmbeddingIndex, query: np.ndarray,
 
     query: (m, d) L2-normalized rows. Ties break toward the lowest grade,
     and among equal similarities toward the lowest index row, so results
-    are deterministic. Queries go through in blocks of about
-    `_KNN_BLOCK_VALUES` similarities, so memory follows the block rather
-    than m x n; no row's arithmetic depends on the block.
+    are deterministic. Queries go through in blocks, one block per piece
+    of `crops.map_chunks`; each of the `crops.workers()` blocks in flight
+    holds its share of `_KNN_BLOCK_VALUES` similarities, so memory follows
+    that budget rather than m x n. No row's arithmetic depends on its block
+    or its thread.
     """
     n, d = index.features.shape
     if n == 0:
@@ -256,25 +259,30 @@ def knn_classify(index: EmbeddingIndex, query: np.ndarray,
     # Blocks of at least two rows: numpy computes a one-row product as a
     # matrix-vector product, whose sums round differently from the matrix
     # product's, so a lone last row joins the block before it.
-    step = max(2, _KNN_BLOCK_VALUES // n)
+    step = max(2, _KNN_BLOCK_VALUES // n // workers())
     bounds = list(range(0, m, step)) + [m]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     preds = np.empty(m, dtype=np.int64)
-    for lo, hi in zip(bounds, bounds[1:]):
-        votes = _knn_votes(query[lo:hi] @ index.features.T, index.labels, config)
+
+    def block(i, _):  # chunks of one block each
+        lo, hi = bounds[i], bounds[i + 1]
+        votes = _knn_votes(query[lo:hi], index, config)
         preds[lo:hi] = np.argmax(votes, axis=1)  # the lowest grade wins a tie
+
+    map_chunks(block, len(bounds) - 1, 1)
     return preds
 
 
-def _knn_votes(sims: np.ndarray, labels: np.ndarray, config: KnnConfig) -> np.ndarray:
-    """(b, 5) votes of a block of (b, n) similarities.
+def _knn_votes(block: np.ndarray, index: EmbeddingIndex, config: KnnConfig) -> np.ndarray:
+    """(b, 5) votes of a block of b query rows.
 
     The k neighbours of a row are its k largest similarities, ordered by
     (-similarity, index). `argpartition` finds a top-k set; the set is
     unique unless the k-th similarity is tied across the cut, and only
     those rows select again from every candidate at or above it.
     """
+    sims = block @ index.features.T
     b, n = sims.shape
     k = config.k
     rows = np.arange(b)[:, None]
@@ -292,7 +300,7 @@ def _knn_votes(sims: np.ndarray, labels: np.ndarray, config: KnnConfig) -> np.nd
     votes = np.zeros((b, N_GRADES))
     # one neighbour rank at a time, so each row sums in rank order
     for j in range(k):
-        votes[rows[:, 0], labels[top[:, j]]] += weights[:, j]
+        votes[rows[:, 0], index.labels[top[:, j]]] += weights[:, j]
     return votes
 
 

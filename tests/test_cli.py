@@ -979,6 +979,25 @@ class TestProbeKnn:
                     "--images", synth_dir, "--out", str(tmp_path / "o"),
                     "--steps", "1", "--resume", trained]) == 0
 
+    @pytest.mark.parametrize("cmd", ["probe", "knn", "attn-map"])
+    def test_eval_without_a_config_is_not_refused_for_training_memory(
+            self, tmp_path, synth_dir, trained, monkeypatch, cmd):
+        # the paper-scale defaults would train in 1448431616 bytes, but an
+        # evaluation builds its model from the 16 px checkpoint
+        monkeypatch.setattr(configio, "_PHYSICAL_BYTES", 1 << 30)
+        out = tmp_path / "o"
+        if cmd == "attn-map":
+            args = ["attn-map", "--checkpoint", trained, "--image",
+                    os.path.join(synth_dir, "synth_0_0000.png"), "--out", str(out)]
+        else:
+            args = [cmd, "--checkpoint", trained,
+                    "--train-manifest", f"{synth_dir}/manifest.csv",
+                    "--train-images", synth_dir,
+                    "--test-manifest", f"{synth_dir}/manifest.csv",
+                    "--test-images", synth_dir, "--out", str(out)]
+            args += ["--k", "3"] if cmd == "knn" else []
+        assert run(args) == 0
+
     @pytest.mark.parametrize("cmd", ["probe", "knn"])
     def test_blocks_above_the_checkpoint_depth_refused_before_images_are_read(
             self, tmp_path, tiny_config, synth_dir, trained, cmd, capsys, monkeypatch):

@@ -421,33 +421,70 @@ class TestKnn:
         with pytest.raises(InputError):
             knn_classify(index, query, KnnConfig(k=2))
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("m", [13, 15])
     @pytest.mark.parametrize("rows", [1, 7])
-    def test_blocking_changes_no_vote_bit(self, monkeypatch, rows):
+    def test_blocking_changes_no_vote_bit(self, monkeypatch, rows, m, workers):
+        # blocks of max(2, rows // workers) queries: 15 queries leave a lone
+        # last row in blocks of 7 or 2, and 13 in blocks of 3 or 2
         index = index_with_duplicates(120, 6, seed=16)
         rng = np.random.default_rng(17)
-        queries = rng.normal(size=(15, 6))  # blocks of 7 leave one row over
+        queries = rng.normal(size=(m, 6))
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
         queries[:4] = index.features[:4]  # equal to a duplicated row: ties
-        votes = []  # each block's votes, in call order
+        assert len(np.unique(queries, axis=0)) == m  # a block's first row names it
+        votes = {}  # each block's votes, by the query row it starts at
         votes_of_block = evaluation._knn_votes
 
-        def recording_votes(*args):
-            votes.append(votes_of_block(*args))
-            return votes[-1]
+        def recording_votes(block, *args):
+            first = int(np.flatnonzero((queries == block[0]).all(axis=1))[0])
+            votes[first] = votes_of_block(block, *args)
+            assert len(block) >= 2 and len(votes[first]) == len(block)
+            return votes[first]
 
         monkeypatch.setattr(evaluation, "_knn_votes", recording_votes)
+        monkeypatch.setattr(crops, "_WORKERS", workers)
+        step = max(2, rows // workers)
+        starts = list(range(0, m, step))
+        if m - starts[-1] == 1:
+            del starts[-1]
         for k in (1, 3, 20):
             monkeypatch.setattr(evaluation, "_KNN_BLOCK_VALUES", 1 << 40)
             whole = knn_classify(index, queries, KnnConfig(k=k))
-            whole_votes = np.concatenate(votes)
-            votes.clear()
+            assert list(votes) == [0]
+            whole_votes = votes.pop(0)
             monkeypatch.setattr(evaluation, "_KNN_BLOCK_VALUES", 120 * rows)
             blocked = knn_classify(index, queries, KnnConfig(k=k))
-            assert len(votes) == (7 if rows == 1 else 2)
-            np.testing.assert_array_equal(np.concatenate(votes), whole_votes)
+            assert sorted(votes) == starts
+            np.testing.assert_array_equal(
+                np.concatenate([votes[lo] for lo in starts]), whole_votes)
             votes.clear()
             np.testing.assert_array_equal(blocked, whole)
             np.testing.assert_array_equal(blocked, knn_oracle(index, queries, k))
+
+    def test_memory_follows_the_block_budget_not_the_queries(self, monkeypatch):
+        # 24 queries a block on one worker, 8 on each of three
+        index = random_index(2000, 8, seed=22)
+        queries = np.random.default_rng(23).normal(size=(512, 8))
+        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+        monkeypatch.setattr(evaluation, "_KNN_BLOCK_VALUES", 2000 * 24)
+
+        def peak(batch, workers):
+            monkeypatch.setattr(crops, "_WORKERS", workers)
+            tracemalloc.start()  # traces every thread's allocations
+            try:
+                knn_classify(index, batch, KnnConfig(k=20))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(queries, 3) < 1.5 * peak(queries, 1)
+        # against a quarter of the queries on one worker: three workers'
+        # blocks may peak together or one after another, so a peak of theirs
+        # is no fixed reference
+        quarter = peak(queries[:128], 1)
+        for workers in (1, 3):
+            assert peak(queries, workers) < 1.5 * quarter
 
     def test_ties_across_the_kth_neighbour(self):
         # one row just above five copies of another (one similarity, three
@@ -493,9 +530,12 @@ class TestKnn:
         queries = rng.normal(size=(int(rng.integers(1, 12)), d))
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
         queries[::2] = index.features[rng.integers(0, n, size=len(queries[::2]))]
-        with mock.patch.object(evaluation, "_KNN_BLOCK_VALUES", n * rows):
-            got = knn_classify(index, queries, KnnConfig(k=k))
-        np.testing.assert_array_equal(got, knn_oracle(index, queries, k))
+        want = knn_oracle(index, queries, k)
+        for workers in (1, 2):
+            with mock.patch.object(evaluation, "_KNN_BLOCK_VALUES", n * rows), \
+                    mock.patch.object(crops, "_WORKERS", workers):
+                got = knn_classify(index, queries, KnnConfig(k=k))
+            np.testing.assert_array_equal(got, want)
 
 
 class TestAttentionHeatmaps:

@@ -70,6 +70,8 @@ def main(argv=None) -> int:
     try:
         overrides = dict(PAPER, **configio.parse_assignments(args.set, source="--set"))
         cfg = configio.apply_assignments(overrides)
+        if args.extract is None:
+            cfg.check_training_bytes()
     except RetinaSSLError as exc:
         parser.error(str(exc))
     env = {"commit": commit(), "numpy": np.__version__,
