@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -421,18 +422,9 @@ class TestKnn:
         with pytest.raises(InputError):
             knn_classify(index, query, KnnConfig(k=2))
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("m", [13, 15])
     @pytest.mark.parametrize("rows", [1, 7])
-    def test_blocking_changes_no_vote_bit(self, monkeypatch, rows, m, workers):
-        # blocks of max(2, rows // workers) queries: 15 queries leave a lone
-        # last row in blocks of 7 or 2, and 13 in blocks of 3 or 2
+    def test_blocking_changes_no_vote_bit(self, monkeypatch, rows):
         index = index_with_duplicates(120, 6, seed=16)
-        rng = np.random.default_rng(17)
-        queries = rng.normal(size=(m, 6))
-        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
-        queries[:4] = index.features[:4]  # equal to a duplicated row: ties
-        assert len(np.unique(queries, axis=0)) == m  # a block's first row names it
         votes = {}  # each block's votes, by the query row it starts at
         votes_of_block = evaluation._knn_votes
 
@@ -443,24 +435,32 @@ class TestKnn:
             return votes[first]
 
         monkeypatch.setattr(evaluation, "_knn_votes", recording_votes)
-        monkeypatch.setattr(crops, "_WORKERS", workers)
-        step = max(2, rows // workers)
-        starts = list(range(0, m, step))
-        if m - starts[-1] == 1:
-            del starts[-1]
-        for k in (1, 3, 20):
-            monkeypatch.setattr(evaluation, "_KNN_BLOCK_VALUES", 1 << 40)
-            whole = knn_classify(index, queries, KnnConfig(k=k))
-            assert list(votes) == [0]
-            whole_votes = votes.pop(0)
-            monkeypatch.setattr(evaluation, "_KNN_BLOCK_VALUES", 120 * rows)
-            blocked = knn_classify(index, queries, KnnConfig(k=k))
-            assert sorted(votes) == starts
-            np.testing.assert_array_equal(
-                np.concatenate([votes[lo] for lo in starts]), whole_votes)
-            votes.clear()
-            np.testing.assert_array_equal(blocked, whole)
-            np.testing.assert_array_equal(blocked, knn_oracle(index, queries, k))
+        # blocks of max(2, rows // workers) queries: 15 queries leave a lone
+        # last row in blocks of 7 or 2, and 13 in blocks of 3 or 2
+        for m, workers in itertools.product((13, 15), (1, 2, 3)):
+            rng = np.random.default_rng(17)
+            queries = rng.normal(size=(m, 6))
+            queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+            queries[:4] = index.features[:4]  # equal to a duplicated row: ties
+            assert len(np.unique(queries, axis=0)) == m  # a first row names its block
+            monkeypatch.setattr(crops, "_WORKERS", workers)
+            step = max(2, rows // workers)
+            starts = list(range(0, m, step))
+            if m - starts[-1] == 1:
+                del starts[-1]
+            for k in (1, 3, 20):
+                monkeypatch.setattr(evaluation, "_KNN_BLOCK_VALUES", 1 << 40)
+                whole = knn_classify(index, queries, KnnConfig(k=k))
+                assert list(votes) == [0]
+                whole_votes = votes.pop(0)
+                monkeypatch.setattr(evaluation, "_KNN_BLOCK_VALUES", 120 * rows)
+                blocked = knn_classify(index, queries, KnnConfig(k=k))
+                assert sorted(votes) == starts
+                np.testing.assert_array_equal(
+                    np.concatenate([votes[lo] for lo in starts]), whole_votes)
+                votes.clear()
+                np.testing.assert_array_equal(blocked, whole)
+                np.testing.assert_array_equal(blocked, knn_oracle(index, queries, k))
 
     def test_memory_follows_the_block_budget_not_the_queries(self, monkeypatch):
         # 24 queries a block on one worker, 8 on each of three
