@@ -31,6 +31,9 @@ class EmbeddingIndex:
     labels: np.ndarray    # (n,), each in 0..4
 
     def __post_init__(self):
+        if self.labels.ndim != 1 or not np.issubdtype(self.labels.dtype, np.integer):
+            raise ContractError(f"labels must be a 1-D integer array, got "
+                                f"{self.labels.dtype} of shape {self.labels.shape}")
         if self.features.ndim != 2 or len(self.features) != len(self.labels):
             raise ContractError("features and labels disagree in length")
         if len(self.features):
@@ -103,10 +106,17 @@ class KnnConfig:
 _CHUNK_VALUES = 1 << 17
 
 # Similarities that the blocks of k-NN queries in flight may hold together:
-# each of `crops.workers()` blocks holds its share. Chosen by a sweep over a
-# 20000-row index, where it gives 26 queries per block on one worker and 13
-# on two; predictions do not depend on it.
+# each of `crops.workers()` blocks holds its share. Over a 20000-row index it
+# gives 26 queries per block on one worker and 13 on two. Larger budgets are
+# faster (2^21 gave 1.56x the queries/s on two workers) but hold more
+# memory (14 MB more peak RSS there), so it stays at the budget first chosen
+# for top-k by `argpartition`; predictions do not depend on it.
 _KNN_BLOCK_VALUES = 1 << 19
+
+# Column groups whose per-row maxima bound a k-NN row's k-th similarity
+# from below (at least k are used). More groups give a tighter bound and
+# fewer candidates to sort; predictions do not depend on it.
+_KNN_GROUPS = 512
 
 
 def extract_features(backbone_params: dict[str, Tensor], images: np.ndarray,
@@ -278,24 +288,28 @@ def _knn_votes(block: np.ndarray, index: EmbeddingIndex, config: KnnConfig) -> n
     """(b, 5) votes of a block of b query rows.
 
     The k neighbours of a row are its k largest similarities, ordered by
-    (-similarity, index). `argpartition` finds a top-k set; the set is
-    unique unless the k-th similarity is tied across the cut, and only
-    those rows select again from every candidate at or above it.
+    (-similarity, index). A row's bound is the k-th largest of its maxima
+    over g >= k column groups (column j is in group j % g; a ragged tail is
+    in none). k distinct columns reach it, so every neighbour, ties at the
+    k-th included, lies at or above it; only these candidates are sorted.
     """
     sims = block @ index.features.T
     b, n = sims.shape
     k = config.k
+    g = min(n, max(k, _KNN_GROUPS))
+    maxima = sims[:, :n // g * g].reshape(b, n // g, g).max(axis=1)
+    bound = np.partition(maxima, g - k, axis=1)[:, g - k]
+    flat = np.flatnonzero(sims >= bound[:, None])  # ascending (row, index)
+    cand_rows = flat // n
+    neg_sims = -sims.ravel()[flat]
+    # a stable sort by (row, -similarity) keeps equal similarities in index
+    # order; each row has at least k candidates
+    order = np.lexsort((neg_sims, cand_rows))
+    pick = order[np.searchsorted(cand_rows, np.arange(b))[:, None] + np.arange(k)]
+    top, top_sims = flat[pick] % n, -neg_sims[pick]
     rows = np.arange(b)[:, None]
-    top = np.argpartition(sims, n - k, axis=1)[:, n - k:]
-    top_sims = sims[rows, top]
-    kth = top_sims.min(axis=1)
-    top = np.take_along_axis(top, np.lexsort((top, -top_sims), axis=1), axis=1)
-    for r in np.flatnonzero(np.count_nonzero(sims >= kth[:, None], axis=1) > k):
-        cand = np.flatnonzero(sims[r] >= kth[r])
-        top[r] = cand[np.argsort(-sims[r, cand], kind="stable")[:k]]
     # exp((s - s_top) / T): each query's weights scaled by one factor, so no
     # temperature overflows exp and the first neighbour weighs 1
-    top_sims = sims[rows, top]
     weights = np.exp((top_sims - top_sims[:, :1]) / config.temperature)
     votes = np.zeros((b, N_GRADES))
     # one neighbour rank at a time, so each row sums in rank order

@@ -49,6 +49,12 @@ def random_index(n, d, seed):
     return EmbeddingIndex(feats, labels)
 
 
+# `_KNN_GROUPS` values: as few groups as k, more than k, ragged tails where
+# n % groups != 0, and the default, which makes every column of a small
+# index its own group
+KNN_GROUPS = (1, 2, 3, 7, evaluation._KNN_GROUPS)
+
+
 def index_with_duplicates(n, d, seed):
     """A random index where about a third of the rows repeat an earlier
     row, so equal similarities cross the k-th neighbour."""
@@ -68,6 +74,15 @@ class TestEmbeddingIndex:
         f = np.eye(3)
         with pytest.raises(ContractError):
             EmbeddingIndex(f, np.array([0, 1, 9]))
+
+    @pytest.mark.parametrize("labels", [
+        np.array([0.0, 1.0, 2.0]), np.array([False, True, True]),
+        np.array([[0], [1], [2]]),
+    ], ids=["float", "bool", "column"])
+    def test_rejects_labels_that_are_not_1d_integers(self, labels):
+        # each passes the range check, and knn_classify would index votes with it
+        with pytest.raises(ContractError, match="1-D integer"):
+            EmbeddingIndex(np.eye(3), labels)
 
 
 class TestExtractFeatures:
@@ -437,7 +452,8 @@ class TestKnn:
         monkeypatch.setattr(evaluation, "_knn_votes", recording_votes)
         # blocks of max(2, rows // workers) queries: 15 queries leave a lone
         # last row in blocks of 7 or 2, and 13 in blocks of 3 or 2
-        for m, workers in itertools.product((13, 15), (1, 2, 3)):
+        for m, workers, groups in itertools.product((13, 15), (1, 2, 3), KNN_GROUPS):
+            monkeypatch.setattr(evaluation, "_KNN_GROUPS", groups)
             rng = np.random.default_rng(17)
             queries = rng.normal(size=(m, 6))
             queries /= np.linalg.norm(queries, axis=1, keepdims=True)
@@ -486,6 +502,30 @@ class TestKnn:
         for workers in (1, 3):
             assert peak(queries, workers) < 1.5 * quarter
 
+    def test_every_column_tied(self, monkeypatch):
+        # one repeated unit row e0: each query's similarities all equal its
+        # first coordinate exactly, so every column is a candidate and the
+        # neighbours are the k lowest indices
+        n = 2000
+        labels = np.random.default_rng(24).integers(0, 5, size=n)
+        index = EmbeddingIndex(np.tile(np.eye(8)[0], (n, 1)), labels)
+        queries = np.random.default_rng(25).normal(size=(64, 8))
+        queries /= np.linalg.norm(queries, axis=1, keepdims=True)
+        assert np.ptp(queries @ index.features.T, axis=1).max() == 0.0
+        monkeypatch.setattr(evaluation, "_KNN_BLOCK_VALUES", n * 24)
+        block_bytes = 24 * n * 8  # one block's similarities on one worker
+        want = knn_oracle(index, queries, 20)
+        for workers in (1, 3):
+            monkeypatch.setattr(crops, "_WORKERS", workers)
+            tracemalloc.start()  # traces every thread's allocations
+            try:
+                got = knn_classify(index, queries, KnnConfig(k=20))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(got, want)
+            assert peak < 8 * block_bytes
+
     def test_ties_across_the_kth_neighbour(self):
         # one row just above five copies of another (one similarity, three
         # grades, at scattered indices), then the rest far below
@@ -531,8 +571,9 @@ class TestKnn:
         queries /= np.linalg.norm(queries, axis=1, keepdims=True)
         queries[::2] = index.features[rng.integers(0, n, size=len(queries[::2]))]
         want = knn_oracle(index, queries, k)
-        for workers in (1, 2):
+        for workers, groups in itertools.product((1, 2), KNN_GROUPS):
             with mock.patch.object(evaluation, "_KNN_BLOCK_VALUES", n * rows), \
+                    mock.patch.object(evaluation, "_KNN_GROUPS", groups), \
                     mock.patch.object(crops, "_WORKERS", workers):
                 got = knn_classify(index, queries, KnnConfig(k=k))
             np.testing.assert_array_equal(got, want)
