@@ -108,9 +108,9 @@ _CHUNK_VALUES = 1 << 17
 # Similarities that the blocks of k-NN queries in flight may hold together:
 # each of `crops.workers()` blocks holds its share. Over a 20000-row index it
 # gives 26 queries per block on one worker and 13 on two. Larger budgets are
-# faster (2^21 gave 1.56x the queries/s on two workers) but hold more
-# memory (14 MB more peak RSS there), so it stays at the budget first chosen
-# for top-k by `argpartition`; predictions do not depend on it.
+# faster, mostly in the similarity product (2^21 gave 1.56x the queries/s on
+# two workers), but raise the peak memory (by 14 MB there); predictions do
+# not depend on it.
 _KNN_BLOCK_VALUES = 1 << 19
 
 # Column groups whose per-row maxima bound a k-NN row's k-th similarity
@@ -298,23 +298,24 @@ def _knn_votes(block: np.ndarray, index: EmbeddingIndex, config: KnnConfig) -> n
     k = config.k
     g = min(n, max(k, _KNN_GROUPS))
     maxima = sims[:, :n // g * g].reshape(b, n // g, g).max(axis=1)
-    bound = np.partition(maxima, g - k, axis=1)[:, g - k]
+    maxima.partition(g - k, axis=1)  # in place: no second (b, g) array
+    bound = maxima[:, g - k]
     flat = np.flatnonzero(sims >= bound[:, None])  # ascending (row, index)
     cand_rows = flat // n
     neg_sims = -sims.ravel()[flat]
     # a stable sort by (row, -similarity) keeps equal similarities in index
     # order; each row has at least k candidates
     order = np.lexsort((neg_sims, cand_rows))
-    pick = order[np.searchsorted(cand_rows, np.arange(b))[:, None] + np.arange(k)]
+    rows = np.arange(b)
+    pick = order[np.searchsorted(cand_rows, rows)[:, None] + np.arange(k)]
     top, top_sims = flat[pick] % n, -neg_sims[pick]
-    rows = np.arange(b)[:, None]
     # exp((s - s_top) / T): each query's weights scaled by one factor, so no
     # temperature overflows exp and the first neighbour weighs 1
     weights = np.exp((top_sims - top_sims[:, :1]) / config.temperature)
     votes = np.zeros((b, N_GRADES))
     # one neighbour rank at a time, so each row sums in rank order
     for j in range(k):
-        votes[rows[:, 0], index.labels[top[:, j]]] += weights[:, j]
+        votes[rows, index.labels[top[:, j]]] += weights[:, j]
     return votes
 
 
